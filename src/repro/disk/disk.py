@@ -36,6 +36,13 @@ class Priority(enum.IntEnum):
     BACKGROUND = 1
 
 
+#: Trace-record spellings of op kinds, priorities and power states, looked
+#: up by member so the traced paths skip the enum descriptors per op.
+_KIND_NAMES = {kind: kind.value for kind in OpKind}
+_PRIORITY_NAMES = {priority: priority.name.lower() for priority in Priority}
+_STATE_NAMES = {state: state.value for state in PowerState}
+
+
 class Scheduler(enum.Enum):
     """Queue service order within a priority class.
 
@@ -273,7 +280,9 @@ class Disk:
     def _trace_power(
         self, now: float, old: PowerState, new: PowerState
     ) -> None:
-        self._tracer.power_state(self.name, old.value, new.value, now)
+        self._tracer.power_state(
+            self.name, _STATE_NAMES[old], _STATE_NAMES[new], now
+        )
 
     # ------------------------------------------------------------------
     # Observation attach points (completion-path specialization)
@@ -516,8 +525,8 @@ class Disk:
         if tracer is not None:
             tracer.disk_op(
                 self.name,
-                op.kind.value,
-                op.priority.name.lower(),
+                _KIND_NAMES[op.kind],
+                _PRIORITY_NAMES[op.priority],
                 op.sector,
                 op.nbytes,
                 op.submit_time,
@@ -578,8 +587,8 @@ class Disk:
             transfer = (now - op.start_time) - seek - rot
             tracer.disk_op_phases(
                 self.name,
-                op.kind.value,
-                op.priority.name.lower(),
+                _KIND_NAMES[op.kind],
+                _PRIORITY_NAMES[op.priority],
                 op.sector,
                 op.nbytes,
                 op.submit_time,

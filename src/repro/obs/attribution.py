@@ -23,12 +23,20 @@ Because ``queue`` is a residual, the six phases sum to the measured
 latency exactly (within float rounding), which is what the acceptance
 tests assert.  Requests that completed without issuing any disk op (e.g.
 fully cache-served reads) attribute everything to ``queue``.
+
+Cost: each disk's spin-up and background spans are indexed once per
+call (stable sort by start plus a running max of ends), so a request's
+wait window costs two bisections plus the slice they bound:
+O((R + B) log B + overlaps) for R requests and B background spans.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import TraceEvent
@@ -84,13 +92,53 @@ class RequestAttribution:
         }
 
 
-def _overlap(lo: float, hi: float, spans: List[Tuple[float, float]]) -> float:
-    total = 0.0
-    for start, end in spans:
-        o = min(hi, end) - max(lo, start)
-        if o > 0:
-            total += o
-    return total
+#: ``(start, end, label)`` of one power or background-op span.
+_Interval = Tuple[float, float, Optional[str]]
+
+
+class _IntervalIndex:
+    """One disk's ``(start, end, label)`` intervals, queryable by window.
+
+    Intervals are stably sorted by start (for ts-ordered input, as
+    produced by ``sorted_events``, that is their original order) and
+    paired with a running maximum of their ends.  For a window ``[lo,
+    hi]`` every interval before the first running max above ``lo`` ends
+    at or before ``lo``, and every interval from the first start at or
+    after ``hi`` starts at or after ``hi``: both overlap by ``<= 0``.  Two
+    bisections therefore bound the contiguous slice that can overlap,
+    even when intervals nest or overlap each other.
+    """
+
+    __slots__ = ("starts", "ends", "labels", "reach")
+
+    def __init__(self, spans: List[_Interval]) -> None:
+        spans.sort(key=itemgetter(0))
+        self.starts = [span[0] for span in spans]
+        self.ends = [span[1] for span in spans]
+        self.labels = [span[2] for span in spans]
+        self.reach = list(accumulate(self.ends, max))
+
+    def overlap(self, lo: float, hi: float) -> Tuple[float, Optional[str]]:
+        """Total overlap with ``[lo, hi]`` and the label of the largest
+        single overlap (first one wins ties; ``None`` if nothing
+        overlaps)."""
+        starts, ends, labels = self.starts, self.ends, self.labels
+        total = 0.0
+        worst = 0.0
+        culprit: Optional[str] = None
+        for i in range(
+            bisect_right(self.reach, lo), bisect_left(starts, hi)
+        ):
+            o = min(hi, ends[i]) - max(lo, starts[i])
+            if o > 0:
+                total += o
+                if o > worst:
+                    worst = o
+                    culprit = labels[i]
+        return total, culprit
+
+
+_NO_INTERVALS = _IntervalIndex([])
 
 
 def attribute_events(
@@ -105,8 +153,8 @@ def attribute_events(
     """
     requests: List[TraceEvent] = []
     ops_by_rid: Dict[int, List[TraceEvent]] = {}
-    spinup_by_disk: Dict[str, List[Tuple[float, float]]] = {}
-    background_by_disk: Dict[str, List[Tuple[float, float, str]]] = {}
+    spinup_by_disk: Dict[str, List[_Interval]] = {}
+    background_by_disk: Dict[str, List[_Interval]] = {}
     for event in events:
         if event.kind != "span":
             continue
@@ -126,8 +174,15 @@ def attribute_events(
                 )
         elif event.category == "power" and event.name == "spinning_up":
             spinup_by_disk.setdefault(event.track, []).append(
-                (event.ts, event.ts + event.dur)
+                (event.ts, event.ts + event.dur, None)
             )
+    spinup_index = {
+        disk: _IntervalIndex(spans) for disk, spans in spinup_by_disk.items()
+    }
+    background_index = {
+        disk: _IntervalIndex(spans)
+        for disk, spans in background_by_disk.items()
+    }
 
     out: List[RequestAttribution] = []
     for req in requests:
@@ -146,19 +201,12 @@ def attribute_events(
             transfer = float(attrs.get("transfer_s", critical.dur))
             submit = critical.ts - float(attrs.get("queued_s", 0.0))
             start = critical.ts
-            spinup = _overlap(
-                submit, start, spinup_by_disk.get(disk, [])
+            spinup, _ = spinup_index.get(disk, _NO_INTERVALS).overlap(
+                submit, start
             )
-            interference = 0.0
-            worst_overlap = 0.0
-            worst_proc: Optional[str] = None
-            for b_lo, b_hi, proc in background_by_disk.get(disk, []):
-                o = min(start, b_hi) - max(submit, b_lo)
-                if o > 0:
-                    interference += o
-                    if o > worst_overlap:
-                        worst_overlap = o
-                        worst_proc = proc
+            interference, worst_proc = background_index.get(
+                disk, _NO_INTERVALS
+            ).overlap(submit, start)
             phases["seek"] = seek
             phases["rotation"] = rot
             phases["transfer"] = transfer

@@ -36,6 +36,7 @@ import math
 import os
 import re
 import time
+from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -123,64 +124,66 @@ class P2Quantile:
             return
         heights = self._heights
         positions = self._positions
-        # Locate the cell and clamp the extremes.
+        # Clamp the extremes and shift the markers above the value's cell.
         if value < heights[0]:
             heights[0] = value
-            cell = 0
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
         elif value >= heights[4]:
             heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            for i in range(1, 4):
-                if value < heights[i]:
-                    break
-                cell = i
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
+        elif value < heights[1]:
+            positions[1] += 1.0
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < heights[2]:
+            positions[2] += 1.0
+            positions[3] += 1.0
+        elif value < heights[3]:
+            positions[3] += 1.0
+        positions[4] += 1.0
         q = self.q
-        increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
         desired = self._desired
-        for i in range(5):
-            desired[i] += increments[i]
-        # Adjust the three interior markers.
-        for i in range(1, 4):
-            delta = desired[i] - positions[i]
-            right_gap = positions[i + 1] - positions[i]
-            left_gap = positions[i - 1] - positions[i]
-            if (delta >= 1.0 and right_gap > 1.0) or (
-                delta <= -1.0 and left_gap < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        desired[1] += q / 2.0
+        desired[2] += q
+        desired[3] += (1.0 + q) / 2.0
+        desired[4] += 1.0
+        # Adjust the three interior markers: piecewise-parabolic (P²)
+        # prediction, linear when the parabola would break monotonicity.
+        for i in (1, 2, 3):
+            n1 = positions[i]
+            delta = desired[i] - n1
+            if delta >= 1.0 and positions[i + 1] - n1 > 1.0:
+                step = 1.0
+            elif delta <= -1.0 and positions[i - 1] - n1 < -1.0:
+                step = -1.0
+            else:
+                continue
+            n0 = positions[i - 1]
+            n2 = positions[i + 1]
+            h0 = heights[i - 1]
+            h1 = heights[i]
+            h2 = heights[i + 1]
+            candidate = h1 + step / (n2 - n0) * (
+                (n1 - n0 + step) * (h2 - h1) / (n2 - n1)
+                + (n2 - n1 - step) * (h1 - h0) / (n1 - n0)
+            )
+            if h0 < candidate < h2:
+                heights[i] = candidate
+            elif step > 0:
+                heights[i] = h1 + step * (h2 - h1) / (n2 - n1)
+            else:
+                heights[i] = h1 + step * (h0 - h1) / (n0 - n1)
+            positions[i] = n1 + step
 
     def value(self) -> float:
         """Current estimate of the tracked quantile."""
         if self.count == 0:
             return 0.0
         if self.count <= 5:
-            ordered = sorted(self._buf)
+            # At five observations the buffer has become the (sorted)
+            # marker heights.
+            ordered = sorted(self._buf) if self.count < 5 else self._heights
             rank = max(
                 0, min(len(ordered) - 1, math.ceil(self.q * len(ordered)) - 1)
             )
@@ -284,15 +287,7 @@ class MetricHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         sketches = self._sketches
         if sketches is not None:
             for sketch in sketches:
@@ -1066,10 +1061,10 @@ class RunInstrumentation:
         self._installed = True
 
     def _on_event(self, event) -> None:
-        label = event.label
-        _, _, suffix = label.rpartition(":")
+        # Count by full label; harvest folds labels to their suffixes.
         counts = self._events_by_label
-        counts[suffix or label] = counts.get(suffix or label, 0) + 1
+        label = event.label
+        counts[label] = counts.get(label, 0) + 1
         tick = self._tick + 1
         self._tick = tick
         if tick % _SAMPLE_EVERY == 0:
@@ -1117,13 +1112,17 @@ class RunInstrumentation:
             "sim_events_total", "events dispatched by the engine",
             scheme=scheme,
         ).inc(sim.events_processed)
-        for label in sorted(self._events_by_label):
+        by_suffix: Dict[str, int] = {}
+        for label, count in self._events_by_label.items():
+            suffix = label.rpartition(":")[2] or label
+            by_suffix[suffix] = by_suffix.get(suffix, 0) + count
+        for suffix in sorted(by_suffix):
             registry.counter(
                 "sim_events_by_label_total",
                 "events dispatched, by label suffix",
-                label=label,
+                label=suffix,
                 scheme=scheme,
-            ).inc(self._events_by_label[label])
+            ).inc(by_suffix[suffix])
         registry.counter(
             "sim_heap_compactions_total",
             "in-place heap compactions",

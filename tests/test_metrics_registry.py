@@ -34,6 +34,7 @@ from repro.obs.metrics import (
     MetricCounter,
     MetricHistogram,
     MetricsRegistry,
+    TRACKED_QUANTILES,
     P2Quantile,
     active,
     disable,
@@ -122,6 +123,13 @@ class TestQuantiles:
             sketch.observe(v)
         assert sketch.value() == 2.0
 
+    def test_p2_exact_at_five_samples(self):
+        for q, expected in ((0.5, 3.0), (0.95, 5.0)):
+            sketch = P2Quantile(q)
+            for v in (5.0, 1.0, 4.0, 2.0, 3.0):
+                sketch.observe(v)
+            assert sketch.value() == expected
+
     def test_p2_tracks_sorted_ground_truth(self):
         rng = random.Random(1234)
         samples = [rng.lognormvariate(0.0, 1.0) for _ in range(20000)]
@@ -153,6 +161,154 @@ class TestQuantiles:
             sketch.observe(rng.random())
         clone = P2Quantile.from_dict(sketch.to_dict())
         assert clone.value() == sketch.value()
+
+
+class ReferenceP2(P2Quantile):
+    """P² with the cell-search loop and helper methods of the textbook
+    formulation: the oracle for the straight-line ``observe``."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        if self.count <= 5:
+            self._buf.append(value)
+            if self.count == 5:
+                self._buf.sort()
+                self._heights = list(self._buf)
+                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+                q = self.q
+                self._desired = [
+                    1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0,
+                ]
+                self._buf = []
+            return
+        heights = self._heights
+        positions = self._positions
+        if value < heights[0]:
+            heights[0] = value
+            cell = 0
+        elif value >= heights[4]:
+            heights[4] = value
+            cell = 3
+        else:
+            cell = 0
+            for i in range(1, 4):
+                if value < heights[i]:
+                    break
+                cell = i
+        for i in range(cell + 1, 5):
+            positions[i] += 1.0
+        q = self.q
+        increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
+        desired = self._desired
+        for i in range(5):
+            desired[i] += increments[i]
+        for i in range(1, 4):
+            delta = desired[i] - positions[i]
+            right_gap = positions[i + 1] - positions[i]
+            left_gap = positions[i - 1] - positions[i]
+            if (delta >= 1.0 and right_gap > 1.0) or (
+                delta <= -1.0 and left_gap < -1.0
+            ):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = self._parabolic(i, step)
+                if heights[i - 1] < candidate < heights[i + 1]:
+                    heights[i] = candidate
+                else:
+                    heights[i] = self._linear(i, step)
+                positions[i] += step
+
+    def _parabolic(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        return h[i] + step / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + step)
+            * (h[i + 1] - h[i])
+            / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - step)
+            * (h[i] - h[i - 1])
+            / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        j = i + int(step)
+        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+
+
+def _reference_bucket(bounds, value):
+    """Index of the first bound >= value, by hand-written bisection."""
+    lo, hi = 0, len(bounds)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if bounds[mid] < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _p2_streams():
+    rng = random.Random(2024)
+    yield "lognormal", [rng.lognormvariate(0.0, 1.5) for _ in range(3000)]
+    yield "uniform", [rng.random() for _ in range(3000)]
+    yield "ties", [float(rng.randint(0, 4)) for _ in range(3000)]
+    yield "constant", [0.25] * 500
+    yield "increasing", [float(i) for i in range(1000)]
+    yield "decreasing", [float(-i) for i in range(1000)]
+    for n in range(6):
+        yield f"short-{n}", [rng.gauss(0.0, 1.0) for _ in range(n)]
+
+
+class TestP2Oracle:
+    @pytest.mark.parametrize("q", TRACKED_QUANTILES)
+    @pytest.mark.parametrize(
+        "stream", list(_p2_streams()), ids=lambda s: s[0]
+    )
+    def test_states_match_reference(self, q, stream):
+        _, values = stream
+        sketch, oracle = P2Quantile(q), ReferenceP2(q)
+        for value in values:
+            sketch.observe(value)
+            oracle.observe(value)
+            assert sketch.to_dict() == oracle.to_dict()
+        assert sketch.value() == oracle.value()
+
+    @pytest.mark.parametrize("q", TRACKED_QUANTILES)
+    def test_values_on_marker_heights_match_reference(self, q):
+        # Feed the sketch its own marker heights (and their float
+        # neighbours): every cell-boundary comparison lands on equality.
+        rng = random.Random(11)
+        sketch, oracle = P2Quantile(q), ReferenceP2(q)
+        for _ in range(5):
+            value = rng.random()
+            sketch.observe(value)
+            oracle.observe(value)
+        for step in range(2000):
+            height = oracle._heights[step % 5]
+            value = rng.choice(
+                (
+                    height,
+                    math.nextafter(height, math.inf),
+                    math.nextafter(height, -math.inf),
+                    rng.random(),
+                )
+            )
+            sketch.observe(value)
+            oracle.observe(value)
+            assert sketch.to_dict() == oracle.to_dict()
+
+    def test_histogram_bucket_index_on_bounds(self):
+        bounds = DEFAULT_LATENCY_BUCKETS
+        probes = [0.0, -1.0, math.inf, bounds[0] / 2, bounds[-1] * 2]
+        for b in bounds:
+            probes += [b, math.nextafter(b, math.inf), math.nextafter(b, 0.0)]
+        for value in probes:
+            hist = MetricHistogram(bounds=bounds)
+            hist.observe(value)
+            expected = [0] * (len(bounds) + 1)
+            expected[_reference_bucket(bounds, value)] = 1
+            assert hist.counts == expected, value
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +482,26 @@ class TestByteIdenticalRunMetrics:
             if name == "sim_events_total"
         ]
         assert events and events[0].value > 0
+
+    def test_event_labels_fold_to_suffixes(self):
+        cell = workload_cell(
+            "rolo-e", "wdev_0", scale=0.02, n_pairs=4, seed=3
+        )
+        _, registry = cell.execute_metered()
+        by_label = {
+            labels["label"]: inst.value
+            for name, labels, inst in registry.samples()
+            if name == "sim_events_by_label_total"
+        }
+        (total,) = [
+            inst.value
+            for name, _labels, inst in registry.samples()
+            if name == "sim_events_total"
+        ]
+        assert len(by_label) > 1
+        assert all(":" not in label for label in by_label)
+        assert sum(by_label.values()) == total
+        assert lint_prometheus(registry.to_prometheus()) == []
 
     def test_instrument_with_no_registry_is_inert(self, sim):
         from repro.core import build_controller

@@ -12,6 +12,8 @@ import json
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import make_trace, small_config, write_burst
 from repro.core import (
@@ -24,7 +26,9 @@ from repro.disk.disk import Disk, Scheduler
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.disk.power import PowerState
+from repro.experiments.runner import run_cell_observed, workload_cell
 from repro.faults import FaultSchedule, run_faulted
+from repro.obs import attribution
 from repro.obs import (
     PHASES,
     RecordingTracer,
@@ -40,6 +44,8 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.attribution import RequestAttribution
+from repro.obs.tracer import REQUEST_TRACK, TraceEvent
 from repro.sim import Simulator
 
 KB = 1024
@@ -371,3 +377,213 @@ class TestExportSatellites:
         run_trace(controller, mixed_trace())
         html_text = render_explorer_html(tracer.sorted_events(), top=2)
         assert "<svg" in html_text
+
+
+# ----------------------------------------------------------------------
+# Interval index: bit-identical to the brute-force scan, linear work
+# ----------------------------------------------------------------------
+def brute_force_attribute(events):
+    """Reference attribution: every request's wait window scans every
+    spin-up and background span on its disk, in stream order."""
+    requests, ops_by_rid, spinups, background = [], {}, {}, {}
+    for event in events:
+        if event.kind != "span":
+            continue
+        if event.category == "request":
+            requests.append(event)
+        elif event.category == "disk_op":
+            rid = event.attrs.get("rid")
+            if rid is not None:
+                ops_by_rid.setdefault(rid, []).append(event)
+            if event.name.endswith(":background"):
+                background.setdefault(event.track, []).append(
+                    (
+                        event.ts,
+                        event.ts + event.dur,
+                        str(event.attrs.get("proc", "background")),
+                    )
+                )
+        elif event.category == "power" and event.name == "spinning_up":
+            spinups.setdefault(event.track, []).append(
+                (event.ts, event.ts + event.dur)
+            )
+    out = []
+    for req in requests:
+        rid = req.attrs.get("rid")
+        phases = {phase: 0.0 for phase in PHASES}
+        disk = culprit = None
+        ops = ops_by_rid.get(rid)
+        if ops:
+            critical = max(ops, key=lambda e: (e.ts + e.dur, e.ts))
+            disk = critical.track
+            attrs = critical.attrs
+            submit = critical.ts - float(attrs.get("queued_s", 0.0))
+            start = critical.ts
+            spinup = 0.0
+            for b_lo, b_hi in spinups.get(disk, []):
+                o = min(start, b_hi) - max(submit, b_lo)
+                if o > 0:
+                    spinup += o
+            interference = worst_overlap = 0.0
+            worst_proc = None
+            for b_lo, b_hi, proc in background.get(disk, []):
+                o = min(start, b_hi) - max(submit, b_lo)
+                if o > 0:
+                    interference += o
+                    if o > worst_overlap:
+                        worst_overlap = o
+                        worst_proc = proc
+            phases["seek"] = float(attrs.get("seek_s", 0.0))
+            phases["rotation"] = float(attrs.get("rot_s", 0.0))
+            phases["transfer"] = float(attrs.get("transfer_s", critical.dur))
+            phases["spinup"] = spinup
+            phases["interference"] = interference
+            if spinup > 0 and spinup >= interference:
+                culprit = f"spin-up:{disk}"
+            elif worst_proc is not None:
+                culprit = worst_proc
+        phases["queue"] = req.dur - sum(
+            phases[p] for p in PHASES if p != "queue"
+        )
+        out.append(
+            RequestAttribution(
+                rid=rid if rid is not None else -1,
+                kind=req.name,
+                arrival=req.ts,
+                measured=req.dur,
+                phases=phases,
+                disk=disk,
+                culprit=culprit,
+            )
+        )
+    out.sort(key=lambda a: a.rid)
+    return out
+
+
+def assert_matches_brute_force(events):
+    """The indexed attribution equals the brute-force scan bit for bit;
+    returns the attributions for further checks."""
+    attrs = attribute_events(events)
+    expected = brute_force_attribute(events)
+    assert [a.to_dict() for a in attrs] == [a.to_dict() for a in expected]
+    return attrs
+
+
+def synthetic_stream(background, spinups, requests, disk="D0"):
+    """A ts-ordered span stream on one disk.
+
+    ``background``/``spinups`` are ``(start, dur)`` spans; ``requests``
+    are ``(start, queued, service)`` critical ops, one per request."""
+    events = [
+        TraceEvent(
+            ts=start, kind="span", category="disk_op",
+            name="write:background", track=disk, dur=dur,
+            attrs={"proc": f"destage-{i}"},
+        )
+        for i, (start, dur) in enumerate(background)
+    ]
+    events += [
+        TraceEvent(
+            ts=start, kind="span", category="power", name="spinning_up",
+            track=disk, dur=dur,
+        )
+        for start, dur in spinups
+    ]
+    for rid, (start, queued, service) in enumerate(requests):
+        events.append(
+            TraceEvent(
+                ts=start - queued, kind="span", category="request",
+                name="read", track=REQUEST_TRACK, dur=queued + service,
+                attrs={"rid": rid},
+            )
+        )
+        events.append(
+            TraceEvent(
+                ts=start, kind="span", category="disk_op",
+                name="read:foreground", track=disk, dur=service,
+                attrs={
+                    "rid": rid, "queued_s": queued, "seek_s": 0.0,
+                    "rot_s": 0.0, "transfer_s": service,
+                },
+            )
+        )
+    recorder = RecordingTracer()
+    recorder.events.extend(events)
+    return recorder.sorted_events()
+
+
+_times = st.floats(0.0, 50.0, allow_nan=False)
+_durations = st.one_of(st.just(0.0), st.floats(0.0, 30.0, allow_nan=False))
+
+
+class TestAttributionIndex:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_fig10_cell_matches_brute_force(self, scheme):
+        cell = workload_cell(scheme, "src2_2", scale=0.004, n_pairs=4)
+        events = run_cell_observed(cell, spans=True).tracer.sorted_events()
+        attrs = assert_matches_brute_force(events)
+        assert_exact_sums(attrs)
+
+    def test_faulted_run_matches_brute_force(self):
+        spec = [(i * 0.02, "w", (i % 40) * 64 * KB, 64 * KB) for i in range(300)]
+        spec += [
+            (i * 0.02 + 0.01, "r", ((i + 7) % 40) * 64 * KB + 8 * MB, 64 * KB)
+            for i in range(300)
+        ]
+        recorder = SpanRecorder()
+        result = run_faulted(
+            "rolo-r",
+            small_config(free_space_bytes=1 * MB),
+            make_trace(sorted(spec)),
+            FaultSchedule.parse("slow@0:P0:3x2,fail@2:M1"),
+            tracer=recorder,
+        )
+        assert result.consistent
+        attrs = assert_matches_brute_force(recorder.sorted_events())
+        assert any(a.phases["interference"] > 0 for a in attrs)
+        assert_exact_sums(attrs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        background=st.lists(st.tuples(_times, _durations), max_size=12),
+        spinups=st.lists(st.tuples(_times, _durations), max_size=4),
+        requests=st.lists(
+            st.tuples(_times, _durations, _durations), min_size=1, max_size=8
+        ),
+    )
+    def test_overlapping_and_nested_spans_match_brute_force(
+        self, background, spinups, requests
+    ):
+        # Spans here overlap, nest, have zero length, and their ends are
+        # not monotone in start order: the window must still cover every
+        # span that can overlap a request's wait.
+        assert_matches_brute_force(
+            synthetic_stream(background, spinups, requests)
+        )
+
+    def test_work_grows_linearly(self, monkeypatch):
+        # Count overlap evaluations through a counting ``min`` in the
+        # module namespace: N requests against N disjoint background spans
+        # on one disk must cost O(N), not O(N^2), evaluations.
+        calls = [0]
+
+        def counting_min(*args):
+            calls[0] += 1
+            return min(*args)
+
+        monkeypatch.setattr(attribution, "min", counting_min, raising=False)
+
+        def work(n):
+            calls[0] = 0
+            stream = synthetic_stream(
+                background=[(2.0 * k, 1.0) for k in range(n)],
+                spinups=[],
+                requests=[(2.0 * k + 1.5, 1.0, 0.1) for k in range(n)],
+            )
+            attrs = attribute_events(stream)
+            assert all(a.phases["interference"] == 0.5 for a in attrs)
+            return calls[0]
+
+        small, large = work(400), work(800)
+        assert small > 0
+        assert large <= 2.2 * small, (small, large)
