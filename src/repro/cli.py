@@ -90,9 +90,8 @@ def _run_experiments(args: argparse.Namespace) -> int:
         ids = [args.experiment]
     # --progress/--metrics-out meter the sweep (dispatcher telemetry +
     # per-cell latency/power registries); metering is observe-only, so
-    # results are byte-identical either way.  --profile keeps its own
-    # report and forgoes the registry (the collectors are exclusive).
-    collect_metrics = (args.progress or args.metrics_out) and not args.profile
+    # results are byte-identical either way.  --profile combines with both.
+    collect_metrics = bool(args.progress or args.metrics_out)
     sweep_progress = None
     progress = None
     if args.progress:
@@ -313,7 +312,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"[samples] wrote {count} samples to {args.samples}")
         else:
             print(run.sampler.summary())
-    if run.profile is not None:
+    if args.profile:
         print(run.profile.report())
     return 0
 

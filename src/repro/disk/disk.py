@@ -36,10 +36,8 @@ class Priority(enum.IntEnum):
     BACKGROUND = 1
 
 
-#: Trace-record spellings of op kinds, priorities and power states, looked
-#: up by member so the traced paths skip the enum descriptors per op.
-_KIND_NAMES = {kind: kind.value for kind in OpKind}
-_PRIORITY_NAMES = {priority: priority.name.lower() for priority in Priority}
+#: Trace-record spellings of power states, looked up by member so the
+#: traced path skips the enum descriptor per transition.
 _STATE_NAMES = {state: state.value for state in PowerState}
 
 
@@ -292,15 +290,12 @@ class Disk:
 
         Called whenever ``tracer``/``op_observer`` change: with neither
         attached, completions run a guard-free fast path; with either, the
-        observed variant is bound; a span-aware tracer (``wants_phases``)
-        selects the phase-decomposing variant.  Ops already scheduled keep
-        the bound method captured at schedule time, so attach/detach must
-        happen between runs (the instrumentation layers do).
+        observed variant is bound.  Ops already scheduled keep the bound
+        method captured at schedule time, so attach/detach must happen
+        between runs (the instrumentation layers do).
         """
         if self._tracer is None and self._op_observer is None:
             self._complete = self._complete_fast
-        elif getattr(self._tracer, "wants_phases", False):
-            self._complete = self._complete_spanned
         else:
             self._complete = self._complete_observed
 
@@ -508,55 +503,9 @@ class Disk:
             self._notify_idle()
 
     def _complete_observed(self, op: DiskOp) -> None:
-        now = self.sim._now
-        op.finish_time = now
-        self._head_sector = end = self._end_sector(op.sector, op.nbytes)
-        self._in_service = None
-        self.ops_completed += 1
-        self.bytes_transferred += op.nbytes
-        self.busy_time += now - op.start_time
-        if op.priority is Priority.FOREGROUND:
-            self.foreground_ops += 1
-        else:
-            self.background_ops += 1
-        if self._latent_errors and op.kind is OpKind.READ:
-            self._surface_latent_errors(op.sector, end)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.disk_op(
-                self.name,
-                _KIND_NAMES[op.kind],
-                _PRIORITY_NAMES[op.priority],
-                op.sector,
-                op.nbytes,
-                op.submit_time,
-                op.start_time,
-                now,
-            )
-        observer = self._op_observer
-        if observer is not None:
-            observer(self, op)
-        callback = op.on_complete
-        if callback is not None:
-            callback(op)
-        if op._pooled:
-            release_op(op)
-        if self._queues[0] or self._queues[1]:
-            self._try_start()
-        elif self._in_service is None:
-            # See _complete_fast: never idle-bill a disk that on_complete
-            # already put back in service.
-            power = self.power
-            if power._state is PowerState.ACTIVE:
-                power.transition(now, PowerState.IDLE)
-            self._idle_since = now
-            self._notify_idle()
-
-    def _complete_spanned(self, op: DiskOp) -> None:
-        # _complete_observed with a mechanical-phase decomposition of the
-        # service interval.  The previous head position must be captured
-        # before the head advances; everything else mirrors the observed
-        # variant byte-for-byte so spanned runs stay metrics-identical.
+        # _complete_fast plus the notification block.  The head position
+        # is captured before it advances: span recorders derive the op's
+        # seek/rotation split from it (plain tracers ignore it).
         now = self.sim._now
         prev_head = self._head_sector
         op.finish_time = now
@@ -573,32 +522,7 @@ class Disk:
             self._surface_latent_errors(op.sector, end)
         tracer = self._tracer
         if tracer is not None:
-            if op.sequential_hint:
-                seek = rot = 0.0
-            else:
-                seek, rot = self.mechanics.seek_rotation(
-                    prev_head, op.sector
-                )
-                if self.slowdown_factor != 1.0:
-                    seek *= self.slowdown_factor
-                    rot *= self.slowdown_factor
-            # Transfer is the residual so seek + rot + transfer equals the
-            # realized service interval exactly, slowdown included.
-            transfer = (now - op.start_time) - seek - rot
-            tracer.disk_op_phases(
-                self.name,
-                _KIND_NAMES[op.kind],
-                _PRIORITY_NAMES[op.priority],
-                op.sector,
-                op.nbytes,
-                op.submit_time,
-                op.start_time,
-                now,
-                seek,
-                rot,
-                transfer,
-                op,
-            )
+            tracer.disk_op(self, op, prev_head)
         observer = self._op_observer
         if observer is not None:
             observer(self, op)

@@ -28,6 +28,7 @@ today's behavior, preserved exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -137,28 +138,25 @@ def _worker_init() -> None:
     import repro.verify  # noqa: F401
 
 
-def _compute_cell(cell: Cell, ref: Optional[TraceRef]) -> Dict[str, Any]:
-    """Worker entry point: run one cell, return its serialized metrics."""
-    trace = shm.attach_cached(ref) if ref is not None else None
-    return cell.execute(trace=trace).to_dict()
-
-
-def _compute_cell_profiled(
-    cell: Cell, ref: Optional[TraceRef]
+def _compute_cell(
+    cell: Cell, ref: Optional[TraceRef], metered: bool = False
 ) -> Dict[str, Any]:
-    """Worker entry point with per-cell timing attached."""
-    trace = shm.attach_cached(ref) if ref is not None else None
-    metrics, profile = cell.execute_profiled(trace=trace)
-    return {"metrics": metrics.to_dict(), "profile": profile.to_dict()}
+    """Worker entry point: run one cell, return its serialized results.
 
-
-def _compute_cell_metered(
-    cell: Cell, ref: Optional[TraceRef]
-) -> Dict[str, Any]:
-    """Worker entry point with the metrics registry instrumented in."""
+    The payload always carries ``metrics`` and ``profile`` (the run body
+    measures both for free), plus ``registry`` when ``metered``.  Bind the
+    flag with :func:`functools.partial`, which pickles like the function.
+    """
     trace = shm.attach_cached(ref) if ref is not None else None
-    metrics, registry = cell.execute_metered(trace=trace)
-    return {"metrics": metrics.to_dict(), "registry": registry.to_dict()}
+    registry = MetricsRegistry() if metered else None
+    run = runner._run_cell(cell, trace, registry=registry)
+    payload = {
+        "metrics": run.metrics.to_dict(),
+        "profile": run.profile.to_dict(),
+    }
+    if metered:
+        payload["registry"] = registry.to_dict()
+    return payload
 
 
 def _telemetry_worker(
@@ -343,13 +341,10 @@ def execute_cells(
     ``jobs=1`` nothing is computed here — the caller's serial path does it
     — but the cached/pending census is still reported.
 
-    With ``collect_profiles=True`` each computed cell additionally returns
-    a :class:`CellProfile` (wall time, event count, simulated time);
-    cached cells appear in the report with ``source="cached"`` and no
-    timing.  Profiling changes nothing about the metrics: workers still
-    ship exact ``RunMetrics.to_dict()`` payloads.  To keep the report
-    complete, profiling forces pending cells to be computed here even at
-    ``jobs=1`` (serially, in-process).
+    With ``collect_profiles=True`` the report collects every computed
+    cell's :class:`CellProfile` (wall time, event count, simulated time;
+    every run measures these, serial or pooled, over the same window);
+    cached cells appear with ``source="cached"`` and no timing.
 
     With ``collect_metrics=True`` each computed cell is run under the
     metrics registry (latency/power histograms, controller counters) and
@@ -357,13 +352,12 @@ def execute_cells(
     attach locality, in-flight window); worker registries merge into
     ``stats.metrics`` — order-independent, see
     :meth:`MetricsRegistry.merge`.  Metering observes only: the
-    ``RunMetrics`` payloads stay byte-identical.  Like profiling, it
-    forces pending cells to be computed here even at ``jobs=1``.
+    ``RunMetrics`` payloads stay byte-identical.
+
+    The two combine freely.  Either one forces pending cells to be
+    computed here even at ``jobs=1`` (serially, in-process), so the
+    report and the registry cover every cell.
     """
-    if collect_profiles and collect_metrics:
-        raise ValueError(
-            "collect_profiles and collect_metrics are mutually exclusive"
-        )
     if jobs is None:
         jobs = default_jobs()
     cell_list = list(cells)
@@ -405,42 +399,35 @@ def execute_cells(
                     f"{label}"
                 )
 
-    if pending and jobs == 1 and collect_profiles:
-        # Serial profiled path: compute in-process so the caller's later
+    def _install(
+        key: Tuple, cell: Cell, metrics: RunMetrics, profile: CellProfile
+    ) -> None:
+        runner.install_result(key, metrics)
+        if report is not None:
+            report.add(profile)
+        _note(key, cell)
+
+    if pending and jobs == 1 and (collect_profiles or collect_metrics):
+        # Serial observed path: compute in-process so the caller's later
         # serial pass hits the cache and the report covers every cell.
         for key, cell in pending:
-            metrics, profile = cell.execute_profiled()
-            runner.install_result(key, metrics)
-            report.add(profile)
-            _note(key, cell)
-    elif pending and jobs == 1 and collect_metrics:
-        # Serial metered path, same rationale as the profiled one.
-        for key, cell in pending:
-            metrics, _ = cell.execute_metered(registry=stats.metrics)
-            runner.install_result(key, metrics)
-            _note(key, cell)
+            run = runner._run_cell(cell, registry=stats.metrics)
+            _install(key, cell, run.metrics, run.profile)
     elif pending and jobs > 1:
-        if collect_profiles:
-            worker = _compute_cell_profiled
-        elif collect_metrics:
-            worker = _compute_cell_metered
-        else:
-            worker = _compute_cell
 
         def _handle(key: Tuple, cell: Cell, payload: Dict[str, Any]) -> None:
-            if collect_profiles:
-                metrics = RunMetrics.from_dict(payload["metrics"])
-                report.add(CellProfile.from_dict(payload["profile"]))
-            elif collect_metrics:
-                metrics = RunMetrics.from_dict(payload["metrics"])
+            if collect_metrics:
                 stats.metrics.merge(
                     MetricsRegistry.from_dict(payload["registry"])
                 )
-            else:
-                metrics = RunMetrics.from_dict(payload)
-            runner.install_result(key, metrics)
-            _note(key, cell)
+            _install(
+                key,
+                cell,
+                RunMetrics.from_dict(payload["metrics"]),
+                CellProfile.from_dict(payload["profile"]),
+            )
 
+        worker = functools.partial(_compute_cell, metered=collect_metrics)
         run_grouped(pending, jobs, worker, _handle, telemetry=stats.metrics)
 
     if report is not None:

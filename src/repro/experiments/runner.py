@@ -20,12 +20,19 @@ signatures; every caller transparently benefits from both layers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.metrics import RunMetrics
 from repro.experiments.cache import active_cache, freeze
+from repro.obs.metrics import MetricsRegistry, instrument
+from repro.obs.profiler import CellProfile
+from repro.obs.sampler import TimeSeriesSampler
+from repro.obs.spans import SpanRecorder
+from repro.obs.tracer import RecordingTracer
 from repro.sim import Simulator
 from repro.traces import build_workload_trace
 from repro.traces.compiled import AnyTrace
@@ -160,16 +167,6 @@ class Cell:
             )
         return config
 
-    def materialize(self) -> Tuple[AnyTrace, ArrayConfig]:
-        """Build this cell's trace and resolved array configuration.
-
-        Traces materialize in compiled (columnar) form: replay through the
-        :class:`~repro.core.base.TraceDriver` fast path is byte-identical
-        to the legacy object form (see tests/test_compiled_equivalence.py)
-        and skips one boxed ``TraceRecord`` per request.
-        """
-        return self.build_trace(), self.resolve_config()
-
     def execute(self, trace: Optional[AnyTrace] = None) -> RunMetrics:
         """Run the simulation, bypassing every cache layer.
 
@@ -177,44 +174,13 @@ class Cell:
         attachment for the freshly-generated trace; both carry identical
         records, so metrics are byte-identical either way.
         """
-        if trace is None:
-            trace = self.build_trace()
-        return _run(self.scheme, trace, self.resolve_config())
-
-    def execute_profiled(
-        self, trace: Optional[AnyTrace] = None
-    ) -> Tuple[RunMetrics, "CellProfile"]:
-        """Run uncached, timing the cell (trace build + simulation).
-
-        With a pre-built ``trace`` the timed window covers only the
-        simulation — trace generation happened elsewhere (the parent, for
-        shared-memory fan-out).
-        """
-        import time
-
-        from repro.obs.profiler import CellProfile
-
-        started = time.perf_counter()
-        if trace is None:
-            trace = self.build_trace()
-        config = self.resolve_config()
-        sim = Simulator()
-        controller = build_controller(self.scheme, sim, config)
-        metrics = run_trace(controller, trace)
-        controller.assert_consistent()
-        profile = CellProfile(
-            label=self.label(),
-            wall_s=time.perf_counter() - started,
-            events=sim.events_processed,
-            sim_time_s=sim.now,
-        )
-        return metrics, profile
+        return _run_cell(self, trace).metrics
 
     def execute_metered(
         self,
         trace: Optional[AnyTrace] = None,
-        registry: Optional["MetricsRegistry"] = None,
-    ) -> Tuple[RunMetrics, "MetricsRegistry"]:
+        registry: Optional[MetricsRegistry] = None,
+    ) -> Tuple[RunMetrics, MetricsRegistry]:
         """Run uncached with the metrics registry instrumented in.
 
         Returns ``(metrics, registry)``; the registry accumulates, so one
@@ -222,19 +188,9 @@ class Cell:
         Instrumentation observes only — ``metrics`` is byte-identical to
         :meth:`execute` (pinned in tests/test_metrics_registry.py).
         """
-        from repro.obs.metrics import MetricsRegistry, instrument
-
         if registry is None:
             registry = MetricsRegistry()
-        if trace is None:
-            trace = self.build_trace()
-        config = self.resolve_config()
-        sim = Simulator()
-        controller = build_controller(self.scheme, sim, config)
-        with instrument(sim, controller, registry):
-            metrics = run_trace(controller, trace)
-        controller.assert_consistent()
-        return metrics, registry
+        return _run_cell(self, trace, registry=registry).metrics, registry
 
 
 def workload_cell(
@@ -350,26 +306,71 @@ def simulate_synthetic(
     return run_cell(synthetic_cell(scheme, trace_config, config))
 
 
-def _run(scheme: str, trace: Trace, config: ArrayConfig) -> RunMetrics:
-    sim = Simulator()
-    controller = build_controller(scheme, sim, config)
-    metrics = run_trace(controller, trace)
-    controller.assert_consistent()
-    return metrics
-
-
 # ----------------------------------------------------------------------
 # Observed (traced / sampled / profiled) execution
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class ObservedRun:
-    """Result of :func:`run_cell_observed`: metrics plus the observability
-    artifacts requested for the run."""
+    """One cell run: its metrics, what the run cost, and the observers
+    that were attached to it."""
 
     metrics: RunMetrics
+    #: Wall time (controller build, replay, consistency check), events
+    #: dispatched and simulated time; per-label event counts only when
+    #: they were asked for.
+    profile: CellProfile
     tracer: Optional[Any] = None  # RecordingTracer when tracing was on
     sampler: Optional[Any] = None  # TimeSeriesSampler when sampling was on
-    profile: Optional[Any] = None  # RunProfile when profiling was on
+
+
+def _run_cell(
+    cell: Cell,
+    trace: Optional[AnyTrace] = None,
+    tracer: Optional[Any] = None,
+    sample_interval: Optional[float] = None,
+    registry: Optional[MetricsRegistry] = None,
+    count_labels: bool = False,
+) -> ObservedRun:
+    """Run one cell outside every cache layer: the single execution body.
+
+    Every observer here observes without mutating, so the metrics are
+    byte-identical whichever are attached.  The timed window starts after
+    the trace is built (or attached), so serial and pool runs time the
+    same work.
+    """
+    if trace is None:
+        trace = cell.build_trace()
+    config = cell.resolve_config()
+    started = time.perf_counter()
+    sim = Simulator()
+    controller = build_controller(cell.scheme, sim, config, tracer=tracer)
+    sampler = None
+    if sample_interval is not None:
+        sampler = TimeSeriesSampler(sim, controller, sample_interval)
+        sampler.start()
+    label_counts: Dict[str, int] = {}
+    if count_labels:
+
+        def _count(event) -> None:
+            label = event.label or "(unlabeled)"
+            label_counts[label] = label_counts.get(label, 0) + 1
+
+        sim.add_event_observer(_count)
+    with (
+        instrument(sim, controller, registry)
+        if registry is not None
+        else contextlib.nullcontext()
+    ):
+        metrics = run_trace(controller, trace)
+    controller.assert_consistent()
+    profile = CellProfile(
+        label=cell.label(),
+        wall_s=time.perf_counter() - started,
+        events=sim.events_processed,
+        sim_time_s=sim.now,
+        label_counts=label_counts,
+    )
+    return ObservedRun(metrics, profile, tracer, sampler)
 
 
 def run_cell_observed(
@@ -387,37 +388,18 @@ def run_cell_observed(
     run, not a memoized one).  ``spans=True`` upgrades the tracer to a
     :class:`~repro.obs.spans.SpanRecorder` (implies ``trace_events``): the
     event stream then carries per-op phase spans suitable for
-    :func:`~repro.obs.attribution.attribute_events`.
+    :func:`~repro.obs.attribution.attribute_events`.  ``profile=True``
+    adds per-label event counts to the run's always-present profile.
     """
-    from repro.obs.profiler import SimulatorProbe
-    from repro.obs.sampler import TimeSeriesSampler
-    from repro.obs.spans import SpanRecorder
-    from repro.obs.tracer import RecordingTracer
-
     if spans:
         tracer = SpanRecorder()
     else:
         tracer = RecordingTracer() if trace_events else None
-    trace, config = cell.materialize()
-    sim = Simulator()
-    controller = build_controller(cell.scheme, sim, config, tracer=tracer)
-    sampler = None
-    if sample_interval is not None:
-        sampler = TimeSeriesSampler(sim, controller, sample_interval)
-        sampler.start()
-    if profile:
-        with SimulatorProbe(sim, count_labels=True) as probe:
-            metrics = run_trace(controller, trace)
-        run_profile = probe.profile
-    else:
-        metrics = run_trace(controller, trace)
-        run_profile = None
-    controller.assert_consistent()
-    return ObservedRun(
-        metrics=metrics,
+    return _run_cell(
+        cell,
         tracer=tracer,
-        sampler=sampler,
-        profile=run_profile,
+        sample_interval=sample_interval,
+        count_labels=profile,
     )
 
 

@@ -15,12 +15,15 @@ to serial ones.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments import runner
 from repro.experiments.cache import active_cache
 from repro.faults.injector import FaultRunResult, run_faulted
 from repro.faults.schedule import FaultSchedule
+from repro.obs.metrics import MetricsRegistry
+from repro.traces import shm
 from repro.traces.compiled import AnyTrace
 
 #: In-process memo of completed fault cells (spec-keyed payload dicts).
@@ -56,38 +59,32 @@ class FaultCell:
     def build_trace(self) -> AnyTrace:
         return self.base.build_trace()
 
-    def execute(self, trace: Optional[AnyTrace] = None) -> FaultRunResult:
+    def execute(
+        self, trace: Optional[AnyTrace] = None, registry=None
+    ) -> FaultRunResult:
         """Run the faulted simulation, bypassing every cache layer.
 
         ``trace`` substitutes a shared-memory attachment for the freshly
-        generated trace (identical records either way).
+        generated trace (identical records either way).  A metrics
+        ``registry`` meters the run; metering observes only, so the
+        result is byte-identical either way.
         """
         if trace is None:
             trace = self.base.build_trace()
         config = self.base.resolve_config()
         schedule = FaultSchedule.parse(self.schedule_spec)
-        return run_faulted(self.base.scheme, config, trace, schedule)
+        return run_faulted(
+            self.base.scheme, config, trace, schedule, registry=registry
+        )
 
     def execute_metered(
         self, trace: Optional[AnyTrace] = None, registry=None
     ) -> Tuple[FaultRunResult, Any]:
-        """Run uncached with the metrics registry instrumented in.
-
-        Returns ``(result, registry)``.  Metering observes only: the
-        result is byte-identical to :meth:`execute`.
-        """
-        from repro.obs.metrics import MetricsRegistry
-
+        """:meth:`execute` into ``registry`` (created if omitted);
+        returns ``(result, registry)``."""
         if registry is None:
             registry = MetricsRegistry()
-        if trace is None:
-            trace = self.base.build_trace()
-        config = self.base.resolve_config()
-        schedule = FaultSchedule.parse(self.schedule_spec)
-        result = run_faulted(
-            self.base.scheme, config, trace, schedule, registry=registry
-        )
-        return result, registry
+        return self.execute(trace, registry), registry
 
 
 def fault_cell(
@@ -158,21 +155,17 @@ def _install(key: Tuple, payload: Dict[str, Any]) -> None:
         disk.put_payload(key, payload)
 
 
-def _compute_fault_cell(cell: FaultCell, ref=None) -> Dict[str, Any]:
-    """Worker entry point: run one cell, ship its payload dict back."""
-    from repro.traces import shm
-
+def _compute_fault_cell(
+    cell: FaultCell, ref=None, metered: bool = False
+) -> Dict[str, Any]:
+    """Worker entry point: run one cell, ship its result dict back (plus
+    its ``registry`` when ``metered``, bound with ``functools.partial``)."""
     trace = shm.attach_cached(ref) if ref is not None else None
-    return cell.execute(trace=trace).to_dict()
-
-
-def _compute_fault_cell_metered(cell: FaultCell, ref=None) -> Dict[str, Any]:
-    """Worker entry point with the metrics registry instrumented in."""
-    from repro.traces import shm
-
-    trace = shm.attach_cached(ref) if ref is not None else None
-    result, registry = cell.execute_metered(trace=trace)
-    return {"result": result.to_dict(), "registry": registry.to_dict()}
+    registry = MetricsRegistry() if metered else None
+    payload = {"result": cell.execute(trace, registry).to_dict()}
+    if metered:
+        payload["registry"] = registry.to_dict()
+    return payload
 
 
 def run_campaign(
@@ -194,9 +187,9 @@ def run_campaign(
     """
     from repro.experiments.parallel import SweepProgress
 
-    if collect_metrics and registry is None:
-        from repro.obs.metrics import MetricsRegistry
-
+    if not collect_metrics:
+        registry = None
+    elif registry is None:
         registry = MetricsRegistry()
 
     cell_list = list(cells)
@@ -225,35 +218,19 @@ def run_campaign(
     if pending and jobs > 1:
         from repro.experiments.parallel import run_grouped
 
-        if collect_metrics:
-            from repro.obs.metrics import MetricsRegistry
-
-            def _handle(key: Tuple, cell: FaultCell, payload: Dict[str, Any]):
-                _install(key, payload["result"])
+        def _handle(key: Tuple, cell: FaultCell, payload: Dict[str, Any]):
+            _install(key, payload["result"])
+            if registry is not None:
                 registry.merge(MetricsRegistry.from_dict(payload["registry"]))
-                _note(cell)
+            _note(cell)
 
-            run_grouped(
-                pending,
-                jobs,
-                _compute_fault_cell_metered,
-                _handle,
-                telemetry=registry,
-            )
-        else:
-
-            def _handle(key: Tuple, cell: FaultCell, payload: Dict[str, Any]):
-                _install(key, payload)
-                _note(cell)
-
-            run_grouped(pending, jobs, _compute_fault_cell, _handle)
+        worker = functools.partial(
+            _compute_fault_cell, metered=registry is not None
+        )
+        run_grouped(pending, jobs, worker, _handle, telemetry=registry)
     else:
         for key, cell in pending:
-            if collect_metrics:
-                result, _ = cell.execute_metered(registry=registry)
-                _install(key, result.to_dict())
-            else:
-                _install(key, cell.execute().to_dict())
+            _install(key, cell.execute(registry=registry).to_dict())
             _note(cell)
 
     if isinstance(progress, SweepProgress):

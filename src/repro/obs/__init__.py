@@ -44,13 +44,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.spans import SpanRecorder
-from repro.obs.profiler import (
-    CellProfile,
-    ProfileReport,
-    RunProfile,
-    SimulatorProbe,
-    merge_label_counts,
-)
+from repro.obs.profiler import CellProfile, ProfileReport
 from repro.obs.sampler import Sample, TimeSeriesSampler
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -86,11 +80,8 @@ __all__ = [
     "write_jsonl",
     "Sample",
     "TimeSeriesSampler",
-    "RunProfile",
     "CellProfile",
     "ProfileReport",
-    "SimulatorProbe",
-    "merge_label_counts",
     "MetricCounter",
     "Gauge",
     "MetricHistogram",

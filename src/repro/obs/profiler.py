@@ -1,33 +1,34 @@
 """Run profiling: wall time, event throughput, per-cell timing.
 
-Two layers:
-
-* :class:`SimulatorProbe` — wraps one simulation, timing wall-clock
-  execution and (via the engine's event hook) counting dispatched events
-  by label.  The hook only exists while the probe is active, so unprofiled
-  runs keep the engine's optimized zero-instrumentation loop.
-* :class:`CellProfile` / :class:`ProfileReport` — per-experiment-cell
-  timing collected by :func:`repro.experiments.parallel.execute_cells`.
-  Workers measure their own cells and ship the numbers back with the
-  metrics; the parent merges them in deterministic (label-sorted) order.
+* :class:`CellProfile` — what one cell run cost: wall time, events
+  dispatched, simulated time and (when asked for) events by label.  The
+  single cell-run body in :mod:`repro.experiments.runner` fills it in for
+  every run, so the numbers are free to read.
+* :class:`ProfileReport` — per-cell profiles collected by
+  :func:`repro.experiments.parallel.execute_cells`.  Workers ship their
+  cells' profiles back with the metrics; the parent merges them in
+  deterministic (label-sorted) order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Any, Dict, List, Optional
-
-from repro.sim.engine import Simulator
+from typing import Any, Dict, List
 
 
 @dataclasses.dataclass
-class RunProfile:
-    """Profile of one simulation run."""
+class CellProfile:
+    """Timing of one experiment cell (one scheme x trace simulation)."""
 
+    label: str
     wall_s: float = 0.0
     events: int = 0
     sim_time_s: float = 0.0
+    #: "computed" (fresh simulation) or "cached" (served from a cache
+    #: layer; wall/events are zero because nothing ran).
+    source: str = "computed"
+    #: Dispatched events by label (``rolo-e:poll``, ``M3:io``, ...);
+    #: empty unless the run counted them.
     label_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     @property
@@ -36,18 +37,22 @@ class RunProfile:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
+            "label": self.label,
             "wall_s": self.wall_s,
             "events": self.events,
             "sim_time_s": self.sim_time_s,
+            "source": self.source,
             "label_counts": dict(self.label_counts),
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunProfile":
+    def from_dict(cls, data: Dict[str, Any]) -> "CellProfile":
         return cls(
+            label=str(data["label"]),
             wall_s=float(data["wall_s"]),
             events=int(data["events"]),
             sim_time_s=float(data["sim_time_s"]),
+            source=str(data.get("source", "computed")),
             label_counts={
                 str(k): int(v)
                 for k, v in data.get("label_counts", {}).items()
@@ -68,81 +73,6 @@ class RunProfile:
             for label, count in ordered:
                 lines.append(f"  {label:24s} {count}")
         return "\n".join(lines)
-
-
-class SimulatorProbe:
-    """Context manager instrumenting one :class:`Simulator` run.
-
-    While active, an event hook on the simulator counts dispatched events
-    by label (``rolo-e:poll``, ``M3:io``, ``arrival``, ...).  On exit the
-    hook is removed, restoring the uninstrumented run loop.
-    """
-
-    def __init__(self, sim: Simulator, count_labels: bool = True) -> None:
-        self.sim = sim
-        self.count_labels = count_labels
-        self.profile = RunProfile()
-        self._events_before = 0
-        self._t0 = 0.0
-
-    def __enter__(self) -> "SimulatorProbe":
-        self._events_before = self.sim.events_processed
-        self._hook = None
-        if self.count_labels:
-            counts = self.profile.label_counts
-
-            def _hook(event) -> None:
-                label = event.label or "(unlabeled)"
-                counts[label] = counts.get(label, 0) + 1
-
-            self._hook = _hook
-            self.sim.add_event_observer(_hook)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.profile.wall_s = time.perf_counter() - self._t0
-        if self._hook is not None:
-            self.sim.remove_event_observer(self._hook)
-            self._hook = None
-        self.profile.events = self.sim.events_processed - self._events_before
-        self.profile.sim_time_s = self.sim.now
-
-
-@dataclasses.dataclass
-class CellProfile:
-    """Timing of one experiment cell (one scheme x trace simulation)."""
-
-    label: str
-    wall_s: float = 0.0
-    events: int = 0
-    sim_time_s: float = 0.0
-    #: "computed" (fresh simulation) or "cached" (served from a cache
-    #: layer; wall/events are zero because nothing ran).
-    source: str = "computed"
-
-    @property
-    def events_per_s(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "wall_s": self.wall_s,
-            "events": self.events,
-            "sim_time_s": self.sim_time_s,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CellProfile":
-        return cls(
-            label=str(data["label"]),
-            wall_s=float(data["wall_s"]),
-            events=int(data["events"]),
-            sim_time_s=float(data["sim_time_s"]),
-            source=str(data.get("source", "computed")),
-        )
 
 
 @dataclasses.dataclass
@@ -194,13 +124,3 @@ class ProfileReport:
                 f"  total: 0 computed / {len(self.cells)} cached"
             )
         return "\n".join(lines)
-
-
-def merge_label_counts(
-    into: Dict[str, int], counts: Optional[Dict[str, int]]
-) -> None:
-    """Accumulate one run's label counts into an aggregate dict."""
-    if not counts:
-        return
-    for label, count in counts.items():
-        into[label] = into.get(label, 0) + count

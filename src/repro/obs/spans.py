@@ -3,9 +3,9 @@
 :class:`SpanRecorder` extends :class:`~repro.obs.tracer.RecordingTracer`
 with *causal* structure: every disk-op span carries the mechanical phase
 breakdown of its service interval (seek / rotation / transfer, exact by
-construction — the disk's spanned completion path derives them from the
-same :class:`~repro.disk.mechanical.MechanicalModel` arithmetic that
-costed the op) and a link back to its owner: the admitted
+construction — :meth:`SpanRecorder.disk_op` derives them from the same
+:class:`~repro.disk.mechanical.MechanicalModel` arithmetic that costed
+the op) and a link back to its owner: the admitted
 :class:`~repro.raid.request.IORequest` (as a ``rid`` attr) or the
 background process that issued it (destage process, parity pump, cache
 fill — as a ``proc`` attr).
@@ -14,9 +14,9 @@ Owner resolution is zero-cost on the simulation side: controllers hand
 disks either a bound method (whose ``__self__`` *is* the owner) or a
 closure tagged with ``_span_owner`` at creation time; the recorder walks
 that linkage only at completion, so span-traced runs stay byte-identical
-to plain runs per the PR 9 contract (``wants_phases`` selects
-``Disk._complete_spanned`` at setup time; nothing is tested per-op when
-spans are off).
+to plain runs (any tracer binds ``Disk._complete_observed`` at setup
+time; nothing is tested per-op when tracing is off, and plain tracers do
+no phase arithmetic).
 
 The resulting event stream is a plain list of
 :class:`~repro.obs.tracer.TraceEvent` records — the existing JSONL /
@@ -28,17 +28,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.obs.tracer import RecordingTracer, TraceEvent
+from repro.obs.tracer import RecordingTracer
 
 
 class SpanRecorder(RecordingTracer):
     """A :class:`RecordingTracer` that records causal, phase-decomposed
     disk-op spans.
 
-    Setting :attr:`wants_phases` makes every disk bind its
-    ``_complete_spanned`` path at construction, which reports completions
-    through :meth:`disk_op_phases` instead of ``disk_op``.  The span
-    attrs gain:
+    :meth:`disk_op` decomposes every completed op's service interval
+    from the head position the disk reports.  The span attrs gain:
 
     ``seek_s`` / ``rot_s`` / ``transfer_s``
         Mechanical phase durations; their sum equals the span's ``dur``
@@ -53,8 +51,6 @@ class SpanRecorder(RecordingTracer):
         background work — the explicit causal edge from a delayed request
         to its interference culprit.
     """
-
-    wants_phases = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -107,40 +103,24 @@ class SpanRecorder(RecordingTracer):
             return {"proc": tag}
         return None
 
-    def disk_op_phases(
-        self,
-        disk: str,
-        kind: str,
-        priority: str,
-        sector: int,
-        nbytes: int,
-        submit_ts: float,
-        start_ts: float,
-        finish_ts: float,
-        seek_s: float,
-        rot_s: float,
-        transfer_s: float,
-        op: object,
-    ) -> None:
-        attrs: Dict[str, Any] = {
-            "sector": sector,
-            "nbytes": nbytes,
-            "queued_s": start_ts - submit_ts,
-            "seek_s": seek_s,
-            "rot_s": rot_s,
-            "transfer_s": transfer_s,
-        }
+    def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
+        # The same seek_rotation call, slowdown scaling and operand order
+        # that cost the op, so the phases match its service time exactly.
+        if op.sequential_hint:
+            seek = rot = 0.0
+        else:
+            seek, rot = disk.mechanics.seek_rotation(prev_head, op.sector)
+            if disk.slowdown_factor != 1.0:
+                seek *= disk.slowdown_factor
+                rot *= disk.slowdown_factor
+        event = self._op_span(disk, op)
+        attrs = event.attrs
+        attrs["seek_s"] = seek
+        attrs["rot_s"] = rot
+        # Transfer is the residual so seek + rot + transfer equals the
+        # realized service interval exactly, slowdown included.
+        attrs["transfer_s"] = event.dur - seek - rot
         owner = self._resolve_owner(op)
         if owner is not None:
             attrs.update(owner)
-        self._emit(
-            TraceEvent(
-                ts=start_ts,
-                kind="span",
-                category="disk_op",
-                name=f"{kind}:{priority}",
-                track=disk,
-                dur=finish_ts - start_ts,
-                attrs=attrs,
-            )
-        )
+        self._emit(event)

@@ -23,9 +23,16 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.disk.disk import OpKind, Priority
+
 #: Track name used for array-level request spans (one track for the whole
 #: array; individual disks each get their own track).
 REQUEST_TRACK = "requests"
+
+#: Trace-record spellings of op kinds and priorities, looked up by member
+#: so the recorders skip the enum descriptors per op.
+_KIND_NAMES = {kind: kind.value for kind in OpKind}
+_PRIORITY_NAMES = {priority: priority.name.lower() for priority in Priority}
 
 
 @dataclasses.dataclass
@@ -81,13 +88,6 @@ class Tracer:
 
     enabled = True
 
-    #: When true, disks bind their span-aware completion path
-    #: (``Disk._complete_spanned``) at construction/selection time and
-    #: report per-phase service decompositions through
-    #: ``disk_op_phases``.  Plain tracers leave this false and keep the
-    #: cheaper observed path.
-    wants_phases = False
-
     # -- request lifecycle ------------------------------------------------
     def request_arrived(
         self, rid: int, kind: str, offset: int, nbytes: int, ts: float
@@ -105,43 +105,15 @@ class Tracer:
         """The request's last constituent disk operation finished."""
 
     # -- disk server ------------------------------------------------------
-    def disk_op(
-        self,
-        disk: str,
-        kind: str,
-        priority: str,
-        sector: int,
-        nbytes: int,
-        submit_ts: float,
-        start_ts: float,
-        finish_ts: float,
-    ) -> None:
-        """One disk operation completed (queueing + service span known)."""
+    def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
+        """One disk operation completed.
 
-    def disk_op_phases(
-        self,
-        disk: str,
-        kind: str,
-        priority: str,
-        sector: int,
-        nbytes: int,
-        submit_ts: float,
-        start_ts: float,
-        finish_ts: float,
-        seek_s: float,
-        rot_s: float,
-        transfer_s: float,
-        op: object,
-    ) -> None:
-        """One disk operation completed, with its service interval
-        decomposed into mechanical phases (``seek + rot + transfer`` equals
-        ``finish_ts - start_ts`` exactly) and the live op for causal owner
-        resolution.  Only reached when :attr:`wants_phases` is true; the
-        default forwards to :meth:`disk_op`, dropping the extras."""
-        self.disk_op(
-            disk, kind, priority, sector, nbytes,
-            submit_ts, start_ts, finish_ts,
-        )
+        ``disk`` is the live :class:`~repro.disk.disk.Disk` and ``op`` the
+        completed :class:`~repro.disk.disk.DiskOp` (submit/start/finish
+        times set, completion callback not yet run); ``prev_head`` is the
+        head sector before the op, from which span recorders derive the
+        seek/rotation split.  Hooks must not retain ``op``: pooled ops are
+        recycled right after their callback returns."""
 
     def power_state(
         self, disk: str, old: Optional[str], new: str, ts: float
@@ -246,31 +218,25 @@ class RecordingTracer(Tracer):
             )
         )
 
-    def disk_op(
-        self,
-        disk: str,
-        kind: str,
-        priority: str,
-        sector: int,
-        nbytes: int,
-        submit_ts: float,
-        start_ts: float,
-        finish_ts: float,
-    ) -> None:
-        self._emit(
-            TraceEvent(
-                ts=start_ts,
-                kind="span",
-                category="disk_op",
-                name=f"{kind}:{priority}",
-                track=disk,
-                dur=finish_ts - start_ts,
-                attrs={
-                    "sector": sector,
-                    "nbytes": nbytes,
-                    "queued_s": start_ts - submit_ts,
-                },
-            )
+    def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
+        self._emit(self._op_span(disk, op))
+
+    @staticmethod
+    def _op_span(disk: Any, op: Any) -> TraceEvent:
+        """The disk-op span every recorder emits (subclasses add attrs)."""
+        start = op.start_time
+        return TraceEvent(
+            ts=start,
+            kind="span",
+            category="disk_op",
+            name=f"{_KIND_NAMES[op.kind]}:{_PRIORITY_NAMES[op.priority]}",
+            track=disk.name,
+            dur=op.finish_time - start,
+            attrs={
+                "sector": op.sector,
+                "nbytes": op.nbytes,
+                "queued_s": start - op.submit_time,
+            },
         )
 
     def power_state(

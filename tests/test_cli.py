@@ -298,6 +298,22 @@ class TestObservabilityCommands:
         assert "[profile] per-cell timing" in out
         assert "total:" in out
 
+    def test_run_profile_keeps_metrics_out(self, capsys, tmp_path):
+        # --profile and --metrics-out combine: the sweep is metered and
+        # profiled in one pass.
+        metrics_path = tmp_path / "m.jsonl"
+        argv = [
+            "run", "fig10", "--scale", "0.004", "--pairs", "2",
+            "--jobs", "1", "--profile", "--no-cache",
+            "--metrics-out", str(metrics_path),
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "[profile] per-cell timing" in out
+        assert metrics_path.is_file()
+        assert metrics_path.read_text().strip()
+        assert "[metrics] wrote" in out
+
 
 class TestMetricsCommands:
     def test_metrics_flag_parsing(self):

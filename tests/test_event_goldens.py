@@ -1,0 +1,81 @@
+"""Pinned event-stream digests: traced and span-recorded runs.
+
+Run-to-run determinism is tested elsewhere; these digests pin the event
+streams *across code changes*.  Each digest is the sha256 of
+``json.dumps([e.to_dict() for e in tracer.sorted_events()],
+sort_keys=True)``: every timestamp, duration, phase split (seek /
+rotation / transfer floats included) and owner link.  A refactor of the
+disk completion path or the tracers must leave all of them unchanged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tests.conftest import KB, MB, make_trace, small_config
+from repro.experiments.runner import run_cell_observed, workload_cell
+from repro.faults import FaultSchedule, run_faulted
+from repro.obs import SpanRecorder
+
+#: (scheme, recorder) -> digest for rsrch_2 at scale 0.004, 2 pairs.
+CELL_DIGESTS = {
+    ("rolo-r", "trace"): (
+        "da8cf3c8e33cc25b7950df115915ce83"
+        "9a23da85838f432944380ce953fb0feb"
+    ),
+    ("rolo-r", "spans"): (
+        "a4e3a694d3bebc931695540589921c6a"
+        "6db3308468a7df74315f146b66b7e3e6"
+    ),
+    ("rolo-e", "trace"): (
+        "82ff2d76386a6af5b80860720133d8ab"
+        "2f05e267aa442b52c90e1a5360ff819e"
+    ),
+    ("rolo-e", "spans"): (
+        "8814b0e6d2b1a687c0e6e468c1a608b2"
+        "90e68713634259847e6c94e709e0b1ed"
+    ),
+}
+
+#: The ``slow@`` + ``fail@`` span-recorded RoLo-R run: the slowdown
+#: factor scales seek and rotation, so this pins that arithmetic too.
+FAULTED_SPANS_DIGEST = (
+    "052006a107122208bc20ec631021e13b"
+    "b7c42fbab1e1e0e58b6a2ca62360da19"
+)
+
+
+def digest(tracer) -> str:
+    payload = json.dumps(
+        [event.to_dict() for event in tracer.sorted_events()], sort_keys=True
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme,recorder", sorted(CELL_DIGESTS))
+def test_cell_event_stream_digest(scheme, recorder):
+    cell = workload_cell(scheme, "rsrch_2", scale=0.004, n_pairs=2)
+    if recorder == "spans":
+        run = run_cell_observed(cell, spans=True)
+    else:
+        run = run_cell_observed(cell, trace_events=True)
+    assert digest(run.tracer) == CELL_DIGESTS[(scheme, recorder)]
+
+
+def test_faulted_span_stream_digest():
+    spec = [(i * 0.02, "w", (i % 40) * 64 * KB, 64 * KB) for i in range(300)]
+    spec += [
+        (i * 0.02 + 0.01, "r", ((i + 7) % 40) * 64 * KB + 8 * MB, 64 * KB)
+        for i in range(300)
+    ]
+    recorder = SpanRecorder()
+    result = run_faulted(
+        "rolo-r",
+        small_config(free_space_bytes=1 * MB),
+        make_trace(sorted(spec)),
+        FaultSchedule.parse("slow@0:P0:3x2,fail@2:M1"),
+        tracer=recorder,
+    )
+    assert result.consistent
+    assert digest(recorder) == FAULTED_SPANS_DIGEST

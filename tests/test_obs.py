@@ -30,12 +30,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.profiler import (
-    CellProfile,
-    ProfileReport,
-    RunProfile,
-    SimulatorProbe,
-)
+from repro.obs.profiler import CellProfile, ProfileReport
 from repro.obs.sampler import TimeSeriesSampler
 from repro.sim import Simulator
 
@@ -258,21 +253,39 @@ class TestSampler:
 # Profiler
 # ----------------------------------------------------------------------
 class TestProfiler:
-    def test_probe_counts_labels(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None, label="a")
-        sim.schedule(2.0, lambda: None, label="a")
-        sim.schedule(3.0, lambda: None)
-        with SimulatorProbe(sim) as probe:
-            sim.run()
-        profile = probe.profile
-        assert profile.events == 3
-        assert profile.sim_time_s == 3.0
-        assert profile.label_counts == {"a": 2, "(unlabeled)": 1}
-        assert profile.wall_s >= 0.0
-        assert "events=" in profile.report()
-        # The hook is removed on exit.
-        assert sim._event_hook is None
+    def test_probe_counts_labels(self, monkeypatch):
+        # The cell-run body counts dispatched events by label; events
+        # scheduled without one count as "(unlabeled)".
+        from repro.experiments import runner
+
+        build = runner.build_controller
+
+        def build_with_unlabeled(scheme, sim, config, tracer=None):
+            controller = build(scheme, sim, config, tracer=tracer)
+            sim.schedule(0.0, lambda: None)
+            sim.schedule(1.0, lambda: None)
+            return controller
+
+        monkeypatch.setattr(runner, "build_controller", build_with_unlabeled)
+        cell = workload_cell("raid10", "rsrch_2", scale=0.004, n_pairs=2)
+        run = run_cell_observed(cell, profile=True)
+        profile = run.profile
+        assert profile.label_counts["(unlabeled)"] == 2
+        assert profile.label_counts["arrival"] == run.metrics.requests
+        assert sum(profile.label_counts.values()) == profile.events
+        assert profile.sim_time_s > 0.0
+        assert profile.wall_s > 0.0
+        text = profile.report()
+        assert "events=" in text
+        assert "(unlabeled)" in text
+
+    def test_unprofiled_run_still_reports_cost(self):
+        cell = workload_cell("raid10", "rsrch_2", scale=0.004, n_pairs=2)
+        run = run_cell_observed(cell)
+        assert run.tracer is None and run.sampler is None
+        assert run.profile.events > 0
+        assert run.profile.wall_s > 0.0
+        assert run.profile.label_counts == {}
 
     def test_cell_profile_round_trip(self):
         profile = CellProfile(
@@ -281,6 +294,8 @@ class TestProfiler:
         )
         clone = CellProfile.from_dict(profile.to_dict())
         assert clone == profile
+        profile.label_counts = {"arrival": 7, "(unlabeled)": 1}
+        assert CellProfile.from_dict(profile.to_dict()) == profile
         assert clone.events_per_s == pytest.approx(2000.0)
 
     def test_report_render_sorts_and_totals(self):

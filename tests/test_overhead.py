@@ -24,7 +24,12 @@ from repro.disk.disk import (
 )
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.faults.oracle import ConsistencyOracle
-from repro.obs import MetricsRegistry, RecordingTracer, RunInstrumentation
+from repro.obs import (
+    MetricsRegistry,
+    RecordingTracer,
+    RunInstrumentation,
+    SpanRecorder,
+)
 from repro.raid.request import (
     RequestKind,
     acquire_request,
@@ -189,6 +194,9 @@ class TestDiskCompletionSpecialization:
     def test_tracer_selects_observed_completion(self):
         sim = Simulator()
         disk = Disk(sim, ULTRASTAR_36Z15, "D", tracer=RecordingTracer())
+        assert disk._complete.__func__ is Disk._complete_observed
+        # Span recorders share the observed body (two bodies in all).
+        disk = Disk(sim, ULTRASTAR_36Z15, "S", tracer=SpanRecorder())
         assert disk._complete.__func__ is Disk._complete_observed
 
     def test_observed_and_fast_paths_complete_identically(self):

@@ -6,6 +6,7 @@ the same ``RunMetrics`` as the serial in-process path.
 """
 
 import os
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.experiments import cache as result_cache
 from repro.experiments import clear_cache, get_experiment
 from repro.experiments.parallel import default_jobs, execute_cells
 from repro.experiments.runner import (
+    Cell,
     reset_run_stats,
     run_scheme_set_seeds,
     run_stats,
@@ -207,6 +209,48 @@ class TestProfiledExecution:
         assert again.computed == 0
         assert again.cached == len(cells)
         assert all(p.source == "cached" for p in again.profiles.cells)
+
+    def test_serial_and_pool_profiles_count_the_same_run(self):
+        cells = self._cells()
+        serial = execute_cells(cells, jobs=1, collect_profiles=True)
+        clear_cache()
+        pooled = execute_cells(cells, jobs=2, collect_profiles=True)
+
+        def counts(stats):
+            return {
+                p.label: (p.events, p.sim_time_s)
+                for p in stats.profiles.cells
+            }
+
+        assert counts(serial) == counts(pooled)
+        assert len(counts(serial)) == len(cells)
+
+    def test_profile_window_excludes_trace_build(self, monkeypatch):
+        # Pool workers get their trace from the parent, so the serial
+        # path must not time trace generation either.
+        build = Cell.build_trace
+
+        def slow_build(self):
+            time.sleep(1.0)
+            return build(self)
+
+        monkeypatch.setattr(Cell, "build_trace", slow_build)
+        cell = workload_cell(
+            "raid10", WORKLOAD, scale=SCALE, n_pairs=N_PAIRS, seed=42
+        )
+        stats = execute_cells([cell], jobs=1, collect_profiles=True)
+        (profile,) = stats.profiles.computed
+        assert 0.0 < profile.wall_s < 1.0
+
+    def test_profiles_combine_with_metrics(self):
+        cells = self._cells()
+        for jobs in (1, 2):
+            clear_cache()
+            stats = execute_cells(
+                cells, jobs=jobs, collect_profiles=True, collect_metrics=True
+            )
+            assert len(stats.profiles.computed) == len(cells)
+            assert stats.metrics.get("sim_events_total", scheme="RoLo-P")
 
     def test_no_profiles_without_flag(self):
         stats = execute_cells(self._cells(), jobs=1)

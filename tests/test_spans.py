@@ -134,9 +134,57 @@ class TestCompletionBinding:
         disk = self._disk(RecordingTracer())
         assert disk._complete.__func__ is Disk._complete_observed
 
-    def test_span_recorder_binds_spanned_completion(self):
+    def test_span_recorder_binds_observed_completion(self):
+        # Two completion bodies: spans ride the observed one and do their
+        # phase arithmetic in SpanRecorder.disk_op.
         disk = self._disk(SpanRecorder())
-        assert disk._complete.__func__ is Disk._complete_spanned
+        assert disk._complete.__func__ is Disk._complete_observed
+
+    def test_only_two_completion_bodies(self):
+        bodies = sorted(n for n in vars(Disk) if n.startswith("_complete_"))
+        assert bodies == ["_complete_fast", "_complete_observed"]
+
+
+class TestPhaseArithmeticCalls:
+    """Only span recorders pay for the seek/rotation split, once per op
+    that was costed mechanically (log appends are sequential-hinted)."""
+
+    class CountingRecorder(SpanRecorder):
+        def __init__(self):
+            super().__init__()
+            self.ops = 0
+            self.unhinted = 0
+
+        def disk_op(self, disk, op, prev_head):
+            self.ops += 1
+            self.unhinted += not op.sequential_hint
+            super().disk_op(disk, op, prev_head)
+
+    def _count_calls(self, monkeypatch, tracer):
+        calls = [0]
+        original = MechanicalModel.seek_rotation
+
+        def counting(self, head_sector, start_sector):
+            calls[0] += 1
+            return original(self, head_sector, start_sector)
+
+        monkeypatch.setattr(MechanicalModel, "seek_rotation", counting)
+        sim = Simulator()
+        controller = build_controller(
+            "rolo-r", sim, small_config(), tracer=tracer
+        )
+        metrics = run_trace(controller, mixed_trace())
+        assert metrics.requests > 0
+        return calls[0]
+
+    def test_recording_tracer_does_no_phase_math(self, monkeypatch):
+        assert self._count_calls(monkeypatch, RecordingTracer()) == 0
+
+    def test_span_recorder_splits_each_unhinted_op_once(self, monkeypatch):
+        recorder = self.CountingRecorder()
+        calls = self._count_calls(monkeypatch, recorder)
+        assert 0 < recorder.unhinted < recorder.ops
+        assert calls == recorder.unhinted
 
 
 # ----------------------------------------------------------------------
