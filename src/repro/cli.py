@@ -36,6 +36,7 @@ and persists finished cells under ``.rolo-cache/`` (``--no-cache`` /
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import List, Optional
@@ -89,16 +90,19 @@ def _run_experiments(args: argparse.Namespace) -> int:
     else:
         ids = [args.experiment]
     # --progress/--metrics-out meter the sweep (dispatcher telemetry +
-    # per-cell latency/power registries); metering is observe-only, so
-    # results are byte-identical either way.  --profile combines with both.
-    collect_metrics = bool(args.progress or args.metrics_out)
-    sweep_progress = None
+    # per-cell latency/power registries) into one registry for every
+    # experiment; metering is observe-only, so results are byte-identical
+    # either way.  --profile combines with both.
+    registry = None
+    if args.progress or args.metrics_out:
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
     progress = None
     if args.progress:
         from repro.experiments.parallel import SweepProgress
 
-        sweep_progress = progress = SweepProgress()
-    merged_metrics = None
+        progress = SweepProgress()
     for experiment_id in ids:
         experiment = get_experiment(experiment_id)
         kwargs = {}
@@ -107,10 +111,9 @@ def _run_experiments(args: argparse.Namespace) -> int:
         if args.pairs is not None:
             kwargs["n_pairs"] = args.pairs
         started = time.perf_counter()
-        computed_before = runner.run_stats()["computed"]
         # Pre-warm the caches: enumerate the experiment's simulation cells
-        # and compute the misses on the process pool.  Experiments without
-        # an enumerator (or with jobs=1) simply run serially below.
+        # and compute the misses (on the process pool when jobs > 1).
+        # Experiments without an enumerator simply run serially below.
         cells = experiment.cells(seed=args.seed, **kwargs)
         stats = (
             execute_cells(
@@ -118,16 +121,12 @@ def _run_experiments(args: argparse.Namespace) -> int:
                 jobs=jobs,
                 progress=progress,
                 collect_profiles=args.profile,
-                collect_metrics=collect_metrics,
+                registry=registry,
             )
             if cells
             else CellExecution(jobs=jobs)
         )
-        if stats.metrics is not None:
-            if merged_metrics is None:
-                merged_metrics = stats.metrics
-            else:
-                merged_metrics.merge(stats.metrics)
+        computed_before = runner.run_stats()["computed"]
         try:
             report = experiment.run(seed=args.seed, **kwargs)
         except TypeError:
@@ -159,12 +158,12 @@ def _run_experiments(args: argparse.Namespace) -> int:
 
             for path in report_to_svgs(report, args.svg_dir):
                 print(f"wrote {path}")
-    if merged_metrics is not None:
+    if registry is not None:
         from repro.obs.metrics import format_sweep_table
 
-        print(format_sweep_table(merged_metrics))
+        print(format_sweep_table(registry))
         if args.metrics_out:
-            count = merged_metrics.write_jsonl(args.metrics_out)
+            count = registry.write_jsonl(args.metrics_out)
             print(
                 f"[metrics] wrote {count} metric families to "
                 f"{args.metrics_out}"
@@ -648,25 +647,18 @@ def _faults_campaign(args: argparse.Namespace) -> int:
         n_pairs=args.pairs or 4,
         seed=args.seed,
     )
-    registry = None
     if args.progress:
         from repro.experiments.parallel import SweepProgress
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        results = run_campaign(
-            cells,
-            jobs=jobs,
-            progress=SweepProgress(),
-            collect_metrics=True,
-            registry=registry,
-        )
+        progress = SweepProgress()
     else:
-        results = run_campaign(
-            cells,
-            jobs=jobs,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
+        registry = None
+        progress = functools.partial(print, file=sys.stderr)
+    results = run_campaign(
+        cells, jobs=jobs, progress=progress, registry=registry
+    )
     summary = campaign_summary(cells, results)
     if registry is not None:
         from repro.obs.metrics import format_sweep_table

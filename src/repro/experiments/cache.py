@@ -1,8 +1,9 @@
 """Persistent, content-addressed result cache for simulation cells.
 
-Every experiment cell — one (scheme, trace, array-config) simulation — is
-identified by a stable content hash of its full parameter tuple.  Completed
-:class:`~repro.core.metrics.RunMetrics` are written as one JSON file per
+Every cell — an experiment run, a fault-campaign run or a verification
+scenario — is identified by a stable content hash of its full parameter
+tuple.  Completed results (:class:`~repro.core.metrics.RunMetrics`,
+``FaultRunResult`` or ``VerifyResult``) are written as one JSON file per
 cell under a cache directory (default ``.rolo-cache/``), so re-running an
 experiment across interpreter invocations never recomputes a cell, and
 figure/table experiments that share runs (Fig. 10 + Tables I/IV/V) read the
@@ -31,9 +32,10 @@ from repro import __version__
 from repro.core.metrics import RunMetrics
 from repro.traces.compiled import TRACE_COMPILER_VERSION
 
-#: Bump whenever the meaning of a cached entry changes: metric serialization
-#: layout, simulation semantics, or the canonical key format.
-CACHE_SCHEMA_VERSION = 1
+#: Bump whenever the meaning of a cached entry changes: result serialization
+#: layout, simulation semantics, or the canonical key format.  Schema 2
+#: stores every cell kind's result under one ``"result"`` field.
+CACHE_SCHEMA_VERSION = 2
 
 #: Default on-disk location, overridable per :class:`ResultCache`.
 DEFAULT_CACHE_DIR = ".rolo-cache"
@@ -107,7 +109,12 @@ def cell_hash(key: Any) -> str:
 # On-disk store
 # ----------------------------------------------------------------------
 class ResultCache:
-    """One directory of content-addressed ``RunMetrics`` entries."""
+    """One directory of content-addressed cell results.
+
+    Every entry stores one result's ``to_dict()`` under ``"result"``; the
+    caller names the type to rebuild it with, so experiment, fault and
+    verification cells share one layout.
+    """
 
     def __init__(self, directory: str = DEFAULT_CACHE_DIR) -> None:
         self.directory = str(directory)
@@ -117,8 +124,8 @@ class ResultCache:
     def _path(self, key_hash: str) -> str:
         return os.path.join(self.directory, f"{key_hash}.json")
 
-    def get(self, key: Any) -> Optional[RunMetrics]:
-        """Cached metrics for ``key``, or ``None`` on miss/stale entry."""
+    def get(self, key: Any, result_type: type = RunMetrics) -> Any:
+        """Cached ``result_type`` for ``key``, or ``None`` on miss/stale."""
         path = self._path(cell_hash(key))
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -133,15 +140,15 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            metrics = RunMetrics.from_dict(entry["metrics"])
+            result = result_type.from_dict(entry["result"])
         except (KeyError, TypeError, ValueError):
             self.misses += 1
             return None
         self.hits += 1
-        return metrics
+        return result
 
-    def put(self, key: Any, metrics: RunMetrics) -> str:
-        """Persist ``metrics`` under ``key``; returns the entry path.
+    def put(self, key: Any, result: Any) -> str:
+        """Persist ``result.to_dict()`` under ``key``; returns the path.
 
         The write goes through a temp file + rename so a crashed or
         concurrent writer can never leave a torn entry (renames within a
@@ -154,48 +161,7 @@ class ResultCache:
             "schema_version": CACHE_SCHEMA_VERSION,
             "package_version": __version__,
             "key_hash": key_hash,
-            "metrics": metrics.to_dict(),
-        }
-        os.makedirs(self.directory, exist_ok=True)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, separators=(",", ":"))
-        os.replace(tmp, path)
-        return path
-
-    # ------------------------------------------------------------------
-    # Generic JSON payloads (fault campaigns and other non-RunMetrics
-    # results).  Same content-addressing and versioning rules; stored
-    # under a "payload" field so the RunMetrics entries stay distinct.
-    # ------------------------------------------------------------------
-    def get_payload(self, key: Any) -> Optional[Dict[str, Any]]:
-        """Cached raw payload for ``key``, or ``None`` on miss/stale."""
-        path = self._path(cell_hash(key))
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if (
-            entry.get("schema_version") != CACHE_SCHEMA_VERSION
-            or entry.get("package_version") != __version__
-            or not isinstance(entry.get("payload"), dict)
-        ):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry["payload"]
-
-    def put_payload(self, key: Any, payload: Dict[str, Any]) -> str:
-        """Persist a JSON-encodable payload dict under ``key``."""
-        key_hash = cell_hash(key)
-        path = self._path(key_hash)
-        entry = {
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "package_version": __version__,
-            "key_hash": key_hash,
-            "payload": payload,
+            "result": result.to_dict(),
         }
         os.makedirs(self.directory, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"

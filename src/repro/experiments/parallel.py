@@ -1,12 +1,16 @@
-"""Process-pool execution of experiment cells.
+"""Cached, optionally pooled execution of cells: the one sweep.
 
-The experiment matrix is the repo's dominant compute cost; this module
-fans its cells out over a :class:`concurrent.futures.ProcessPoolExecutor`.
-Workers execute cells *outside* every cache layer and ship their metrics
-back as plain dicts (:meth:`RunMetrics.to_dict`); the parent installs the
-results into the in-memory memo and the persistent cache.  Because the
-dict round-trip is exact and each cell's simulation is single-threaded and
-seeded, parallel runs are bit-for-bit identical to serial ones.
+Experiment cells (:class:`~repro.experiments.runner.Cell`), fault-campaign
+cells (:class:`~repro.faults.campaign.FaultCell`) and verification cells
+(:class:`~repro.verify.fuzzer.VerifyCell`) all go through
+:func:`execute_cells`.  Every cell kind exposes ``key()``, ``label()``,
+``trace_key()``, ``build_trace()``, a ``result_type`` and
+``compute(trace, registry)``, which runs the cell *outside* every cache
+layer and returns ``{"result": result.to_dict(), ...}``.  The parent
+rebuilds the result with ``result_type.from_dict`` and installs it into
+the in-memory memo and the persistent cache.  Because the dict round-trip
+is exact and each cell's simulation is single-threaded and seeded,
+serial, pooled and warm-cache runs are bit-for-bit identical.
 
 Trace bytes cross the process boundary **once per distinct trace**, not
 once per cell: the parent builds each distinct trace (``Cell.trace_key``
@@ -20,9 +24,8 @@ same-trace cells are contiguous, and a bounded in-flight window hands
 work out dynamically, keeping the submission queue short enough that
 contiguous (warm) cells reach workers in order.
 
-``jobs=1`` never touches the pool: cached/pending cells are only counted,
-and the experiment's own serial code path performs the computations —
-today's behavior, preserved exactly.
+``jobs=1`` never touches the pool: misses are computed in process, one
+after another, in input order.
 """
 
 from __future__ import annotations
@@ -41,9 +44,7 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.metrics import RunMetrics
 from repro.experiments import runner
-from repro.experiments.runner import Cell
 from repro.obs.metrics import MetricsRegistry, log_buckets
 from repro.obs.profiler import CellProfile, ProfileReport
 from repro.traces import shm
@@ -96,33 +97,8 @@ class CellExecution:
     jobs: int = 1
     #: Per-cell timing, present when ``collect_profiles=True`` was passed.
     profiles: Optional[ProfileReport] = None
-    #: Merged worker + dispatcher metrics, present when
-    #: ``collect_metrics=True`` was passed.
-    metrics: Optional[MetricsRegistry] = None
-
-    def merged(self, other: "CellExecution") -> "CellExecution":
-        profiles = None
-        if self.profiles is not None or other.profiles is not None:
-            profiles = ProfileReport()
-            for report in (self.profiles, other.profiles):
-                if report is not None:
-                    profiles.cells.extend(report.cells)
-            profiles.finalize()
-        metrics = None
-        if self.metrics is not None or other.metrics is not None:
-            metrics = MetricsRegistry()
-            for registry in (self.metrics, other.metrics):
-                if registry is not None:
-                    metrics.merge(registry)
-        return CellExecution(
-            total=self.total + other.total,
-            unique=self.unique + other.unique,
-            cached=self.cached + other.cached,
-            computed=self.computed + other.computed,
-            jobs=max(self.jobs, other.jobs),
-            profiles=profiles,
-            metrics=metrics,
-        )
+    #: One result per input cell, in input order (duplicates repeat).
+    results: List[Any] = dataclasses.field(default_factory=list)
 
 
 def _worker_init() -> None:
@@ -139,21 +115,17 @@ def _worker_init() -> None:
 
 
 def _compute_cell(
-    cell: Cell, ref: Optional[TraceRef], metered: bool = False
+    cell: Any, ref: Optional[TraceRef], metered: bool = False
 ) -> Dict[str, Any]:
-    """Worker entry point: run one cell, return its serialized results.
+    """The pool worker, for every cell kind: run one cell uncached.
 
-    The payload always carries ``metrics`` and ``profile`` (the run body
-    measures both for free), plus ``registry`` when ``metered``.  Bind the
+    Returns ``cell.compute``'s payload (``result``, plus ``profile`` for
+    experiment cells) with ``registry`` added when ``metered``.  Bind the
     flag with :func:`functools.partial`, which pickles like the function.
     """
     trace = shm.attach_cached(ref) if ref is not None else None
     registry = MetricsRegistry() if metered else None
-    run = runner._run_cell(cell, trace, registry=registry)
-    payload = {
-        "metrics": run.metrics.to_dict(),
-        "profile": run.profile.to_dict(),
-    }
+    payload = cell.compute(trace, registry)
     if metered:
         payload["registry"] = registry.to_dict()
     return payload
@@ -229,7 +201,7 @@ def run_grouped(
     handle: Callable[[Any, Any, Dict[str, Any]], None],
     telemetry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Locality-aware pool dispatch shared by experiments and campaigns.
+    """Locality-aware pool dispatch behind :func:`execute_cells`.
 
     ``pending`` is ``[(key, cell), ...]`` where every cell exposes
     ``trace_key()`` / ``build_trace()`` / ``label()``.  The parent builds
@@ -328,52 +300,48 @@ class _NullStore:
 
 
 def execute_cells(
-    cells: Iterable[Cell],
+    cells: Iterable[Any],
     jobs: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     collect_profiles: bool = False,
-    collect_metrics: bool = False,
     registry: Optional[MetricsRegistry] = None,
 ) -> CellExecution:
-    """Ensure every cell's result is cached, computing misses in parallel.
+    """Look up every cell, compute the misses, return results in order.
 
-    Duplicate cells (same canonical key) are computed once.  With
-    ``jobs=1`` nothing is computed here — the caller's serial path does it
-    — but the cached/pending census is still reported.
+    Duplicate cells (same canonical key) are looked up and computed once.
+    Misses run in process at ``jobs=1`` and on the process pool
+    otherwise; each result is installed in both cache layers as it
+    arrives and lands in ``results`` at every input position of its key.
 
     With ``collect_profiles=True`` the report collects every computed
-    cell's :class:`CellProfile` (wall time, event count, simulated time;
-    every run measures these, serial or pooled, over the same window);
-    cached cells appear with ``source="cached"`` and no timing.
+    experiment cell's :class:`CellProfile` (wall time, event count,
+    simulated time; serial and pooled runs time the same window); cached
+    cells appear with ``source="cached"`` and no timing.
 
-    With ``collect_metrics=True`` each computed cell is run under the
-    metrics registry (latency/power histograms, controller counters) and
-    the pool dispatch itself is metered (per-worker throughput, shm
-    attach locality, in-flight window); worker registries merge into
-    ``stats.metrics`` — order-independent, see
-    :meth:`MetricsRegistry.merge`.  Metering observes only: the
-    ``RunMetrics`` payloads stay byte-identical.
-
-    The two combine freely.  Either one forces pending cells to be
-    computed here even at ``jobs=1`` (serially, in-process), so the
-    report and the registry cover every cell.
+    A ``registry`` meters every computed cell (latency/power histograms,
+    controller counters) and, on the pool, the dispatch itself
+    (per-worker throughput, shm attach locality, in-flight window);
+    worker registries merge into it, order-independently (see
+    :meth:`MetricsRegistry.merge`).  Metering observes only: results stay
+    byte-identical, and cached cells contribute nothing.
     """
     if jobs is None:
         jobs = default_jobs()
-    cell_list = list(cells)
-    stats = CellExecution(total=len(cell_list), jobs=jobs)
+    keyed = [(cell.key(), cell) for cell in cells]
+    stats = CellExecution(total=len(keyed), jobs=jobs)
     report = ProfileReport() if collect_profiles else None
-    if collect_metrics:
-        stats.metrics = registry if registry is not None else MetricsRegistry()
 
-    unique: Dict[Tuple, Cell] = {}
-    for cell in cell_list:
-        unique.setdefault(cell.key(), cell)
+    unique: Dict[Tuple, Any] = {}
+    for key, cell in keyed:
+        unique.setdefault(key, cell)
     stats.unique = len(unique)
 
-    pending: List[Tuple[Tuple, Cell]] = []
+    found: Dict[Tuple, Any] = {}
+    pending: List[Tuple[Tuple, Any]] = []
     for key, cell in unique.items():
-        if runner.lookup_cached(key) is not None:
+        result = runner.lookup_cached(key, cell.result_type)
+        if result is not None:
+            found[key] = result
             stats.cached += 1
             if report is not None:
                 report.add(CellProfile(label=cell.label(), source="cached"))
@@ -383,53 +351,36 @@ def execute_cells(
     if isinstance(progress, SweepProgress):
         progress.start(stats.unique, done=stats.cached)
 
-    def _note(key: Tuple, cell: Cell) -> None:
+    def _install(key: Tuple, cell: Any, payload: Dict[str, Any]) -> None:
+        if "registry" in payload:
+            registry.merge(MetricsRegistry.from_dict(payload["registry"]))
+        result = cell.result_type.from_dict(payload["result"])
+        runner.install_result(key, result)
+        found[key] = result
+        if report is not None and "profile" in payload:
+            report.add(CellProfile.from_dict(payload["profile"]))
         stats.computed += 1
-        if progress is not None:
-            label = (
-                f"{cell.scheme} x "
-                f"{cell.workload or getattr(cell.trace_config, 'name', '?')}"
+        if isinstance(progress, SweepProgress):
+            # The renderer prefixes its own [done/total] counter.
+            progress(cell.label())
+        elif progress is not None:
+            progress(
+                f"[{stats.computed + stats.cached}/{stats.unique}] "
+                f"{cell.label()}"
             )
-            if isinstance(progress, SweepProgress):
-                # The renderer prefixes its own [done/total] counter.
-                progress(label)
-            else:
-                progress(
-                    f"[{stats.computed + stats.cached}/{stats.unique}] "
-                    f"{label}"
-                )
 
-    def _install(
-        key: Tuple, cell: Cell, metrics: RunMetrics, profile: CellProfile
-    ) -> None:
-        runner.install_result(key, metrics)
-        if report is not None:
-            report.add(profile)
-        _note(key, cell)
-
-    if pending and jobs == 1 and (collect_profiles or collect_metrics):
-        # Serial observed path: compute in-process so the caller's later
-        # serial pass hits the cache and the report covers every cell.
+    if jobs > 1 and pending:
+        worker = functools.partial(
+            _compute_cell, metered=registry is not None
+        )
+        run_grouped(pending, jobs, worker, _install, telemetry=registry)
+    else:
         for key, cell in pending:
-            run = runner._run_cell(cell, registry=stats.metrics)
-            _install(key, cell, run.metrics, run.profile)
-    elif pending and jobs > 1:
+            payload = cell.compute(None, registry)
+            runner._stats["computed"] += 1
+            _install(key, cell, payload)
 
-        def _handle(key: Tuple, cell: Cell, payload: Dict[str, Any]) -> None:
-            if collect_metrics:
-                stats.metrics.merge(
-                    MetricsRegistry.from_dict(payload["registry"])
-                )
-            _install(
-                key,
-                cell,
-                RunMetrics.from_dict(payload["metrics"]),
-                CellProfile.from_dict(payload["profile"]),
-            )
-
-        worker = functools.partial(_compute_cell, metered=collect_metrics)
-        run_grouped(pending, jobs, worker, _handle, telemetry=stats.metrics)
-
+    stats.results = [found[key] for key, _ in keyed]
     if report is not None:
         report.finalize()
         stats.profiles = report
@@ -441,9 +392,9 @@ def execute_cells(
 class SweepProgress:
     """Throttled single-line progress/ETA renderer for long sweeps.
 
-    Drop-in for the ``progress`` callback of :func:`execute_cells` and
-    :func:`~repro.faults.campaign.run_campaign`: each call marks one cell
-    done and (at most every ``min_interval`` seconds) redraws one
+    Drop-in for the ``progress`` callback of :func:`execute_cells` (and
+    so of :func:`~repro.faults.campaign.run_campaign`): each call marks
+    one cell done and (at most every ``min_interval`` seconds) redraws one
     ``\\r``-terminated status line with percent complete, throughput, and
     the remaining-time estimate.  :meth:`finish` ends the line, so later
     output starts clean.

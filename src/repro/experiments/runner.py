@@ -14,6 +14,10 @@ over worker processes; results land in two layers:
 * an optional persistent :class:`~repro.experiments.cache.ResultCache`
   (enabled by the CLI by default) — free across invocations.
 
+The same two layers serve every cell kind (fault-campaign and
+verification cells too): a cell names its ``result_type`` and its keys
+never collide with another kind's.
+
 ``simulate_workload`` / ``simulate_synthetic`` keep their original
 signatures; every caller transparently benefits from both layers.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.metrics import RunMetrics
@@ -51,7 +55,8 @@ DEFAULT_SCALES: Dict[str, float] = {
     "hm_1": 0.05,
 }
 
-_CACHE: Dict[Tuple, RunMetrics] = {}
+#: The one in-process memo: cell key -> result, for every cell kind.
+_CACHE: Dict[Tuple, Any] = {}
 
 #: In-process accounting of where results came from, reported by the CLI
 #: (``computed`` counts actual simulations executed in this process).
@@ -101,6 +106,9 @@ class Cell:
     config: Optional[ArrayConfig] = None
     trace_config: Optional[SyntheticTraceConfig] = None
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
+
+    #: What :meth:`compute` serializes; a ``ClassVar``, so not a field.
+    result_type: ClassVar[type] = RunMetrics
 
     def key(self) -> Tuple:
         """Canonical memo/persistent-cache key for this cell."""
@@ -176,6 +184,18 @@ class Cell:
         """
         return _run_cell(self, trace).metrics
 
+    def compute(
+        self,
+        trace: Optional[AnyTrace] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> Dict[str, Any]:
+        """Run uncached; return the serialized result and run profile."""
+        run = _run_cell(self, trace, registry=registry)
+        return {
+            "result": run.metrics.to_dict(),
+            "profile": run.profile.to_dict(),
+        }
+
     def execute_metered(
         self,
         trace: Optional[AnyTrace] = None,
@@ -230,28 +250,31 @@ def synthetic_cell(
 # ----------------------------------------------------------------------
 # Cache plumbing
 # ----------------------------------------------------------------------
-def lookup_cached(key: Tuple) -> Optional[RunMetrics]:
-    """Memory-then-disk lookup; promotes disk hits into the memo."""
+def lookup_cached(key: Tuple, result_type: type = RunMetrics) -> Any:
+    """Memory-then-disk lookup; promotes disk hits into the memo.
+
+    ``result_type`` rebuilds a disk entry; returns ``None`` on a miss.
+    """
     hit = _CACHE.get(key)
     if hit is not None:
         _stats["memory_hits"] += 1
         return hit
     disk = active_cache()
     if disk is not None:
-        metrics = disk.get(key)
-        if metrics is not None:
+        result = disk.get(key, result_type)
+        if result is not None:
             _stats["disk_hits"] += 1
-            _CACHE[key] = metrics
-            return metrics
+            _CACHE[key] = result
+            return result
     return None
 
 
-def install_result(key: Tuple, metrics: RunMetrics) -> None:
+def install_result(key: Tuple, result: Any) -> None:
     """Write a completed result through both cache layers."""
-    _CACHE[key] = metrics
+    _CACHE[key] = result
     disk = active_cache()
     if disk is not None:
-        disk.put(key, metrics)
+        disk.put(key, result)
 
 
 def run_cell(cell: Cell) -> RunMetrics:
@@ -411,18 +434,16 @@ def run_scheme_set(
 ) -> Dict[str, RunMetrics]:
     """The paper's main comparison: all schemes on one workload.
 
-    ``jobs > 1`` pre-computes the uncached cells on a process pool; the
-    assembly below then reads them back from the cache, so results are
-    identical to the serial path.
+    The uncached cells are computed first (on a process pool when
+    ``jobs > 1``); the assembly below then reads them back from the
+    cache, so results are identical whatever ``jobs`` is.
     """
-    schemes = tuple(schemes)
-    if jobs != 1:
-        from repro.experiments.parallel import execute_cells
+    from repro.experiments.parallel import execute_cells
 
-        execute_cells(
-            [workload_cell(s, workload, **kwargs) for s in schemes],
-            jobs=jobs,
-        )
+    schemes = tuple(schemes)
+    execute_cells(
+        [workload_cell(s, workload, **kwargs) for s in schemes], jobs=jobs
+    )
     return {
         scheme: simulate_workload(scheme, workload, **kwargs)
         for scheme in schemes
@@ -437,19 +458,18 @@ def run_scheme_set_seeds(
     **kwargs,
 ) -> Dict[str, list]:
     """Run every scheme over several trace seeds (for mean ± stdev)."""
+    from repro.experiments.parallel import execute_cells
+
     schemes = tuple(schemes)
     seeds = tuple(seeds)
-    if jobs != 1:
-        from repro.experiments.parallel import execute_cells
-
-        execute_cells(
-            [
-                workload_cell(scheme, workload, seed=seed, **kwargs)
-                for seed in seeds
-                for scheme in schemes
-            ],
-            jobs=jobs,
-        )
+    execute_cells(
+        [
+            workload_cell(scheme, workload, seed=seed, **kwargs)
+            for seed in seeds
+            for scheme in schemes
+        ],
+        jobs=jobs,
+    )
     out: Dict[str, list] = {scheme: [] for scheme in schemes}
     for seed in seeds:
         for scheme in schemes:

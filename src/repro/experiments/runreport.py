@@ -18,7 +18,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.metrics import RunMetrics
 from repro.disk.power import PowerState
-from repro.experiments import runner
 from repro.experiments.parallel import execute_cells
 from repro.experiments.report import Series
 from repro.experiments.runner import Cell, workload_cell
@@ -60,14 +59,12 @@ def build_run_report(
     the observability contract) and attaches a critical-path latency
     decomposition per cell — see :mod:`repro.obs.attribution`.
     """
-    execute_cells(cells, jobs=jobs if jobs is not None else 1)
-    entries = []
-    for cell in cells:
-        metrics = runner.lookup_cached(cell.key())
-        if metrics is None:
-            metrics = cell.execute()
-            runner.install_result(cell.key(), metrics)
-        entries.append(_cell_entry(cell, metrics))
+    results = execute_cells(
+        cells, jobs=jobs if jobs is not None else 1
+    ).results
+    entries = [
+        _cell_entry(cell, metrics) for cell, metrics in zip(cells, results)
+    ]
     if attribution:
         for cell, entry in zip(cells, entries):
             entry["attribution"] = _cell_attribution(cell)

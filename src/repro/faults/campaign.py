@@ -1,37 +1,31 @@
 """Fault-injection campaigns: scheme x workload x fault-time grids.
 
 A campaign is a grid of :class:`FaultCell`\\ s — one faulted simulation
-each — executed with the same two-layer caching (in-process memo +
-persistent :class:`~repro.experiments.cache.ResultCache`) and process-pool
-fan-out as the main experiment matrix, including its shared-memory trace
-store: a campaign sweeping five schemes × five fault times over one
-workload publishes that workload's trace to shared memory once and fans
-out fifty :class:`~repro.traces.shm.TraceRef`-carrying cells.  Results
-are :class:`~repro.faults.injector.FaultRunResult` payloads; workers ship
-them back as plain dicts, so parallel campaigns are bit-for-bit identical
-to serial ones.
+each — executed by the experiment matrix's own sweep,
+:func:`~repro.experiments.parallel.execute_cells`: the same two-layer
+caching (in-process memo + persistent
+:class:`~repro.experiments.cache.ResultCache`) and process-pool fan-out,
+including its shared-memory trace store.  A campaign sweeping five
+schemes × five fault times over one workload publishes that workload's
+trace to shared memory once and fans out fifty
+:class:`~repro.traces.shm.TraceRef`-carrying cells.  Results are
+:class:`~repro.faults.injector.FaultRunResult` payloads; workers ship
+them back as plain dicts, so parallel campaigns are bit-for-bit
+identical to serial ones.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple,
+)
 
 from repro.experiments import runner
-from repro.experiments.cache import active_cache
 from repro.faults.injector import FaultRunResult, run_faulted
 from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
-from repro.traces import shm
 from repro.traces.compiled import AnyTrace
-
-#: In-process memo of completed fault cells (spec-keyed payload dicts).
-_MEMO: Dict[Tuple, Dict[str, Any]] = {}
-
-
-def clear_memo() -> None:
-    _MEMO.clear()
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -45,6 +39,8 @@ class FaultCell:
 
     base: runner.Cell
     schedule_spec: str
+
+    result_type: ClassVar[type] = FaultRunResult
 
     def key(self) -> Tuple:
         return ("fault", self.base.key(), self.schedule_spec)
@@ -77,14 +73,11 @@ class FaultCell:
             self.base.scheme, config, trace, schedule, registry=registry
         )
 
-    def execute_metered(
+    def compute(
         self, trace: Optional[AnyTrace] = None, registry=None
-    ) -> Tuple[FaultRunResult, Any]:
-        """:meth:`execute` into ``registry`` (created if omitted);
-        returns ``(result, registry)``."""
-        if registry is None:
-            registry = MetricsRegistry()
-        return self.execute(trace, registry), registry
+    ) -> Dict[str, Any]:
+        """Run uncached; return ``{"result": FaultRunResult.to_dict()}``."""
+        return {"result": self.execute(trace, registry).to_dict()}
 
 
 def fault_cell(
@@ -135,110 +128,26 @@ def build_campaign(
 # ----------------------------------------------------------------------
 # Cached + parallel execution
 # ----------------------------------------------------------------------
-def _lookup(key: Tuple) -> Optional[Dict[str, Any]]:
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    disk = active_cache()
-    if disk is not None:
-        payload = disk.get_payload(key)
-        if payload is not None:
-            _MEMO[key] = payload
-            return payload
-    return None
-
-
-def _install(key: Tuple, payload: Dict[str, Any]) -> None:
-    _MEMO[key] = payload
-    disk = active_cache()
-    if disk is not None:
-        disk.put_payload(key, payload)
-
-
-def _compute_fault_cell(
-    cell: FaultCell, ref=None, metered: bool = False
-) -> Dict[str, Any]:
-    """Worker entry point: run one cell, ship its result dict back (plus
-    its ``registry`` when ``metered``, bound with ``functools.partial``)."""
-    trace = shm.attach_cached(ref) if ref is not None else None
-    registry = MetricsRegistry() if metered else None
-    payload = {"result": cell.execute(trace, registry).to_dict()}
-    if metered:
-        payload["registry"] = registry.to_dict()
-    return payload
-
-
 def run_campaign(
     cells: Iterable[FaultCell],
     jobs: int = 1,
     progress: Optional[Callable[[str], None]] = None,
-    collect_metrics: bool = False,
-    registry=None,
+    registry: Optional[MetricsRegistry] = None,
 ) -> List[FaultRunResult]:
     """Execute (or fetch) every cell; returns results in input order.
 
     ``progress`` may be a plain ``callable(str)`` or a
     :class:`~repro.experiments.parallel.SweepProgress` (throttled
-    single-line rendering with ETA).  With ``collect_metrics=True``
-    computed cells run instrumented and worker registries merge into
-    ``registry`` (created if omitted) along with dispatcher telemetry;
-    the cached payloads stay byte-identical either way.  Metering only
-    covers cells computed in this call — cached cells contribute nothing.
+    single-line rendering with ETA).  A ``registry`` meters the computed
+    cells and the pool dispatch (see
+    :func:`~repro.experiments.parallel.execute_cells`); the results stay
+    byte-identical either way.
     """
-    from repro.experiments.parallel import SweepProgress
+    from repro.experiments.parallel import execute_cells
 
-    if not collect_metrics:
-        registry = None
-    elif registry is None:
-        registry = MetricsRegistry()
-
-    cell_list = list(cells)
-    unique: Dict[Tuple, FaultCell] = {}
-    for cell in cell_list:
-        unique.setdefault(cell.key(), cell)
-
-    pending = [
-        (key, cell)
-        for key, cell in unique.items()
-        if _lookup(key) is None
-    ]
-    done = len(unique) - len(pending)
-    if isinstance(progress, SweepProgress):
-        progress.start(len(unique), done=done)
-
-    def _note(cell: FaultCell) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            if isinstance(progress, SweepProgress):
-                progress(cell.label())
-            else:
-                progress(f"[{done}/{len(unique)}] {cell.label()}")
-
-    if pending and jobs > 1:
-        from repro.experiments.parallel import run_grouped
-
-        def _handle(key: Tuple, cell: FaultCell, payload: Dict[str, Any]):
-            _install(key, payload["result"])
-            if registry is not None:
-                registry.merge(MetricsRegistry.from_dict(payload["registry"]))
-            _note(cell)
-
-        worker = functools.partial(
-            _compute_fault_cell, metered=registry is not None
-        )
-        run_grouped(pending, jobs, worker, _handle, telemetry=registry)
-    else:
-        for key, cell in pending:
-            _install(key, cell.execute(registry=registry).to_dict())
-            _note(cell)
-
-    if isinstance(progress, SweepProgress):
-        progress.finish()
-    return [
-        FaultRunResult.from_dict(_lookup(cell.key()))
-        for cell in cell_list
-    ]
+    return execute_cells(
+        cells, jobs=jobs, progress=progress, registry=registry
+    ).results
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ range (the scrub path), all visible in the event log.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from typing import Any, Dict, List, Optional
 
@@ -31,6 +32,7 @@ from repro.faults.schedule import (
     LatentSectorError,
     Slowdown,
 )
+from repro.obs.metrics import instrument
 from repro.sim.engine import Simulator
 
 
@@ -344,18 +346,11 @@ def run_faulted(
         )
     injector = FaultInjector(sim, controller, schedule, oracle=oracle)
     injector.arm()
-    if registry is not None:
-        from repro.obs.metrics import instrument
-
-        with instrument(sim, controller, registry):
-            if checker is not None:
-                checker.install(sim, controller)
-            try:
-                metrics = run_trace(controller, trace)
-            finally:
-                if checker is not None:
-                    checker.uninstall()
-    else:
+    with (
+        instrument(sim, controller, registry)
+        if registry is not None
+        else contextlib.nullcontext()
+    ):
         if checker is not None:
             checker.install(sim, controller)
         try:

@@ -15,10 +15,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     P2Quantile,
     RunInstrumentation,
-    active,
-    disable,
-    enable,
-    enabled,
     format_sweep_table,
     instrument,
     lint_prometheus,
@@ -88,10 +84,6 @@ __all__ = [
     "MetricsRegistry",
     "P2Quantile",
     "RunInstrumentation",
-    "active",
-    "disable",
-    "enable",
-    "enabled",
     "format_sweep_table",
     "instrument",
     "lint_prometheus",

@@ -1,4 +1,4 @@
-"""Process-wide-optional metrics registry: counters, gauges, histograms.
+"""Metrics registry: counters, gauges, histograms.
 
 RoLo's claims are distributional — §IV argues energy savings must not cost
 tail response time — so the repo needs percentile views of latency and
@@ -22,10 +22,9 @@ This module provides them without sample retention:
   ones (tests/test_metrics_registry.py pins this for all five schemes,
   traced and fault-injected).
 
-The registry is *process-wide-optional*: :func:`enable` installs one as
-the ambient default, :func:`active` reads it, and everything costs
-nothing when disabled (the hot paths guard with a single ``None`` check,
-the same discipline as the tracer hooks).
+A registry is always passed explicitly; runs without one cost nothing
+(the hot paths guard with a single ``None`` check, the same discipline
+as the tracer hooks).
 """
 
 from __future__ import annotations
@@ -914,42 +913,6 @@ def _split_label_pairs(blob: str) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Process-wide-optional ambient registry
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) the ambient process-wide registry."""
-    global _ACTIVE
-    _ACTIVE = registry if registry is not None else MetricsRegistry()
-    return _ACTIVE
-
-
-def disable() -> None:
-    """Clear the ambient registry; metering-off paths cost nothing again."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def active() -> Optional[MetricsRegistry]:
-    """The ambient registry, or ``None`` when metrics are off."""
-    return _ACTIVE
-
-
-@contextlib.contextmanager
-def enabled(registry: Optional[MetricsRegistry] = None):
-    """Scoped :func:`enable`; restores the previous registry on exit."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry if registry is not None else MetricsRegistry()
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
-
-
-# ----------------------------------------------------------------------
 # Run instrumentation
 # ----------------------------------------------------------------------
 #: Event-hook sampling stride for the heap census / power histogram /
@@ -1218,7 +1181,7 @@ class RunInstrumentation:
 
 
 @contextlib.contextmanager
-def instrument(sim, controller, registry: Optional[MetricsRegistry] = None):
+def instrument(sim, controller, registry: MetricsRegistry):
     """Meter one run: install hooks on entry, harvest + remove on exit.
 
     Usage::
@@ -1227,11 +1190,6 @@ def instrument(sim, controller, registry: Optional[MetricsRegistry] = None):
         with instrument(sim, controller, registry):
             metrics = run_trace(controller, trace)
     """
-    if registry is None:
-        registry = active()
-    if registry is None:
-        yield None
-        return
     run = RunInstrumentation(sim, controller, registry)
     run.install()
     try:

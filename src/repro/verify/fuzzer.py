@@ -8,12 +8,14 @@ generators.  :func:`run_scenario` replays it with a lockstep
 :class:`~repro.verify.InvariantChecker` attached and reports every
 violation either finds, plus the inherited oracle verdict.
 
-:func:`run_fuzz` executes a seeded batch of scenarios with the same
-two-layer caching (in-process memo + persistent result cache) and
-shared-memory trace fan-out as the experiment matrix — each distinct
-``(workload, scale, seed)`` trace is published once and every scenario
-truncates its own prefix in the worker, so big sweeps stay cheap and
-serial/parallel/warm-cache results are bit-identical.
+:func:`run_fuzz` executes a seeded batch of scenarios through the
+experiment matrix's own sweep
+(:func:`~repro.experiments.parallel.execute_cells`): the same two-layer
+caching (in-process memo + persistent result cache) and shared-memory
+trace fan-out.  Each distinct ``(workload, scale, seed)`` trace is
+published once and every scenario truncates its own prefix in the
+worker, so big sweeps stay cheap and serial/parallel/warm-cache results
+are bit-identical.
 
 A failing scenario is minimized by :func:`shrink`: a greedy fixpoint over
 candidates that halve/decrement the request prefix and drop fault events
@@ -30,12 +32,12 @@ import hashlib
 import json
 import random
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
 from repro.core import ArrayConfig, RAID5_SCHEMES
 from repro.core.metrics import RunMetrics
 from repro.core.raid5 import Raid5Config
-from repro.experiments.cache import active_cache
+from repro.experiments import runner
 from repro.faults.injector import run_faulted
 from repro.faults.schedule import FaultSchedule
 from repro.traces.compiled import CompiledTrace, truncate_trace
@@ -61,15 +63,11 @@ FUZZ_WORKLOADS: Tuple[Tuple[str, float], ...] = (
     ("hm_1", 0.02),
 )
 
-#: In-process memo of completed scenarios (key -> payload dict).
-_MEMO: Dict[Tuple, Dict[str, Any]] = {}
-
 #: In-process memo of full (untruncated) workload traces.
 _TRACES: Dict[Tuple, CompiledTrace] = {}
 
-
-def clear_memo() -> None:
-    _MEMO.clear()
+#: Drops completed scenarios, which share the experiment cells' memo.
+clear_memo = runner.clear_cache
 
 
 def _full_trace(workload: str, scale: float, seed: int) -> CompiledTrace:
@@ -298,9 +296,11 @@ def run_scenario(
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class VerifyCell:
-    """run_grouped adapter: scenario + shared-trace identity."""
+    """A scenario as a sweep cell: cache key + shared-trace identity."""
 
     scenario: Scenario
+
+    result_type: ClassVar[type] = VerifyResult
 
     def key(self) -> Tuple:
         return ("verify", VERIFY_SCHEMA_VERSION, self.scenario.key())
@@ -315,36 +315,10 @@ class VerifyCell:
     def build_trace(self) -> CompiledTrace:
         return self.scenario.build_trace()
 
-    def execute(self, trace=None) -> VerifyResult:
-        return run_scenario(self.scenario, trace=trace)
-
-
-def _lookup(key: Tuple) -> Optional[Dict[str, Any]]:
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
-    disk = active_cache()
-    if disk is not None:
-        payload = disk.get_payload(key)
-        if payload is not None:
-            _MEMO[key] = payload
-            return payload
-    return None
-
-
-def _install(key: Tuple, payload: Dict[str, Any]) -> None:
-    _MEMO[key] = payload
-    disk = active_cache()
-    if disk is not None:
-        disk.put_payload(key, payload)
-
-
-def _compute_verify_cell(cell: VerifyCell, ref=None) -> Dict[str, Any]:
-    """Worker entry point: run one scenario, ship its payload back."""
-    from repro.traces import shm
-
-    trace = shm.attach_cached(ref) if ref is not None else None
-    return cell.execute(trace=trace).to_dict()
+    def compute(self, trace=None, registry=None) -> Dict[str, Any]:
+        """Run uncached; return ``{"result": VerifyResult.to_dict()}``."""
+        result = run_scenario(self.scenario, trace=trace, registry=registry)
+        return {"result": result.to_dict()}
 
 
 def run_fuzz(
@@ -360,40 +334,13 @@ def run_fuzz(
     ``jobs > 1``, the locality-aware shared-trace pool — outputs are
     bit-identical across serial, parallel, and warm-cache paths.
     """
+    from repro.experiments.parallel import execute_cells
+
     if scenarios is None:
         scenarios = generate_scenarios(n_scenarios, seed)
-    cells = [VerifyCell(s) for s in scenarios]
-    unique: Dict[Tuple, VerifyCell] = {}
-    for cell in cells:
-        unique.setdefault(cell.key(), cell)
-    pending = [
-        (key, cell)
-        for key, cell in unique.items()
-        if _lookup(key) is None
-    ]
-    done = len(unique) - len(pending)
-
-    def _note(cell: VerifyCell) -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(f"[{done}/{len(unique)}] {cell.label()}")
-
-    if pending and jobs > 1:
-        from repro.experiments.parallel import run_grouped
-
-        def _handle(key: Tuple, cell: VerifyCell, payload: Dict[str, Any]):
-            _install(key, payload)
-            _note(cell)
-
-        run_grouped(pending, jobs, _compute_verify_cell, _handle)
-    else:
-        for key, cell in pending:
-            _install(key, cell.execute().to_dict())
-            _note(cell)
-    return [
-        VerifyResult.from_dict(_lookup(cell.key())) for cell in cells
-    ]
+    return execute_cells(
+        [VerifyCell(s) for s in scenarios], jobs=jobs, progress=progress
+    ).results
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,8 @@ the metrics layer, checked runs stay byte-identical to plain runs:
 * **energy monotonicity** — cumulative array energy never decreases.
 
 Violations are structured dicts (``check``/``time``/``detail``).  When a
-metrics registry is supplied (or ambient metrics are enabled), the
-checker counts sweeps and violations under
-:data:`repro.obs.metrics.VERIFY_CHECKS_TOTAL` /
+metrics registry is supplied, the checker counts sweeps and violations
+under :data:`repro.obs.metrics.VERIFY_CHECKS_TOTAL` /
 :data:`repro.obs.metrics.VERIFY_VIOLATIONS_TOTAL`.
 """
 
@@ -76,10 +75,6 @@ class InvariantChecker:
         self._installed = True
         self.sim = sim
         self.controller = controller
-        if self.registry is None:
-            from repro.obs import metrics as obs_metrics
-
-            self.registry = obs_metrics.active()
         self._last_energy = self._energy_now()
         self._drain_floor = None
         self._failed_count = sum(

@@ -36,11 +36,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TRACKED_QUANTILES,
     P2Quantile,
-    active,
-    disable,
-    enable,
-    enabled,
-    instrument,
     lint_prometheus,
     log_buckets,
     read_snapshot,
@@ -422,30 +417,6 @@ class TestExporters:
 
 
 # ----------------------------------------------------------------------
-# Ambient registry
-# ----------------------------------------------------------------------
-def test_ambient_enable_disable():
-    assert active() is None
-    reg = enable()
-    try:
-        assert active() is reg
-    finally:
-        disable()
-    assert active() is None
-
-
-def test_ambient_enabled_scope_restores_previous():
-    outer = enable()
-    try:
-        with enabled() as inner:
-            assert inner is not outer
-            assert active() is inner
-        assert active() is outer
-    finally:
-        disable()
-
-
-# ----------------------------------------------------------------------
 # Observe-only discipline: metered == unmetered, byte for byte
 # ----------------------------------------------------------------------
 class TestByteIdenticalRunMetrics:
@@ -472,7 +443,8 @@ class TestByteIdenticalRunMetrics:
             scheme, "wdev_0", schedule, scale=0.02, n_pairs=4, seed=3
         )
         plain = cell.execute()
-        metered, registry = cell.execute_metered()
+        registry = MetricsRegistry()
+        metered = cell.execute(registry=registry)
         assert json.dumps(
             metered.to_dict(), sort_keys=True
         ) == json.dumps(plain.to_dict(), sort_keys=True)
@@ -503,23 +475,14 @@ class TestByteIdenticalRunMetrics:
         assert sum(by_label.values()) == total
         assert lint_prometheus(registry.to_prometheus()) == []
 
-    def test_instrument_with_no_registry_is_inert(self, sim):
-        from repro.core import build_controller
-        from tests.conftest import small_config
-
-        controller = build_controller("raid10", sim, small_config())
-        with instrument(sim, controller) as handle:
-            assert handle is None
-        assert sim._event_hook is None
-
     def test_parallel_metered_sweep_merges_worker_registries(self):
         cells = [
             workload_cell(s, "wdev_0", scale=0.01, n_pairs=2, seed=5)
             for s in ("raid10", "rolo-p", "graid")
         ]
-        stats = execute_cells(cells, jobs=2, collect_metrics=True)
+        reg = MetricsRegistry()
+        stats = execute_cells(cells, jobs=2, registry=reg)
         assert stats.computed == 3
-        reg = stats.metrics
         worker_cells = [
             inst
             for name, _labels, inst in reg.samples()
@@ -550,7 +513,7 @@ class TestByteIdenticalRunMetrics:
         ]
         progress = SweepProgress(min_interval=0.0)
         results = run_campaign(
-            cells, jobs=1, progress=progress, collect_metrics=True
+            cells, jobs=1, progress=progress, registry=MetricsRegistry()
         )
         assert len(results) == 2
         plain = [cell.execute() for cell in cells]

@@ -13,6 +13,7 @@ import pytest
 from repro.experiments import cache as result_cache
 from repro.experiments import clear_cache, get_experiment
 from repro.experiments.parallel import default_jobs, execute_cells
+from repro.obs.metrics import MetricsRegistry
 from repro.experiments.runner import (
     Cell,
     reset_run_stats,
@@ -78,13 +79,21 @@ class TestParallelDeterminism:
         assert again.computed == 0
 
     def test_jobs1_defers_to_serial_path(self):
+        from repro.experiments.runner import lookup_cached
+
         cells = [
             workload_cell(s, WORKLOAD, scale=SCALE, n_pairs=N_PAIRS)
             for s in SCHEMES
         ]
+        cells.append(cells[0])  # a duplicate is computed once
+        expected = [c.execute().to_dict() for c in cells]
         stats = execute_cells(cells, jobs=1)
-        assert stats.computed == 0  # nothing runs on the pool
-        assert run_stats()["computed"] == 0
+        # Computed serially, in process, and installed in the memo.
+        assert stats.computed == len(SCHEMES)
+        assert run_stats()["computed"] == len(SCHEMES)
+        assert [r.to_dict() for r in stats.results] == expected
+        assert stats.results[0] is stats.results[-1]
+        assert all(lookup_cached(c.key()) is not None for c in cells)
 
 
 class TestDefaultJobs:
@@ -124,6 +133,55 @@ class TestWarmCacheDeterminism:
         assert stats["computed"] == 0
         assert stats["disk_hits"] == len(SCHEMES) * len(SEEDS)
         assert _as_dicts(warm) == cold_dicts
+
+    def test_one_cache_serves_every_kind(self, tmp_path, monkeypatch):
+        """Experiment, fault and verification cells share one memo and one
+        disk layout: a warm rerun at jobs=1 computes nothing and returns
+        what the cold jobs=2 sweep did, byte for byte."""
+        import json
+
+        from repro.faults import build_campaign, run_campaign
+        from repro.faults.campaign import FaultCell
+        from repro.verify import fuzzer
+
+        result_cache.configure(str(tmp_path / "cache"))
+        campaign = build_campaign(
+            schemes=SCHEMES,
+            workloads=(WORKLOAD,),
+            fault_times=(5.0,),
+            disks=("M0",),
+            scale=SCALE,
+            n_pairs=N_PAIRS,
+        )
+        scenarios = fuzzer.generate_scenarios(6, seed=8)
+        cells = [
+            workload_cell(s, WORKLOAD, scale=SCALE, n_pairs=N_PAIRS)
+            for s in SCHEMES
+        ]
+
+        def sweep(jobs):
+            results = (
+                run_campaign(campaign, jobs=jobs)
+                + fuzzer.run_fuzz(6, scenarios=scenarios, jobs=jobs)
+                + execute_cells(cells, jobs=jobs).results
+            )
+            return [json.dumps(r.to_dict(), sort_keys=True) for r in results]
+
+        cold = sweep(2)
+        clear_cache()
+        reset_run_stats()
+
+        def refuse(self, trace=None, registry=None):
+            raise AssertionError(f"{self.label()} computed on a warm cache")
+
+        for kind in (Cell, FaultCell, fuzzer.VerifyCell):
+            monkeypatch.setattr(kind, "compute", refuse)
+        assert sweep(1) == cold
+        unique = (
+            len(campaign) + len({s.key() for s in scenarios}) + len(cells)
+        )
+        assert run_stats()["disk_hits"] == unique
+        assert run_stats()["computed"] == 0
 
 
 class TestCellEnumeration:
@@ -246,21 +304,13 @@ class TestProfiledExecution:
         cells = self._cells()
         for jobs in (1, 2):
             clear_cache()
+            registry = MetricsRegistry()
             stats = execute_cells(
-                cells, jobs=jobs, collect_profiles=True, collect_metrics=True
+                cells, jobs=jobs, collect_profiles=True, registry=registry
             )
             assert len(stats.profiles.computed) == len(cells)
-            assert stats.metrics.get("sim_events_total", scheme="RoLo-P")
+            assert registry.get("sim_events_total", scheme="RoLo-P")
 
     def test_no_profiles_without_flag(self):
         stats = execute_cells(self._cells(), jobs=1)
         assert stats.profiles is None
-
-    def test_merged_combines_profiles(self):
-        cells = self._cells()
-        first = execute_cells(cells[:1], jobs=1, collect_profiles=True)
-        second = execute_cells(cells[1:], jobs=1, collect_profiles=True)
-        merged = first.merged(second)
-        assert len(merged.profiles.cells) == len(cells)
-        plain = first.merged(execute_cells(cells[1:], jobs=1))
-        assert len(plain.profiles.cells) == 1

@@ -204,7 +204,6 @@ class TestPoolParity:
 
     def test_campaign_pool_identical_to_serial(self):
         from repro.faults import build_campaign, run_campaign
-        from repro.faults.campaign import clear_memo
 
         def grid():
             return build_campaign(
@@ -217,9 +216,9 @@ class TestPoolParity:
             )
 
         serial = [r.to_dict() for r in run_campaign(grid(), jobs=1)]
-        clear_memo()
+        clear_cache()
         parallel = [r.to_dict() for r in run_campaign(grid(), jobs=2)]
-        clear_memo()
+        clear_cache()
         assert parallel == serial
         assert shm.leaked_segments() == []
 
