@@ -1,19 +1,10 @@
-.PHONY: install test bench bench-quick bench-micro experiments figures clean
+.PHONY: install test bench-micro experiments figures clean
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
 	pytest tests/
-
-# Pinned macro benchmark suite: full matrix, gated against
-# benchmarks/baseline.json, report written to BENCH_10.json.
-bench:
-	python -m repro.cli bench
-
-# Reduced-scale suite (same gate); what CI runs.
-bench-quick:
-	python -m repro.cli bench --quick
 
 # Just the hot-path kernels: engine, disk, layout, log space.
 bench-micro:

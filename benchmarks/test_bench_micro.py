@@ -1,17 +1,125 @@
 """Microbenchmarks of the simulator's hot paths.
 
-Thin pytest-benchmark wrappers around the kernels in :mod:`repro.bench` —
-the same module `rolo bench` uses — so there is a single source of perf
-truth: changing a kernel changes both the CI smoke numbers and the pinned
-suite, never one without the other.
+Each kernel below drives one hot path (event heap, timer re-arm, disk
+service, RAID layout mapping, log-space churn) and returns a count the
+pytest-benchmark wrapper under it asserts, so a kernel that stops doing
+its work fails instead of getting faster.  ``make bench-micro`` runs
+them.  End-to-end and per-layer speed are measured by ``perfbench/``.
 """
 
-from repro import bench
+import random
+
+from repro.sim import Simulator
+
+KB = 1024
+MB = 1024 * KB
 
 
-def test_engine_event_throughput(benchmark):
+# ----------------------------------------------------------------------
+# Kernels
+# ----------------------------------------------------------------------
+def engine_event_kernel(n_events: int = 10_000) -> int:
     """Schedule + dispatch cost of the event heap."""
-    assert benchmark(bench.engine_event_kernel, 10_000) == 10_000
+    sim = Simulator()
+    count = 0
+
+    def tick() -> None:
+        nonlocal count
+        count += 1
+        if count < n_events:
+            sim.schedule(0.001, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run()
+    return count
+
+
+def timer_rearm_kernel(n_events: int = 100_000):
+    """Timer re-arm storm: each event cancels and re-schedules an expiry.
+
+    Exercises lazy deletion, the cancelled census and automatic heap
+    compaction.  Returns ``(ticks + expirations, peak_heap)``; only the
+    final armed timer ever fires, and compaction keeps ``peak_heap``
+    bounded regardless of ``n_events``.
+    """
+    from repro.sim.engine import Timer
+
+    sim = Simulator()
+    count = 0
+    fired = 0
+    peak_heap = 0
+
+    def on_expire() -> None:
+        nonlocal fired
+        fired += 1
+
+    timer = Timer(sim, 1.0, on_expire)
+
+    def tick() -> None:
+        nonlocal count, peak_heap
+        count += 1
+        timer.arm()
+        if sim.heap_size > peak_heap:
+            peak_heap = sim.heap_size
+        if count < n_events:
+            sim.schedule(0.001, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run()
+    return count + fired, peak_heap
+
+
+def disk_random_io_kernel(n_ops: int = 2_000, seed: int = 1) -> int:
+    """Full service path of random 64K writes on one disk."""
+    from repro.disk.disk import Disk, DiskOp, OpKind
+    from repro.disk.models import ULTRASTAR_36Z15
+
+    rng = random.Random(seed)
+    sectors = ULTRASTAR_36Z15.capacity_sectors
+    offsets = [rng.randrange(sectors - 200) for _ in range(n_ops)]
+    sim = Simulator()
+    disk = Disk(sim, ULTRASTAR_36Z15, "D")
+    for sector in offsets:
+        disk.submit(DiskOp(OpKind.WRITE, sector, 64 * KB))
+    sim.run()
+    return disk.ops_completed
+
+
+def layout_mapping_kernel(n_extents: int = 5_000, seed: int = 2) -> int:
+    """Extent-to-segment mapping throughput on a spread layout."""
+    from repro.raid.layout import Raid10Layout
+
+    layout = Raid10Layout(20, 64 * KB, 512 * MB, spread=True)
+    rng = random.Random(seed)
+    extents = [
+        (rng.randrange(layout.logical_capacity - MB), rng.randrange(1, MB))
+        for _ in range(n_extents)
+    ]
+    total = 0
+    for offset, nbytes in extents:
+        total += len(layout.map_extent(offset, nbytes))
+    return total
+
+
+def logspace_kernel(epochs: int = 8, appends_per_epoch: int = 200) -> int:
+    """Log-region append/reclaim churn; returns final used bytes (0)."""
+    from repro.core.logspace import LogRegion
+
+    region = LogRegion("bench", 0, 64 * MB)
+    for epoch in range(epochs):
+        for i in range(appends_per_epoch):
+            region.append(32 * KB, {i % 4: 32 * KB}, epoch)
+        for pair in range(4):
+            region.reclaim(pair, epoch)
+    region.reclaim_all()
+    return region.used
+
+
+# ----------------------------------------------------------------------
+# pytest-benchmark wrappers
+# ----------------------------------------------------------------------
+def test_engine_event_throughput(benchmark):
+    assert benchmark(engine_event_kernel, 10_000) == 10_000
 
 
 def test_engine_timer_event_throughput(benchmark):
@@ -23,20 +131,19 @@ def test_engine_timer_event_throughput(benchmark):
     compaction are exercised alongside plain dispatch.
     """
     N = 100_000
-    total, peak_heap = benchmark(bench.timer_rearm_kernel, N)
+    total, peak_heap = benchmark(timer_rearm_kernel, N)
     assert total == N + 1  # only the last armed timer fires
     # Compaction must keep the heap bounded despite N cancelled entries.
     assert peak_heap < 5_000
 
 
 def test_disk_random_io_throughput(benchmark):
-    """Full service path of random 64K writes on one disk."""
-    assert benchmark(bench.disk_random_io_kernel, 2_000) == 2_000
+    assert benchmark(disk_random_io_kernel, 2_000) == 2_000
 
 
 def test_layout_mapping_throughput(benchmark):
-    assert benchmark(bench.layout_mapping_kernel, 5_000) > 0
+    assert benchmark(layout_mapping_kernel, 5_000) > 0
 
 
 def test_logspace_append_reclaim_throughput(benchmark):
-    assert benchmark(bench.logspace_kernel) == 0
+    assert benchmark(logspace_kernel) == 0

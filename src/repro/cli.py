@@ -16,10 +16,6 @@ Subcommands::
     rolo simulate rolo-e src2_2 --spans spans.jsonl  # causal spans + attribution
     rolo trace explore spans.jsonl    # self-contained HTML timeline explorer
     rolo report --attribution         # report with critical-path columns
-    rolo bench --quick                # pinned perf matrix + regression gate
-    rolo bench --out BENCH_10.json    # full matrix, write the JSON report
-    rolo bench --only sweep           # just the end-to-end sweep scenarios
-    rolo bench trend BENCH_*.json     # cross-run throughput drift report
     rolo simulate rolo-p src2_2 --metrics m.prom   # metered run + snapshot
     rolo run fig10 --progress         # live progress/ETA + worker table
     rolo top metrics.jsonl            # render a metrics snapshot
@@ -440,141 +436,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_OUT_HINT = "BENCH_10.json"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import os
-
-    from repro import bench
-
-    if args.bench_command == "trend":
-        return _bench_trend(args)
-    if args.files:
-        print(
-            "bench takes file arguments only with the 'trend' "
-            "subcommand (rolo bench trend BENCH_*.json)",
-            file=sys.stderr,
-        )
-        return 2
-
-    mode = "quick" if args.quick else "full"
-    only = args.only.split(",") if args.only else None
-    baseline_path = args.baseline or bench.DEFAULT_BASELINE_PATH
-    tolerance = (
-        args.tolerance
-        if args.tolerance is not None
-        else bench.DEFAULT_TOLERANCE
-    )
-    results = bench.run_suite(
-        quick=args.quick,
-        only=only,
-        progress=lambda line: print(f"[bench] {line}", file=sys.stderr),
-    )
-
-    gate = bench.overhead_gate(results)
-    if gate is not None:
-        verdict = "ok" if gate["passed"] else "FAIL"
-        print(
-            f"[bench] overhead gate: disabled/plain = "
-            f"{gate['disabled_vs_plain']:.4f} "
-            f"(floor {1.0 - gate['max_cost']:.2f}), metrics identical: "
-            f"{gate['metrics_identical']} -> {verdict}",
-            file=sys.stderr,
-        )
-
-    if args.profile_dump:
-        slowest = bench.slowest_matrix_scenario(results)
-        if slowest is None:
-            print(
-                "[bench] no matrix scenario ran; skipping --profile-dump",
-                file=sys.stderr,
-            )
-        else:
-            dump = bench.profile_scenario(slowest, quick=args.quick)
-            with open(args.profile_dump, "w", encoding="utf-8") as fh:
-                fh.write(dump)
-            print(
-                f"[bench] profile dump ({slowest}): {args.profile_dump}"
-            )
-
-    if args.update_baseline:
-        if gate is not None and not gate["passed"]:
-            print(
-                "[bench] FAIL: overhead gate failed; not updating the "
-                "baseline",
-                file=sys.stderr,
-            )
-            return 1
-        report = bench.build_report(results, mode)
-        if gate is not None:
-            report["overhead_gate"] = gate
-        path = bench.write_report(report, baseline_path)
-        print(f"[bench] baseline updated: {path}")
-        print(bench.format_table(results))
-        return 0
-
-    comparison = None
-    if not args.skip_compare and os.path.exists(baseline_path):
-        baseline = bench.load_baseline(baseline_path)
-        comparison = bench.compare(results, baseline, tolerance=tolerance)
-    elif not args.skip_compare:
-        print(
-            f"[bench] no baseline at {baseline_path}; skipping the gate "
-            f"(create one with --update-baseline)",
-            file=sys.stderr,
-        )
-
-    report = bench.build_report(results, mode, comparison=comparison)
-    if gate is not None:
-        report["overhead_gate"] = gate
-    if args.out:
-        path = bench.write_report(report, args.out)
-        print(f"[bench] wrote {path}")
-    print(bench.format_table(results, comparison))
-    failed = False
-    if comparison is not None and not comparison["passed"]:
-        names = ", ".join(comparison["regressions"])
-        print(
-            f"[bench] FAIL: regression beyond "
-            f"{tolerance:.0%} tolerance in: {names}",
-            file=sys.stderr,
-        )
-        failed = True
-    if gate is not None and not gate["passed"]:
-        print(
-            "[bench] FAIL: disabled instrumentation costs more than "
-            f"{gate['max_cost']:.0%} vs plain (or metrics diverged)",
-            file=sys.stderr,
-        )
-        failed = True
-    return 1 if failed else 0
-
-
-def _bench_trend(args: argparse.Namespace) -> int:
-    """``rolo bench trend A.json B.json ...``: cross-run drift report."""
-    from repro import bench
-
-    if len(args.files) < 2:
-        print(
-            "bench trend needs at least two BENCH report files "
-            "(oldest first)",
-            file=sys.stderr,
-        )
-        return 2
-    threshold = (
-        args.threshold if args.threshold is not None else bench.TREND_THRESHOLD
-    )
-    report = bench.trend(args.files, threshold=threshold)
-    print(bench.format_trend(report))
-    if args.html:
-        path = bench.write_trend_html(report, args.html)
-        print(f"[bench] wrote {path}")
-    # Drift is informational: trend never gates (the per-run tolerance
-    # gate in ``rolo bench`` does), so flagged runs still exit 0.
-    return 0
-
-
 def _cmd_faults(args: argparse.Namespace) -> int:
     previous_cache = result_cache.active_cache()
     result_cache.configure(
@@ -983,84 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explore: span trees for the K slowest requests (default 8)",
     )
     trace_p.set_defaults(fn=_cmd_trace)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the pinned performance benchmark matrix",
-    )
-    bench_p.add_argument(
-        "bench_command",
-        nargs="?",
-        choices=("trend",),
-        default=None,
-        help="'trend': diff scenario throughput across BENCH reports "
-        "instead of running the matrix",
-    )
-    bench_p.add_argument(
-        "files",
-        nargs="*",
-        default=[],
-        help="BENCH report files for 'trend' (oldest first)",
-    )
-    bench_p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="fractional throughput change 'trend' flags (default: 0.10)",
-    )
-    bench_p.add_argument(
-        "--html",
-        metavar="PATH",
-        default=None,
-        help="also write the 'trend' report as self-contained HTML",
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="short horizons (~100k-request hot path; CI smoke mode)",
-    )
-    bench_p.add_argument(
-        "--out",
-        default=None,
-        help=f"write the JSON report here (e.g. {_BENCH_OUT_HINT})",
-    )
-    bench_p.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline report to gate against "
-        "(default: benchmarks/baseline.json)",
-    )
-    bench_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional events/sec drop before failing "
-        "(default: 0.25)",
-    )
-    bench_p.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write this run's numbers as the new baseline and exit",
-    )
-    bench_p.add_argument(
-        "--skip-compare",
-        action="store_true",
-        help="measure only; no baseline comparison or gate",
-    )
-    bench_p.add_argument(
-        "--only",
-        default=None,
-        help="comma-separated scenario-name substrings to run "
-        "(filtered runs must not become baselines)",
-    )
-    bench_p.add_argument(
-        "--profile-dump",
-        metavar="PATH",
-        default=None,
-        help="after the suite, re-run the slowest matrix cell under "
-        "cProfile and write the top-30 dump here (CI artifact)",
-    )
-    bench_p.set_defaults(fn=_cmd_bench)
 
     faults_p = sub.add_parser(
         "faults", help="fault injection with the consistency oracle"

@@ -327,12 +327,6 @@ class TestMetricsCommands:
         )
         assert args.progress is True
         assert args.metrics_out == "m.jsonl"
-        args = build_parser().parse_args(
-            ["bench", "trend", "a.json", "b.json", "--threshold", "0.2"]
-        )
-        assert args.bench_command == "trend"
-        assert args.files == ["a.json", "b.json"]
-        assert args.threshold == 0.2
         args = build_parser().parse_args(["top", "m.jsonl"])
         assert args.file == "m.jsonl"
 
@@ -368,41 +362,6 @@ class TestMetricsCommands:
 
     def test_top_missing_file(self, capsys, tmp_path):
         assert main(["top", str(tmp_path / "nope.jsonl")]) == 2
-
-    def test_bench_trend_flags_regression(self, capsys, tmp_path):
-        import json as _json
-
-        from repro import bench as _bench
-
-        def _snap(name, rate):
-            path = tmp_path / name
-            path.write_text(
-                _json.dumps(
-                    _bench.build_report(
-                        {"matrix:x": {"events_per_sec": rate, "wall_s": 1.0}},
-                        mode="quick",
-                    )
-                )
-            )
-            return str(path)
-
-        old = _snap("BENCH_1.json", 100.0)
-        new = _snap("BENCH_2.json", 80.0)
-        html = tmp_path / "trend.html"
-        assert (
-            main(["bench", "trend", old, new, "--html", str(html)]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "matrix:x" in out
-        assert "flagged" in out
-        assert html.exists()
-
-    def test_bench_trend_requires_two_files(self, capsys, tmp_path):
-        assert main(["bench", "trend", str(tmp_path / "one.json")]) == 2
-
-    def test_bench_rejects_stray_files_without_trend(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "a.json"])
 
     def test_cache_info_reports_shm_segments(self, capsys, tmp_path):
         assert (

@@ -1,17 +1,19 @@
-"""Zero-overhead instrumentation: specialization, pooling, and the gate.
+"""Zero-overhead instrumentation: specialization, pooling, call counts.
 
-The tentpole contract under test: every observe-only feature is wired at
+The contract under test: every observe-only feature is wired at
 run-setup time (loop selection, bound completion methods, oracle-note
-elision, slab pools), a fully instrumented run produces byte-identical
+elision, slab pools), an instrumented run produces byte-identical
 ``RunMetrics``, and tearing everything down restores the specialized
-no-hook fast paths exactly.
+no-hook fast paths exactly, down to the per-function call counts of the
+replay.
 """
 
+import cProfile
 import json
+import pstats
 
 import pytest
 
-from repro import bench
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.base import _noop_note
 from repro.disk.disk import (
@@ -25,6 +27,7 @@ from repro.disk.disk import (
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.faults.oracle import ConsistencyOracle
 from repro.obs import (
+    NULL_TRACER,
     MetricsRegistry,
     RecordingTracer,
     RunInstrumentation,
@@ -304,61 +307,105 @@ class TestOracleElision:
 
 
 # ----------------------------------------------------------------------
-# Bench family: overhead:* and its gate
+# Observe-only contract on a real replay
 # ----------------------------------------------------------------------
-class TestOverheadBench:
-    def test_scenario_names_include_overhead_family(self):
-        names = bench.scenario_names(quick=True)
-        for variant in bench.OVERHEAD_VARIANTS:
-            assert f"overhead:{variant}" in names
+FIG10_SCHEMES = ("raid10", "graid", "rolo-p", "rolo-r", "rolo-e")
 
-    def test_gate_passes_when_disabled_is_free(self):
-        results = {
-            "overhead:plain": {"events_per_sec": 100_000.0},
-            "overhead:disabled": {"events_per_sec": 99_000.0},
-        }
-        gate = bench.overhead_gate(results)
-        assert gate["passed"]
-        assert gate["disabled_vs_plain"] == pytest.approx(0.99)
 
-    def test_gate_fails_beyond_budget_or_on_divergence(self):
-        results = {
-            "overhead:plain": {"events_per_sec": 100_000.0},
-            "overhead:disabled": {"events_per_sec": 95_000.0},
-        }
-        assert not bench.overhead_gate(results)["passed"]
-        results = {
-            "overhead:plain": {
-                "events_per_sec": 100_000.0,
-                "metrics_identical": False,
-            },
-            "overhead:disabled": {
-                "events_per_sec": 100_000.0,
-                "metrics_identical": False,
-            },
-        }
-        assert not bench.overhead_gate(results)["passed"]
+def _digest(metrics):
+    return json.dumps(metrics.to_dict(), sort_keys=True)
 
-    def test_gate_absent_without_the_family(self):
-        assert bench.overhead_gate({"matrix:raid10:mixed": {}}) is None
 
-    def test_overhead_runs_are_byte_identical(self):
-        config, trace = _small_cell()
-        digests = set()
-        for variant in bench.OVERHEAD_VARIANTS:
-            _, _, metrics = bench._overhead_run(variant, trace, config)
-            digests.add(json.dumps(metrics.to_dict(), sort_keys=True))
-        assert len(digests) == 1
+def _instrumented_run(variant, config, trace):
+    """One rolo-r replay with one observe-only layer attached."""
+    sim = Simulator()
+    tracer = {"traced": RecordingTracer(), "spanned": SpanRecorder()}
+    controller = build_controller(
+        "rolo-r",
+        sim,
+        config,
+        tracer=tracer.get(variant),
+        oracle=ConsistencyOracle() if variant == "oracle" else None,
+    )
+    layer = None
+    if variant == "metered":
+        layer = RunInstrumentation(sim, controller, MetricsRegistry())
+        layer.install()
+    elif variant == "verified":
+        layer = InvariantChecker()
+        layer.install(sim, controller)
+    metrics = run_trace(controller, trace)
+    controller.assert_consistent()
+    if layer is not None:
+        layer.uninstall()
+    return metrics
 
-    def test_slowest_matrix_scenario(self):
-        results = {
-            "matrix:a:b": {"events_per_sec": 50.0},
-            "matrix:c:d": {"events_per_sec": 40.0},
-            "hotpath:x": {"events_per_sec": 1.0},
-        }
-        assert bench.slowest_matrix_scenario(results) == "matrix:c:d"
-        assert bench.slowest_matrix_scenario({}) is None
 
-    def test_profile_scenario_rejects_non_matrix(self):
-        with pytest.raises(ValueError):
-            bench.profile_scenario("overhead:plain")
+@pytest.mark.parametrize(
+    "variant", ["traced", "metered", "verified", "spanned", "oracle"]
+)
+def test_instrumented_run_metrics_are_byte_identical_to_plain(variant):
+    config, trace = _small_cell()
+    plain = run_trace(build_controller("rolo-r", Simulator(), config), trace)
+    instrumented = _instrumented_run(variant, config, trace)
+    assert _digest(instrumented) == _digest(plain)
+
+
+def _call_counts(scheme, config, trace, tracer=None, attach=None):
+    """Per-function cProfile call counts of one replay window.
+
+    The window is ``run_trace`` plus ``assert_consistent``: everything a
+    run pays per event.  ``attach(sim, controller)`` runs before the
+    window opens, so set-up and tear-down cost is not counted.
+    """
+    sim = Simulator()
+    controller = build_controller(scheme, sim, config, tracer=tracer)
+    if attach is not None:
+        attach(sim, controller)
+    profile = cProfile.Profile()
+    profile.enable()
+    run_trace(controller, trace)
+    controller.assert_consistent()
+    profile.disable()
+    return {
+        func: calls
+        for func, (_, calls, _, _, _) in pstats.Stats(profile).stats.items()
+    }
+
+
+def _attach_then_detach(sim, controller):
+    meter = RunInstrumentation(sim, controller, MetricsRegistry())
+    meter.install()
+    meter.uninstall()
+    checker = InvariantChecker()
+    checker.install(sim, controller)
+    checker.uninstall()
+    ConsistencyOracle().attach(controller)
+    controller.oracle = None
+
+
+def _leak_meter(sim, controller):
+    RunInstrumentation(sim, controller, MetricsRegistry()).install()
+
+
+@pytest.mark.parametrize("scheme", FIG10_SCHEMES)
+def test_detached_instrumentation_leaves_call_counts_unchanged(scheme):
+    """Disabled instrumentation is free: not one extra call per event.
+
+    A plain replay and one whose controller had the null tracer, a
+    metrics meter, the invariant checker and a consistency oracle
+    attached and detached again must make exactly the same calls to
+    exactly the same functions.  A meter left installed must not.
+    """
+    config, trace = _small_cell()
+    # Untimed warm-up: the first replay in a process also pays lazy
+    # imports and fills the slab pools, which later replays reuse.
+    _call_counts(scheme, config, trace)
+    plain = _call_counts(scheme, config, trace)
+    assert _call_counts(scheme, config, trace) == plain
+    disabled = _call_counts(
+        scheme, config, trace, tracer=NULL_TRACER, attach=_attach_then_detach
+    )
+    assert disabled == plain
+    # Negative control: the comparison sees a leaked observer.
+    assert _call_counts(scheme, config, trace, attach=_leak_meter) != plain

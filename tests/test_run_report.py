@@ -1,16 +1,11 @@
-"""Tests for ``rolo report`` and ``rolo bench trend``.
+"""Tests for ``rolo report``.
 
-The golden-output pillar of the metrics PR: run reports must surface
-p50/p95/p99 latency and per-state power residency, and the trend
-analyzer must flag a synthetic >10% throughput regression between two
-baseline files while never gating.
+Run reports must surface p50/p95/p99 latency and per-state power
+residency in both the HTML and the Markdown rendering.
 """
-
-import json
 
 import pytest
 
-from repro import bench
 from repro.experiments import clear_cache
 from repro.experiments.runreport import (
     build_run_report,
@@ -83,90 +78,3 @@ class TestRunReport:
         write_report(report, str(md_path))
         assert md_path.read_text(encoding="utf-8").startswith("# ")
 
-
-# ----------------------------------------------------------------------
-# bench trend
-# ----------------------------------------------------------------------
-def _bench_file(tmp_path, name, rates):
-    scenarios = {
-        scenario: {"events_per_sec": rate, "wall_s": 1.0}
-        for scenario, rate in rates.items()
-    }
-    path = tmp_path / name
-    path.write_text(
-        json.dumps(bench.build_report(scenarios, mode="quick"))
-    )
-    return str(path)
-
-
-class TestBenchTrend:
-    def test_flags_synthetic_regression_over_threshold(self, tmp_path):
-        old = _bench_file(
-            tmp_path, "BENCH_1.json", {"matrix:a": 100.0, "matrix:b": 100.0}
-        )
-        new = _bench_file(
-            tmp_path, "BENCH_2.json", {"matrix:a": 80.0, "matrix:b": 95.0}
-        )
-        report = bench.trend([old, new])
-        assert report["flagged"] == ["matrix:a"]
-        drift = report["scenarios"]["matrix:a"]["drifts"][0]
-        assert drift["direction"] == "regression"
-        assert drift["change"] == pytest.approx(-0.2)
-        # 5% dip stays under the default 10% threshold.
-        assert report["scenarios"]["matrix:b"]["drifts"] == []
-
-    def test_flags_improvements_without_gating(self, tmp_path):
-        old = _bench_file(tmp_path, "BENCH_1.json", {"matrix:a": 100.0})
-        new = _bench_file(tmp_path, "BENCH_2.json", {"matrix:a": 130.0})
-        report = bench.trend([old, new])
-        assert report["flagged"] == []
-        drift = report["scenarios"]["matrix:a"]["drifts"][0]
-        assert drift["direction"] == "improvement"
-
-    def test_scenarios_missing_from_a_run_are_skipped(self, tmp_path):
-        a = _bench_file(tmp_path, "BENCH_1.json", {"matrix:a": 100.0})
-        b = _bench_file(tmp_path, "BENCH_2.json", {"matrix:b": 50.0})
-        c = _bench_file(
-            tmp_path, "BENCH_3.json", {"matrix:a": 50.0, "matrix:b": 50.0}
-        )
-        report = bench.trend([a, b, c])
-        # a's only consecutive present pair is runs 1 -> 3.
-        assert report["scenarios"]["matrix:a"]["drifts"][0][
-            "change"
-        ] == pytest.approx(-0.5)
-        assert report["scenarios"]["matrix:b"]["drifts"] == []
-        assert report["flagged"] == ["matrix:a"]
-
-    def test_requires_two_runs(self, tmp_path):
-        only = _bench_file(tmp_path, "BENCH_1.json", {"matrix:a": 1.0})
-        with pytest.raises(ValueError):
-            bench.trend([only])
-
-    def test_custom_threshold(self, tmp_path):
-        old = _bench_file(tmp_path, "BENCH_1.json", {"matrix:a": 100.0})
-        new = _bench_file(tmp_path, "BENCH_2.json", {"matrix:a": 95.0})
-        assert bench.trend([old, new])["flagged"] == []
-        assert bench.trend([old, new], threshold=0.04)["flagged"] == [
-            "matrix:a"
-        ]
-
-    def test_format_and_html_renderers(self, tmp_path):
-        old = _bench_file(tmp_path, "BENCH_1.json", {"matrix:a": 100.0})
-        new = _bench_file(tmp_path, "BENCH_2.json", {"matrix:a": 80.0})
-        report = bench.trend([old, new])
-        text = bench.format_trend(report)
-        assert "matrix:a" in text
-        assert "v20.0%" in text
-        assert "flagged" in text
-        out = tmp_path / "sub" / "trend.html"
-        bench.write_trend_html(report, str(out))
-        html_text = out.read_text(encoding="utf-8")
-        assert "<svg" in html_text
-        assert "matrix:a" in html_text
-
-    def test_trend_over_committed_baselines(self):
-        # The repo ships real BENCH_*.json snapshots; trend must accept
-        # them end to end (schema drift here breaks the CI job).
-        report = bench.trend(["BENCH_4.json", "BENCH_6.json"])
-        assert report["runs"] == ["BENCH_4", "BENCH_6"]
-        assert report["scenarios"]
