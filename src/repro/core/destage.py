@@ -1,8 +1,9 @@
 """Destage processes.
 
-A :class:`DestageProcess` moves a snapshot of inconsistent stripe units from
-a source disk to one or more target disks as *background* I/O.  Two driving
-modes cover all schemes in the paper:
+A :class:`DestageProcess` moves a snapshot of inconsistent stripe units, as
+contiguous ``(offset, nbytes)`` extents, from a source disk to one or more
+target disks as *background* I/O.  Two driving modes cover all schemes in
+the paper:
 
 * ``idle_gated=True`` — RoLo's decentralized destaging (§III-A): the next
   batch is issued only after every involved disk has been free of foreground
@@ -18,43 +19,67 @@ BACKGROUND, so queued foreground requests always pass it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.disk import Disk, DiskOp, OpKind, Priority
 from repro.sim.engine import Simulator, Timer
 
 
-def coalesce_units(
-    units: Sequence[int], unit_size: int, max_batch: int
+def split_runs(
+    runs: Iterable[Tuple[int, int]], unit_size: int, max_batch: int
 ) -> List[Tuple[int, int]]:
-    """Merge sorted unit offsets into (offset, nbytes) batches.
+    """Cut contiguous ``(offset, nbytes)`` runs into batches, in order.
 
-    Adjacent units form one contiguous batch up to ``max_batch`` bytes —
-    the paper's "bundle as many data blocks with successive location as
-    possible in one destaging I/O operation" (§VI).
+    The one splitting rule shared by destage and rebuild: each run becomes
+    ``floor(max_batch / unit_size) * unit_size``-byte pieces, the remainder
+    last.
     """
     if unit_size <= 0 or max_batch < unit_size:
         raise ValueError("invalid unit/batch sizes")
+    step = max_batch // unit_size * unit_size
     batches: List[Tuple[int, int]] = []
-    ordered = sorted(units)
-    i = 0
-    while i < len(ordered):
-        start = ordered[i]
-        length = unit_size
-        i += 1
-        while (
-            i < len(ordered)
-            and ordered[i] == start + length
-            and length + unit_size <= max_batch
-        ):
-            length += unit_size
-            i += 1
-        batches.append((start, length))
+    append = batches.append
+    for run in runs:
+        offset, nbytes = run
+        if nbytes > step:
+            end = offset + nbytes
+            while end - offset > step:
+                append((offset, step))
+                offset += step
+            run = (offset, end - offset)
+        append(run)
     return batches
 
 
+def coalesce_units(
+    units: Iterable[int], unit_size: int, max_batch: int
+) -> List[Tuple[int, int]]:
+    """Merge unit offsets (any order) into (offset, nbytes) batches.
+
+    Adjacent units form one contiguous run, cut by :func:`split_runs` —
+    the paper's "bundle as many data blocks with successive location as
+    possible in one destaging I/O operation" (§VI).
+    """
+    runs: List[Tuple[int, int]] = []
+    start = end = None
+    for unit in sorted(units):
+        if unit != end:
+            if start is not None:
+                runs.append((start, end - start))
+            start = unit
+        end = unit + unit_size
+    if start is not None:
+        runs.append((start, end - start))
+    return split_runs(runs, unit_size, max_batch)
+
+
 class DestageProcess:
-    """Copies a fixed set of stripe units from ``source`` to ``targets``."""
+    """Copies a fixed list of extents from ``source`` to ``targets``.
+
+    ``batches`` are the ``(offset, nbytes)`` extents to issue, in order, each
+    a whole number of ``unit_size`` stripe units (see :func:`coalesce_units`
+    and :func:`split_runs`).
+    """
 
     def __init__(
         self,
@@ -62,9 +87,8 @@ class DestageProcess:
         name: str,
         source: Disk,
         targets: Sequence[Disk],
-        units: Sequence[int],
+        batches: Sequence[Tuple[int, int]],
         unit_size: int,
-        batch_bytes: int,
         idle_gated: bool,
         idle_grace_s: float,
         on_complete: Optional[Callable[["DestageProcess"], None]] = None,
@@ -77,7 +101,7 @@ class DestageProcess:
         self.targets = list(targets)
         self.unit_size = unit_size
         self.idle_gated = idle_gated
-        self._batches = coalesce_units(units, unit_size, batch_bytes)
+        self._batches = list(batches)
         self._next_batch = 0
         self._in_flight = False
         self._writes_outstanding = 0

@@ -15,7 +15,7 @@ import enum
 from typing import Dict, List, Set
 
 from repro.core.base import Controller
-from repro.core.destage import DestageProcess
+from repro.core.destage import DestageProcess, coalesce_units
 from repro.core.logspace import LogRegion
 from repro.core.metrics import CycleWindow
 from repro.disk.disk import Disk, OpKind
@@ -234,9 +234,12 @@ class GraidController(Controller):
                 name=f"graid-destage-{pair}",
                 source=self.primaries[pair],
                 targets=[self.mirrors[pair]],
-                units=sorted(units),
+                batches=coalesce_units(
+                    units,
+                    self.config.stripe_unit,
+                    self.config.destage_batch_bytes,
+                ),
                 unit_size=self.config.stripe_unit,
-                batch_bytes=self.config.destage_batch_bytes,
                 idle_gated=False,
                 idle_grace_s=0.0,
                 on_complete=lambda p, pair=pair: self._process_done(pair, p),

@@ -28,7 +28,7 @@ import dataclasses
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.base import Controller
-from repro.core.destage import DestageProcess
+from repro.core.destage import DestageProcess, split_runs
 from repro.disk.disk import Disk
 from repro.sim.engine import Simulator
 
@@ -187,15 +187,16 @@ class RecoveryProcess:
             disk.request_spin_up()
         self.replacement = controller._make_disk(f"{plan.failed_disk}-new")
         unit = controller.config.stripe_unit
-        n_units = max(1, plan.rebuild_bytes // unit)
+        # One sequential run from offset 0: set-up costs O(batches), not
+        # O(stripe units).
+        run = max(1, plan.rebuild_bytes // unit) * unit
         self._process = DestageProcess(
             sim,
             name=f"rebuild-{plan.failed_disk}",
             source=plan.source,
             targets=[self.replacement],
-            units=[i * unit for i in range(n_units)],
+            batches=split_runs([(0, run)], unit, batch_bytes),
             unit_size=unit,
-            batch_bytes=batch_bytes,
             idle_gated=False,
             idle_grace_s=0.0,
             on_complete=self._done,

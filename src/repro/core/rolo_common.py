@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.base import Controller
-from repro.core.destage import DestageProcess
+from repro.core.destage import DestageProcess, coalesce_units
 from repro.core.logspace import LogRegion
 from repro.core.metrics import CycleWindow
 from repro.core.rotation import RotationPolicy
@@ -415,9 +415,10 @@ class RotatedLoggingController(Controller):
             name=f"{self.scheme_name}-destage-{pair}",
             source=self.primaries[pair],
             targets=[self.mirrors[pair]],
-            units=sorted(units),
+            batches=coalesce_units(
+                units, self.config.stripe_unit, self.config.destage_batch_bytes
+            ),
             unit_size=self.config.stripe_unit,
-            batch_bytes=self.config.destage_batch_bytes,
             idle_gated=not self._draining,
             idle_grace_s=self.config.idle_grace_s,
             on_complete=lambda p, pair=pair, window=window, limit=epoch_limit: (

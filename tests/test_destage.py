@@ -61,9 +61,8 @@ class TestDestageProcess:
             "t",
             src,
             [dst],
-            units=[0, UNIT, 4 * UNIT],
+            batches=[(0, 2 * UNIT), (4 * UNIT, UNIT)],
             unit_size=UNIT,
-            batch_bytes=2 * UNIT,
             idle_gated=False,
             idle_grace_s=0.0,
             on_complete=done.append,
@@ -79,7 +78,7 @@ class TestDestageProcess:
         src, dst = make_disks(sim)
         done = []
         process = DestageProcess(
-            sim, "t", src, [dst], [], UNIT, UNIT, False, 0.0,
+            sim, "t", src, [dst], [], UNIT, False, 0.0,
             on_complete=done.append,
         )
         process.start()
@@ -89,7 +88,7 @@ class TestDestageProcess:
     def test_multiple_targets_each_written(self, sim):
         src, d1, d2 = make_disks(sim, 3)
         process = DestageProcess(
-            sim, "t", src, [d1, d2], [0], UNIT, UNIT, False, 0.0
+            sim, "t", src, [d1, d2], [(0, UNIT)], UNIT, False, 0.0
         )
         process.start()
         sim.run()
@@ -100,12 +99,12 @@ class TestDestageProcess:
     def test_requires_target(self, sim):
         src, = make_disks(sim, 1)
         with pytest.raises(ValueError):
-            DestageProcess(sim, "t", src, [], [0], UNIT, UNIT, False, 0.0)
+            DestageProcess(sim, "t", src, [], [(0, UNIT)], UNIT, False, 0.0)
 
     def test_idle_gated_waits_for_grace(self, sim):
         src, dst = make_disks(sim)
         process = DestageProcess(
-            sim, "t", src, [dst], [0], UNIT, UNIT,
+            sim, "t", src, [dst], [(0, UNIT)], UNIT,
             idle_gated=True, idle_grace_s=0.5,
         )
         process.start()
@@ -117,7 +116,7 @@ class TestDestageProcess:
         """A foreground burst keeps resetting the grace window."""
         src, dst = make_disks(sim)
         process = DestageProcess(
-            sim, "t", src, [dst], [0], UNIT, UNIT,
+            sim, "t", src, [dst], [(0, UNIT)], UNIT,
             idle_gated=True, idle_grace_s=0.2,
         )
         process.start()
@@ -138,7 +137,8 @@ class TestDestageProcess:
     def test_background_priority_used(self, sim):
         src, dst = make_disks(sim)
         process = DestageProcess(
-            sim, "t", src, [dst], [0, 4 * UNIT, 8 * UNIT], UNIT, UNIT,
+            sim, "t", src, [dst],
+            [(0, UNIT), (4 * UNIT, UNIT), (8 * UNIT, UNIT)], UNIT,
             idle_gated=False, idle_grace_s=0.0,
         )
         process.start()
@@ -149,7 +149,8 @@ class TestDestageProcess:
     def test_remaining_batches(self, sim):
         src, dst = make_disks(sim)
         process = DestageProcess(
-            sim, "t", src, [dst], [0, 4 * UNIT], UNIT, UNIT, False, 0.0
+            sim, "t", src, [dst], [(0, UNIT), (4 * UNIT, UNIT)], UNIT,
+            False, 0.0,
         )
         assert process.remaining_batches == 2
         process.start()
@@ -159,7 +160,7 @@ class TestDestageProcess:
     def test_listeners_detached_after_completion(self, sim):
         src, dst = make_disks(sim)
         process = DestageProcess(
-            sim, "t", src, [dst], [0], UNIT, UNIT,
+            sim, "t", src, [dst], [(0, UNIT)], UNIT,
             idle_gated=True, idle_grace_s=0.01,
         )
         process.start()

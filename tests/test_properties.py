@@ -2,20 +2,25 @@
 
 import math
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import LRUCache
-from repro.core.destage import coalesce_units
+from repro.core import build_controller, plan_recovery
+from repro.core.destage import coalesce_units, split_runs
 from repro.core.logspace import LogSpaceError, RegionAllocator
+from repro.core.recovery import RecoveryProcess
 from repro.raid.layout import Raid10Layout
 from repro.reliability import AbsorbingCTMC
+from repro.sim import Simulator
 from repro.sim.stats import StreamingStat
 from repro.traces.synthetic import (
     ALIGNMENT,
     SyntheticTraceConfig,
     generate_trace,
 )
+from tests.conftest import small_config
 
 KB = 1024
 MB = 1024 * KB
@@ -136,7 +141,8 @@ def test_lru_matches_reference_model(capacity, keys):
 
 
 # ----------------------------------------------------------------------
-# Destage coalescing: conservation and batch bounds.
+# Destage coalescing: conservation, batch bounds, and the extent path
+# against the original per-unit merge.
 # ----------------------------------------------------------------------
 @settings(max_examples=60, deadline=None)
 @given(
@@ -157,6 +163,109 @@ def test_coalesce_conserves_units(units, batch_units):
             assert base not in covered
             covered.add(base)
     assert len(covered) == len(units)
+
+
+def per_unit_coalesce(units, unit_size, max_batch):
+    """The original per-unit greedy merge, kept as the extent path's oracle."""
+    if unit_size <= 0 or max_batch < unit_size:
+        raise ValueError("invalid unit/batch sizes")
+    batches = []
+    ordered = sorted(units)
+    i = 0
+    while i < len(ordered):
+        start = ordered[i]
+        length = unit_size
+        i += 1
+        while (
+            i < len(ordered)
+            and ordered[i] == start + length
+            and length + unit_size <= max_batch
+        ):
+            length += unit_size
+            i += 1
+        batches.append((start, length))
+    return batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    units=st.lists(st.integers(0, 300), max_size=120),
+    max_batch=st.integers(512, 20 * 512),
+    unit_sectors=st.integers(1, 4),
+)
+def test_coalesce_matches_per_unit_oracle(units, max_batch, unit_sectors):
+    """Same batches in the same order, duplicates and unaligned caps too."""
+    unit = unit_sectors * 512
+    assume(max_batch >= unit)
+    offsets = [u * unit for u in units]
+    assert coalesce_units(set(offsets), unit, max_batch) == (
+        per_unit_coalesce(sorted(set(offsets)), unit, max_batch)
+    )
+    assert coalesce_units(offsets, unit, max_batch) == per_unit_coalesce(
+        offsets, unit, max_batch
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    first=st.integers(0, 1000),
+    n_units=st.integers(1, 400),
+    max_batch=st.integers(64 * KB, 40 * 64 * KB),
+)
+def test_split_runs_matches_per_unit_oracle(first, n_units, max_batch):
+    unit = 64 * KB
+    run = [(first + i) * unit for i in range(n_units)]
+    assert split_runs([(first * unit, n_units * unit)], unit, max_batch) == (
+        per_unit_coalesce(run, unit, max_batch)
+    )
+
+
+@pytest.mark.parametrize(
+    "n_units, max_batch",
+    [
+        (10, 3 * 64 * KB),
+        (9, 3 * 64 * KB),
+        (7, 64 * KB),
+        (10, 3 * 64 * KB + 1000),
+        (1, 4 * MB),
+    ],
+    ids=["remainder", "exact", "batch-is-unit", "unaligned-cap", "one-unit"],
+)
+def test_split_runs_edge_cases(n_units, max_batch):
+    unit = 64 * KB
+    run = [i * unit for i in range(n_units)]
+    expected = per_unit_coalesce(run, unit, max_batch)
+    assert split_runs([(0, n_units * unit)], unit, max_batch) == expected
+    assert coalesce_units(run, unit, max_batch) == expected
+
+
+def test_split_rules_reject_invalid_sizes():
+    for unit, max_batch in ((0, 64 * KB), (64 * KB, 64 * KB - 1)):
+        with pytest.raises(ValueError):
+            split_runs([(0, 64 * KB)], unit, max_batch)
+        with pytest.raises(ValueError):
+            coalesce_units([0], unit, max_batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rebuild_bytes=st.integers(0, 3 * MB), batch_units=st.integers(1, 20))
+@example(rebuild_bytes=64 * KB - 1, batch_units=4)
+def test_rebuild_batches_match_per_unit_oracle(rebuild_bytes, batch_units):
+    """RecoveryProcess issues the batches the per-unit offset list gave.
+
+    ``rebuild_bytes`` below one unit (0 included) still rebuilds one unit.
+    """
+    sim = Simulator()
+    controller = build_controller("raid10", sim, small_config())
+    plan = plan_recovery(controller, controller.primaries[0])
+    plan.rebuild_bytes = rebuild_bytes
+    unit = controller.config.stripe_unit
+    batch_bytes = batch_units * unit
+    rebuild = RecoveryProcess(sim, controller, plan, batch_bytes=batch_bytes)
+    n_units = max(1, rebuild_bytes // unit)
+    assert rebuild._process._batches == per_unit_coalesce(
+        [i * unit for i in range(n_units)], unit, batch_bytes
+    )
 
 
 # ----------------------------------------------------------------------

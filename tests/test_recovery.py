@@ -1,10 +1,14 @@
 """Tests for disk failure recovery (paper §III-C / §III-D)."""
 
+import tracemalloc
+
 import pytest
 
 from tests.conftest import small_config, write_burst
+from tests.test_properties import per_unit_coalesce
 from repro.core import build_controller, plan_recovery, run_trace
 from repro.core.base import run_trace as run_trace_base
+from repro.core.config import ArrayConfig
 from repro.core.recovery import RecoveryError, RecoveryProcess
 from repro.disk.disk import Disk
 from repro.disk.models import ULTRASTAR_36Z15
@@ -160,3 +164,47 @@ class TestRecoveryProcess:
         sim.run()
         for mirror in controller.mirrors:
             assert mirror.power.spin_up_count >= 1
+
+
+def _raid10_primary(config):
+    controller = build_controller("raid10", Simulator(), config)
+    return controller, plan_recovery(controller, controller.primaries[0])
+
+
+def _graid_log(config):
+    controller = build_controller("graid", Simulator(), config)
+    run_trace_base(controller, write_burst(300), drain=False)
+    return controller, plan_recovery(controller, controller.log_disk)
+
+
+class TestRebuildSetupCost:
+    """A rebuild is one extent: set-up allocates O(batches), not O(units)."""
+
+    @pytest.mark.parametrize(
+        "make_plan, config",
+        [
+            (_raid10_primary, ArrayConfig(n_pairs=2)),
+            (_raid10_primary, ArrayConfig(n_pairs=2).scaled(0.01)),
+            (_graid_log, ArrayConfig(n_pairs=2)),
+        ],
+        ids=["raid10-primary", "raid10-primary-scaled", "graid-log"],
+    )
+    def test_construction_allocates_under_1mib(self, make_plan, config):
+        controller, plan = make_plan(config)
+        unit = config.stripe_unit
+        if plan.role == "log":
+            assert plan.rebuild_bytes == controller.dirty_units_total() * unit
+            assert plan.rebuild_bytes // unit == 300
+        else:
+            assert plan.rebuild_bytes // unit >= 170_000
+        tracemalloc.start()
+        try:
+            rebuild = RecoveryProcess(controller.sim, controller, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MB
+        n_units = max(1, plan.rebuild_bytes // unit)
+        assert rebuild._process._batches == per_unit_coalesce(
+            [i * unit for i in range(n_units)], unit, 4 * MB
+        )
