@@ -225,19 +225,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         or args.spans
         or args.sample_interval is not None
         or args.profile
+        or args.metrics
     )
-    if args.metrics and observed:
-        print(
-            "--metrics cannot combine with --trace/--spans/"
-            "--sample-interval/--profile (one observer per run)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.metrics:
-        return _simulate_metered(args)
     if observed:
         from repro.experiments.runner import run_cell_observed, workload_cell
-        from repro.obs import write_chrome_trace, write_jsonl
+        from repro.obs import MetricsRegistry, write_chrome_trace, write_jsonl
 
         cell = workload_cell(
             args.scheme,
@@ -246,12 +238,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             n_pairs=args.pairs or 20,
             seed=args.seed,
         )
+        registry = MetricsRegistry() if args.metrics else None
         run = run_cell_observed(
             cell,
             trace_events=bool(args.trace),
             sample_interval=args.sample_interval,
             profile=args.profile,
             spans=bool(args.spans),
+            registry=registry,
         )
         metrics = run.metrics
     else:
@@ -271,6 +265,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     if not observed:
         return 0
+    if args.metrics:
+        _write_metrics(args, registry)
     if args.trace:
         events = run.tracer.sorted_events()
         fmt = args.trace_format
@@ -312,20 +308,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_metered(args: argparse.Namespace) -> int:
-    """``rolo simulate ... --metrics PATH``: one metered run + snapshot."""
-    from repro.experiments.runner import workload_cell
+def _write_metrics(args: argparse.Namespace, registry) -> None:
+    """``rolo simulate ... --metrics PATH``: latency quantiles + snapshot."""
     from repro.obs.metrics import TRACKED_QUANTILES
 
-    cell = workload_cell(
-        args.scheme,
-        args.workload,
-        scale=args.scale,
-        n_pairs=args.pairs or 20,
-        seed=args.seed,
-    )
-    metrics, registry = cell.execute_metered()
-    print(metrics.summary())
     for op in ("read", "write"):
         histogram = registry.get(
             "request_latency_seconds",
@@ -354,7 +340,6 @@ def _simulate_metered(args: argparse.Namespace) -> int:
         print(
             f"[metrics] wrote {count} metric families to {args.metrics}"
         )
-    return 0
 
 
 def _scheme_label(registry) -> str:

@@ -402,17 +402,20 @@ def run_cell_observed(
     sample_interval: Optional[float] = None,
     profile: bool = False,
     spans: bool = False,
+    registry: Optional[MetricsRegistry] = None,
 ) -> ObservedRun:
     """Execute one cell with observability attached, bypassing all caches.
 
-    Tracing, sampling and profiling all observe without mutating, so the
-    returned metrics are byte-identical to ``cell.execute()``'s (the cache
-    layers are bypassed anyway to guarantee the artifacts describe *this*
-    run, not a memoized one).  ``spans=True`` upgrades the tracer to a
+    Tracing, sampling, profiling and metering all observe without
+    mutating, so the returned metrics are byte-identical to
+    ``cell.execute()``'s (the cache layers are bypassed anyway to
+    guarantee the artifacts describe *this* run, not a memoized one).
+    ``spans=True`` upgrades the tracer to a
     :class:`~repro.obs.spans.SpanRecorder` (implies ``trace_events``): the
     event stream then carries per-op phase spans suitable for
     :func:`~repro.obs.attribution.attribute_events`.  ``profile=True``
     adds per-label event counts to the run's always-present profile.
+    ``registry`` meters the same run into that registry.
     """
     if spans:
         tracer = SpanRecorder()
@@ -422,6 +425,7 @@ def run_cell_observed(
         cell,
         tracer=tracer,
         sample_interval=sample_interval,
+        registry=registry,
         count_labels=profile,
     )
 

@@ -13,7 +13,6 @@ from repro.obs.metrics import (
     Gauge,
     MetricHistogram,
     MetricsRegistry,
-    P2Quantile,
     RunInstrumentation,
     format_sweep_table,
     instrument,
@@ -82,7 +81,6 @@ __all__ = [
     "Gauge",
     "MetricHistogram",
     "MetricsRegistry",
-    "P2Quantile",
     "RunInstrumentation",
     "format_sweep_table",
     "instrument",

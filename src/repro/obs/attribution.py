@@ -1,6 +1,7 @@
 """Critical-path latency attribution over causal span streams.
 
-Consumes the :class:`~repro.obs.spans.SpanRecorder` event stream and
+Consumes the :class:`~repro.obs.spans.SpanRecorder` event stream (its
+records, or any iterable of :class:`~repro.obs.tracer.TraceEvent`) and
 decomposes every request's measured response time into six phases::
 
     queue + spinup + interference + seek + rotation + transfer == measured
@@ -39,7 +40,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import VALUES_AT, TraceEvent, records_of
 
 #: Phase keys, in presentation order.
 PHASES = (
@@ -141,6 +142,10 @@ class _IntervalIndex:
 _NO_INTERVALS = _IntervalIndex([])
 
 
+def _end_then_start(record: tuple) -> Tuple[float, float]:
+    return record[0] + record[4], record[0]
+
+
 def attribute_events(
     events: Iterable[TraceEvent],
 ) -> List[RequestAttribution]:
@@ -149,32 +154,46 @@ def attribute_events(
     ``events`` must come from a span-traced run (disk-op spans carrying
     ``seek_s``/``rot_s``/``transfer_s`` and ``rid``/``proc`` attrs); a
     plain-traced stream yields all-queue attributions, which is honest
-    but useless.
+    but useless.  A recorder's
+    :meth:`~repro.obs.tracer.RecordingTracer.sorted_events` view is read
+    record by record; any other iterable is converted to records first.
     """
-    requests: List[TraceEvent] = []
-    ops_by_rid: Dict[int, List[TraceEvent]] = {}
+    records, shapes = records_of(events)
+    # Shape id -> {attr key: record index} for spans, None for the rest.
+    span_attrs = [
+        {key: VALUES_AT + i for i, key in enumerate(keys)}
+        if kind == "span"
+        else None
+        for kind, keys in shapes.table
+    ]
+    requests: List[tuple] = []
+    ops_by_rid: Dict[int, List[tuple]] = {}
     spinup_by_disk: Dict[str, List[_Interval]] = {}
     background_by_disk: Dict[str, List[_Interval]] = {}
-    for event in events:
-        if event.kind != "span":
+    # Records are (ts, track, category, name, dur, shape, *attr values).
+    for record in records:
+        at = span_attrs[record[5]]
+        if at is None:
             continue
-        if event.category == "request":
-            requests.append(event)
-        elif event.category == "disk_op":
-            rid = event.attrs.get("rid")
-            if rid is not None:
-                ops_by_rid.setdefault(rid, []).append(event)
-            if event.name.endswith(":background"):
-                background_by_disk.setdefault(event.track, []).append(
+        category = record[2]
+        if category == "request":
+            requests.append(record)
+        elif category == "disk_op":
+            i = at.get("rid")
+            if i is not None and record[i] is not None:
+                ops_by_rid.setdefault(record[i], []).append(record)
+            if record[3].endswith(":background"):
+                i = at.get("proc")
+                background_by_disk.setdefault(record[1], []).append(
                     (
-                        event.ts,
-                        event.ts + event.dur,
-                        str(event.attrs.get("proc", "background")),
+                        record[0],
+                        record[0] + record[4],
+                        "background" if i is None else str(record[i]),
                     )
                 )
-        elif event.category == "power" and event.name == "spinning_up":
-            spinup_by_disk.setdefault(event.track, []).append(
-                (event.ts, event.ts + event.dur, None)
+        elif category == "power" and record[3] == "spinning_up":
+            spinup_by_disk.setdefault(record[1], []).append(
+                (record[0], record[0] + record[4], None)
             )
     spinup_index = {
         disk: _IntervalIndex(spans) for disk, spans in spinup_by_disk.items()
@@ -186,21 +205,22 @@ def attribute_events(
 
     out: List[RequestAttribution] = []
     for req in requests:
-        rid = req.attrs.get("rid")
-        measured = req.dur
+        i = span_attrs[req[5]].get("rid")
+        rid = None if i is None else req[i]
+        measured = req[4]
         phases = {phase: 0.0 for phase in PHASES}
         disk: Optional[str] = None
         culprit: Optional[str] = None
         ops = ops_by_rid.get(rid)
         if ops:
-            critical = max(ops, key=lambda e: (e.ts + e.dur, e.ts))
-            disk = critical.track
-            attrs = critical.attrs
+            critical = max(ops, key=_end_then_start)
+            disk = critical[1]
+            attrs = shapes.attrs(critical)
             seek = float(attrs.get("seek_s", 0.0))
             rot = float(attrs.get("rot_s", 0.0))
-            transfer = float(attrs.get("transfer_s", critical.dur))
-            submit = critical.ts - float(attrs.get("queued_s", 0.0))
-            start = critical.ts
+            transfer = float(attrs.get("transfer_s", critical[4]))
+            start = critical[0]
+            submit = start - float(attrs.get("queued_s", 0.0))
             spinup, _ = spinup_index.get(disk, _NO_INTERVALS).overlap(
                 submit, start
             )
@@ -225,8 +245,8 @@ def attribute_events(
         out.append(
             RequestAttribution(
                 rid=rid if rid is not None else -1,
-                kind=req.name,
-                arrival=req.ts,
+                kind=req[3],
+                arrival=req[0],
                 measured=measured,
                 phases=phases,
                 disk=disk,

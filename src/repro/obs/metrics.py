@@ -6,10 +6,13 @@ power, not just the means in :class:`~repro.core.metrics.RunMetrics`.
 This module provides them without sample retention:
 
 * :class:`MetricCounter` / :class:`Gauge` — labeled scalars.
-* :class:`MetricHistogram` — fixed log-spaced buckets **plus** a P²
-  (Jain & Chlamtáč 1985) streaming quantile sketch per tracked quantile
-  (p50/p95/p99/p999).  O(1) memory per histogram regardless of sample
-  count.
+* :class:`MetricHistogram` — fixed log-spaced buckets; quantiles
+  interpolate inside the bucket holding the nearest-rank sample.  O(1)
+  memory per histogram regardless of sample count, one bisection per
+  observation, and one quantile rule for single-run and merged
+  histograms alike.  The default grids grow by 2^(1/8) per bucket, so an
+  in-grid quantile is within 2^(1/8) - 1 (about 9.05%) of the exact
+  sample quantile.
 * :class:`MetricsRegistry` — the family store, with an associative
   :meth:`~MetricsRegistry.merge` (worker registries fold into the
   parent's in any order), exact :meth:`~MetricsRegistry.to_dict` /
@@ -39,19 +42,15 @@ from bisect import bisect_left
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "P2Quantile",
     "MetricCounter",
     "Gauge",
     "MetricHistogram",
     "MetricsRegistry",
     "log_buckets",
+    "BUCKET_GROWTH",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_POWER_BUCKETS",
     "TRACKED_QUANTILES",
-    "enable",
-    "disable",
-    "active",
-    "enabled",
     "instrument",
     "lint_prometheus",
     "read_snapshot",
@@ -61,7 +60,7 @@ __all__ = [
 #: Snapshot/export schema version (bump on breaking format changes).
 METRICS_SCHEMA_VERSION = 1
 
-#: The quantiles every histogram sketches (p50/p95/p99/p999).
+#: The quantiles reports and ``rolo top`` show (p50/p95/p99/p999).
 TRACKED_QUANTILES = (0.5, 0.95, 0.99, 0.999)
 
 
@@ -72,142 +71,15 @@ def log_buckets(start: float, factor: float, count: int) -> List[float]:
     return [start * factor**i for i in range(count)]
 
 
-#: Latency buckets: 0.1 ms to ~56 s in ×1.6 steps (29 bounds).
-DEFAULT_LATENCY_BUCKETS = log_buckets(1e-4, 1.6, 29)
+#: Growth per bucket of the default grids: an in-grid quantile is within
+#: ``BUCKET_GROWTH - 1`` (about 9.05%) of the exact sample quantile.
+BUCKET_GROWTH = 2.0 ** 0.125
 
-#: Power buckets: 0.5 W to ~1.1 kW in ×1.5 steps (20 bounds).
-DEFAULT_POWER_BUCKETS = log_buckets(0.5, 1.5, 20)
+#: Latency buckets: 0.1 ms to ~52 s (153 bounds).
+DEFAULT_LATENCY_BUCKETS = log_buckets(1e-4, BUCKET_GROWTH, 153)
 
-
-# ----------------------------------------------------------------------
-# P² streaming quantile estimator
-# ----------------------------------------------------------------------
-class P2Quantile:
-    """The P² single-quantile estimator (Jain & Chlamtáč, CACM 1985).
-
-    Five markers track the running estimate of quantile ``q`` with O(1)
-    memory; below five observations the exact sorted buffer answers.
-    Marker heights move by piecewise-parabolic (P²) interpolation, falling
-    back to linear when the parabola would break marker monotonicity.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_buf")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q!r}")
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions: List[float] = []
-        self._desired: List[float] = []
-        self._buf: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        if self.count <= 5:
-            self._buf.append(value)
-            if self.count == 5:
-                self._buf.sort()
-                self._heights = list(self._buf)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-                self._buf = []
-            return
-        heights = self._heights
-        positions = self._positions
-        # Clamp the extremes and shift the markers above the value's cell.
-        if value < heights[0]:
-            heights[0] = value
-            positions[1] += 1.0
-            positions[2] += 1.0
-            positions[3] += 1.0
-        elif value >= heights[4]:
-            heights[4] = value
-        elif value < heights[1]:
-            positions[1] += 1.0
-            positions[2] += 1.0
-            positions[3] += 1.0
-        elif value < heights[2]:
-            positions[2] += 1.0
-            positions[3] += 1.0
-        elif value < heights[3]:
-            positions[3] += 1.0
-        positions[4] += 1.0
-        q = self.q
-        desired = self._desired
-        desired[1] += q / 2.0
-        desired[2] += q
-        desired[3] += (1.0 + q) / 2.0
-        desired[4] += 1.0
-        # Adjust the three interior markers: piecewise-parabolic (P²)
-        # prediction, linear when the parabola would break monotonicity.
-        for i in (1, 2, 3):
-            n1 = positions[i]
-            delta = desired[i] - n1
-            if delta >= 1.0 and positions[i + 1] - n1 > 1.0:
-                step = 1.0
-            elif delta <= -1.0 and positions[i - 1] - n1 < -1.0:
-                step = -1.0
-            else:
-                continue
-            n0 = positions[i - 1]
-            n2 = positions[i + 1]
-            h0 = heights[i - 1]
-            h1 = heights[i]
-            h2 = heights[i + 1]
-            candidate = h1 + step / (n2 - n0) * (
-                (n1 - n0 + step) * (h2 - h1) / (n2 - n1)
-                + (n2 - n1 - step) * (h1 - h0) / (n1 - n0)
-            )
-            if h0 < candidate < h2:
-                heights[i] = candidate
-            elif step > 0:
-                heights[i] = h1 + step * (h2 - h1) / (n2 - n1)
-            else:
-                heights[i] = h1 + step * (h0 - h1) / (n0 - n1)
-            positions[i] = n1 + step
-
-    def value(self) -> float:
-        """Current estimate of the tracked quantile."""
-        if self.count == 0:
-            return 0.0
-        if self.count <= 5:
-            # At five observations the buffer has become the (sorted)
-            # marker heights.
-            ordered = sorted(self._buf) if self.count < 5 else self._heights
-            rank = max(
-                0, min(len(ordered) - 1, math.ceil(self.q * len(ordered)) - 1)
-            )
-            return ordered[rank]
-        return self._heights[2]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "q": self.q,
-            "count": self.count,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-            "buf": list(self._buf),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "P2Quantile":
-        sketch = cls(float(data["q"]))
-        sketch.count = int(data["count"])
-        sketch._heights = [float(v) for v in data["heights"]]
-        sketch._positions = [float(v) for v in data["positions"]]
-        sketch._desired = [float(v) for v in data["desired"]]
-        sketch._buf = [float(v) for v in data["buf"]]
-        return sketch
+#: Power buckets: 0.5 W to ~1.1 kW (90 bounds).
+DEFAULT_POWER_BUCKETS = log_buckets(0.5, BUCKET_GROWTH, 90)
 
 
 # ----------------------------------------------------------------------
@@ -251,16 +123,14 @@ class Gauge:
 
 
 class MetricHistogram:
-    """Streaming histogram: log-spaced buckets + P² quantile sketches.
+    """Streaming histogram over fixed buckets.
 
-    Buckets count exactly and merge associatively; the P² sketches give
-    refined within-run quantiles.  Merging two populated histograms drops
-    the sketches (P² states cannot be combined) and falls back to bucket
-    interpolation, which is merge-order independent — the property the
-    worker fan-out relies on.
+    Buckets count exactly and merge associatively, and every quantile is
+    read off the buckets, so a merged histogram answers exactly as one
+    that observed the union of the samples would.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max", "_sketches")
+    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
 
     def __init__(self, bounds: Iterable[float]) -> None:
         bounds = [float(b) for b in bounds]
@@ -274,10 +144,6 @@ class MetricHistogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: One sketch per tracked quantile; ``None`` once merged.
-        self._sketches: Optional[List[P2Quantile]] = [
-            P2Quantile(q) for q in TRACKED_QUANTILES
-        ]
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -287,36 +153,19 @@ class MetricHistogram:
         if value > self.max:
             self.max = value
         self.counts[bisect_left(self.bounds, value)] += 1
-        sketches = self._sketches
-        if sketches is not None:
-            for sketch in sketches:
-                sketch.observe(value)
-
-    @property
-    def merged(self) -> bool:
-        """True once P² sketches were dropped by a populated merge."""
-        return self._sketches is None
 
     def quantile(self, q: float) -> float:
-        """Estimate quantile ``q``: P² when available, else buckets."""
+        """Quantile ``q`` by linear interpolation inside the bucket that
+        holds the nearest-rank sample (rank ``ceil(q * count)``).
+
+        The answer and that sample share a bucket, so for a sample inside
+        the grid the error is under one bucket's growth (``BUCKET_GROWTH
+        - 1`` on the default grids).  Answers are clamped to the observed
+        ``[min, max]``, which holds every sample, so the overflow bucket
+        answers with the maximum.
+        """
         if not 0.0 < q <= 1.0:
             raise ValueError("q must be in (0, 1]")
-        if self.count == 0:
-            return 0.0
-        sketches = self._sketches
-        if sketches is not None:
-            for sketch in sketches:
-                if abs(sketch.q - q) < 1e-12:
-                    return sketch.value()
-        return self.bucket_quantile(q)
-
-    def bucket_quantile(self, q: float) -> float:
-        """Quantile by linear interpolation inside the covering bucket.
-
-        Exactly mergeable (depends only on bucket counts), at the cost of
-        bucket-width resolution.  The overflow bucket answers with the
-        observed maximum.
-        """
         if self.count == 0:
             return 0.0
         target = q * self.count
@@ -330,7 +179,8 @@ class MetricHistogram:
                 lower = self.bounds[i - 1] if i else 0.0
                 upper = self.bounds[i]
                 fraction = (target - cumulative) / c
-                return lower + fraction * (upper - lower)
+                value = lower + fraction * (upper - lower)
+                return min(max(value, self.min), self.max)
             cumulative += c
         return self.max  # pragma: no cover - rounding guard
 
@@ -339,30 +189,15 @@ class MetricHistogram:
         return self.sum / self.count if self.count else 0.0
 
     def merge(self, other: "MetricHistogram") -> None:
-        """Fold ``other`` in.  Associative and commutative on buckets;
-        sketches survive only while exactly one side has observations."""
+        """Fold ``other`` in (associative and commutative; ``sum`` up to
+        float rounding)."""
         if self.bounds != other.bounds:
             raise ValueError("cannot merge histograms with different buckets")
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.counts = list(other.counts)
-            self.count = other.count
-            self.sum = other.sum
-            self.min = other.min
-            self.max = other.max
-            self._sketches = (
-                None
-                if other._sketches is None
-                else [P2Quantile.from_dict(s.to_dict()) for s in other._sketches]
-            )
-            return
         self.counts = [a + b for a, b in zip(self.counts, other.counts)]
         self.count += other.count
         self.sum += other.sum
         self.min = min(self.min, other.min)
         self.max = max(self.max, other.max)
-        self._sketches = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -372,15 +207,12 @@ class MetricHistogram:
             "sum": self.sum,
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
-            "sketches": (
-                None
-                if self._sketches is None
-                else [s.to_dict() for s in self._sketches]
-            ),
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MetricHistogram":
+        """Inverse of :meth:`to_dict`; older snapshots' ``sketches`` key
+        is ignored."""
         hist = cls(data["bounds"])
         counts = [int(c) for c in data["counts"]]
         if len(counts) != len(hist.counts):
@@ -390,12 +222,6 @@ class MetricHistogram:
         hist.sum = float(data["sum"])
         hist.min = math.inf if data["min"] is None else float(data["min"])
         hist.max = -math.inf if data["max"] is None else float(data["max"])
-        if data["sketches"] is None:
-            hist._sketches = None
-        else:
-            hist._sketches = [
-                P2Quantile.from_dict(s) for s in data["sketches"]
-            ]
         return hist
 
 
@@ -556,8 +382,8 @@ class MetricsRegistry:
         """Fold ``other`` into this registry (associative, commutative).
 
         Counters add, gauges combine by their family's declared
-        aggregation, histograms merge buckets exactly (sketches drop once
-        both sides are populated).  Returns ``self`` for chaining.
+        aggregation, histograms merge buckets exactly.  Returns ``self``
+        for chaining.
         """
         for name, theirs in other._families.items():
             family = self._family(
@@ -1242,7 +1068,6 @@ def render_registry(registry: MetricsRegistry) -> str:
                         for q in TRACKED_QUANTILES
                     ),
                     _fmt_value(child.max if child.count else 0.0),
-                    "buckets" if child.merged else "p2",
                 )
             )
     lines: List[str] = []
@@ -1255,7 +1080,7 @@ def render_registry(registry: MetricsRegistry) -> str:
     if hist_rows:
         header = (
             "histogram", "count", "mean", "p50", "p95", "p99", "p999",
-            "max", "est",
+            "max",
         )
         widths = [
             max(len(header[i]), *(len(r[i]) for r in hist_rows))

@@ -18,17 +18,26 @@ to plain runs (any tracer binds ``Disk._complete_observed`` at setup
 time; nothing is tested per-op when tracing is off, and plain tracers do
 no phase arithmetic).
 
-The resulting event stream is a plain list of
-:class:`~repro.obs.tracer.TraceEvent` records — the existing JSONL /
-Chrome exporters, :mod:`repro.obs.attribution` and the timeline explorer
-all consume it unchanged.
+Each span is one flat record like every other
+:class:`~repro.obs.tracer.RecordingTracer` record, so the JSONL / Chrome
+exporters, :mod:`repro.obs.attribution` and the timeline explorer all
+consume the stream unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.tracer import RecordingTracer
+from repro.obs.tracer import (
+    OP_NAMES,
+    OWNED_BY_PROC,
+    OWNED_BY_RID,
+    PHASED_OP,
+    RecordingTracer,
+)
+
+#: Owner key -> shape of a span carrying that owner attr last.
+_OWNED = {"rid": OWNED_BY_RID, "proc": OWNED_BY_PROC}
 
 
 class SpanRecorder(RecordingTracer):
@@ -36,7 +45,8 @@ class SpanRecorder(RecordingTracer):
     disk-op spans.
 
     :meth:`disk_op` decomposes every completed op's service interval
-    from the head position the disk reports.  The span attrs gain:
+    from the head position the disk reports.  After the plain disk-op
+    attrs, the span carries:
 
     ``seek_s`` / ``rot_s`` / ``transfer_s``
         Mechanical phase durations; their sum equals the span's ``dur``
@@ -77,8 +87,8 @@ class SpanRecorder(RecordingTracer):
     # ------------------------------------------------------------------
     # Phase-decomposed disk ops
     # ------------------------------------------------------------------
-    def _resolve_owner(self, op: Any) -> Optional[Dict[str, Any]]:
-        """Map a completing op to ``{"rid": n}`` or ``{"proc": name}``.
+    def _resolve_owner(self, op: Any) -> Optional[Tuple[str, Any]]:
+        """Map a completing op to ``("rid", n)`` or ``("proc", name)``.
 
         The op's completion callback is either a bound method (request
         fan-in, destage/pump step) whose ``__self__`` is the owner, or a
@@ -94,13 +104,13 @@ class SpanRecorder(RecordingTracer):
         if owner is not None:
             rid = self._rid_by_obj.get(id(owner))
             if rid is not None:
-                return {"rid": rid}
+                return "rid", rid
             name = getattr(owner, "name", None)
             if name is not None:
-                return {"proc": name}
+                return "proc", name
         tag = op.tag
         if isinstance(tag, str):
-            return {"proc": tag}
+            return "proc", tag
         return None
 
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
@@ -113,14 +123,22 @@ class SpanRecorder(RecordingTracer):
             if disk.slowdown_factor != 1.0:
                 seek *= disk.slowdown_factor
                 rot *= disk.slowdown_factor
-        event = self._op_span(disk, op)
-        attrs = event.attrs
-        attrs["seek_s"] = seek
-        attrs["rot_s"] = rot
+        start = op.start_time
+        dur = op.finish_time - start
+        name = OP_NAMES[op.kind][op.priority]
+        queued = start - op.submit_time
         # Transfer is the residual so seek + rot + transfer equals the
         # realized service interval exactly, slowdown included.
-        attrs["transfer_s"] = event.dur - seek - rot
+        transfer = dur - seek - rot
         owner = self._resolve_owner(op)
-        if owner is not None:
-            attrs.update(owner)
-        self._emit(event)
+        if owner is None:
+            self._append(
+                (start, disk.name, "disk_op", name, dur, PHASED_OP,
+                 op.sector, op.nbytes, queued, seek, rot, transfer)
+            )
+        else:
+            key, value = owner
+            self._append(
+                (start, disk.name, "disk_op", name, dur, _OWNED[key],
+                 op.sector, op.nbytes, queued, seek, rot, transfer, value)
+            )

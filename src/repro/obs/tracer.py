@@ -9,9 +9,14 @@ The tracing contract has three parts:
   ``None`` once at construction time and guard each emission with a plain
   ``if tracer is not None`` — the disabled path never pays a method call,
   and the optimized ``Simulator.run`` loop is untouched entirely.
-* :class:`RecordingTracer` — an in-memory recorder producing
-  :class:`TraceEvent` records that the exporters in
-  :mod:`repro.obs.export` turn into JSONL or Chrome trace-event JSON.
+* :class:`RecordingTracer` — an in-memory recorder.  Each observation
+  is one flat tuple of atoms (see :class:`Shapes`), not an object with an
+  attrs dict, so a recorded run holds no per-record garbage for the
+  cyclic GC to scan.  :meth:`RecordingTracer.sorted_events` returns an
+  :class:`EventView` that builds :class:`TraceEvent` objects only when
+  iterated: the exporters in :mod:`repro.obs.export` turn them into JSONL
+  or Chrome trace-event JSON, while
+  :func:`~repro.obs.attribution.attribute_events` reads the records.
 
 Tracers observe only: no hook may schedule simulator events or mutate
 controller/disk state, which is what keeps a traced run's
@@ -21,7 +26,9 @@ controller/disk state, which is what keeps a traced run's
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Tuple
+from collections import Counter
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.disk.disk import OpKind, Priority
 
@@ -29,10 +36,15 @@ from repro.disk.disk import OpKind, Priority
 #: array; individual disks each get their own track).
 REQUEST_TRACK = "requests"
 
-#: Trace-record spellings of op kinds and priorities, looked up by member
-#: so the recorders skip the enum descriptors per op.
-_KIND_NAMES = {kind: kind.value for kind in OpKind}
-_PRIORITY_NAMES = {priority: priority.name.lower() for priority in Priority}
+#: Disk-op span names (``"write:background"``) by op kind, then priority,
+#: looked up by member so the recorders skip the enum descriptors per op.
+OP_NAMES = {
+    kind: {
+        priority: f"{kind.value}:{priority.name.lower()}"
+        for priority in Priority
+    }
+    for kind in OpKind
+}
 
 
 @dataclasses.dataclass
@@ -174,8 +186,119 @@ def normalize(tracer: Optional[Tracer]) -> Optional[Tracer]:
     return tracer if tracer else None
 
 
+# ----------------------------------------------------------------------
+# Records
+# ----------------------------------------------------------------------
+#: A record is ``(ts, track, category, name, dur, shape, *values)``: the
+#: event's fields, then its attr values from index :data:`VALUES_AT` on.
+#: ``shape`` is an id in the record set's :class:`Shapes`, which holds
+#: the event's kind and the attr keys the values belong to.
+VALUES_AT = 6
+
+#: ``(ts, track, category, name)``: the :meth:`RecordingTracer.sorted_events`
+#: order.
+_ORDER = itemgetter(0, 1, 2, 3)
+
+#: Attr keys of a plain disk-op span.  A span recorder's disk-op spans
+#: add the phase keys and, last, the owner's.
+OP_KEYS = ("sector", "nbytes", "queued_s")
+PHASE_KEYS = OP_KEYS + ("seek_s", "rot_s", "transfer_s")
+
+#: The shapes the recorders emit per request, op and power span, with
+#: ids ``0..5`` in every :class:`Shapes`.
+_FIXED_SHAPES = (
+    ("span", ("rid", "offset", "nbytes")),
+    ("span", OP_KEYS),
+    ("span", ()),
+    ("span", PHASE_KEYS),
+    ("span", PHASE_KEYS + ("rid",)),
+    ("span", PHASE_KEYS + ("proc",)),
+)
+REQUEST, OP, POWER, PHASED_OP, OWNED_BY_RID, OWNED_BY_PROC = range(
+    len(_FIXED_SHAPES)
+)
+
+
+class Shapes:
+    """Shape id -> ``(kind, attr keys)`` for one set of records.
+
+    The fixed shapes hold the same ids everywhere; any other shape gets
+    the next id on first use.
+    """
+
+    __slots__ = ("table", "_ids")
+
+    def __init__(self) -> None:
+        self.table: List[Tuple[str, Tuple[str, ...]]] = list(_FIXED_SHAPES)
+        self._ids = {shape: i for i, shape in enumerate(self.table)}
+
+    def id(self, kind: str, keys: Tuple[str, ...]) -> int:
+        shape = (kind, keys)
+        found = self._ids.get(shape)
+        if found is None:
+            found = self._ids[shape] = len(self.table)
+            self.table.append(shape)
+        return found
+
+    def attrs(self, record: tuple) -> Dict[str, Any]:
+        """A record's attrs, as the dict its :class:`TraceEvent` carries."""
+        return dict(zip(self.table[record[5]][1], record[VALUES_AT:]))
+
+    def event(self, record: tuple) -> TraceEvent:
+        return TraceEvent(
+            record[0], self.table[record[5]][0], record[2], record[3],
+            record[1], record[4], self.attrs(record),
+        )
+
+    def record(self, event: TraceEvent) -> tuple:
+        attrs = event.attrs
+        return (
+            event.ts, event.track, event.category, event.name, event.dur,
+            self.id(event.kind, tuple(attrs)), *attrs.values(),
+        )
+
+
+class EventView:
+    """Records in ``(ts, track, category, name)`` order, read as events.
+
+    Iterating builds each :class:`TraceEvent` on demand, and the view can
+    be iterated any number of times; ``len`` and
+    :func:`~repro.obs.attribution.attribute_events` read the records and
+    build none.  The sort is stable, so equal keys keep emission order.
+    """
+
+    __slots__ = ("records", "shapes")
+
+    def __init__(self, records: Iterable[tuple], shapes: Shapes) -> None:
+        self.records: List[tuple] = sorted(records, key=_ORDER)
+        self.shapes = shapes
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> "EventView":
+        """The view of hand-built or file-read events."""
+        shapes = Shapes()
+        return cls(map(shapes.record, events), shapes)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(self.shapes.event, self.records)
+
+
+def records_of(
+    events: Iterable[TraceEvent],
+) -> Tuple[List[tuple], Shapes]:
+    """The records behind ``events`` and their shapes: a view's own
+    (already sorted), or one converted per event in the order given."""
+    if isinstance(events, EventView):
+        return events.records, events.shapes
+    shapes = Shapes()
+    return [shapes.record(event) for event in events], shapes
+
+
 class RecordingTracer(Tracer):
-    """Collects :class:`TraceEvent` records in memory.
+    """Collects one record per observation, in emission order.
 
     Power states and requests arrive as open/close edges; the recorder
     pairs them into spans.  :meth:`finish` closes whatever is still open
@@ -183,19 +306,26 @@ class RecordingTracer(Tracer):
     """
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self.counts: Dict[str, int] = {}
+        self.records: List[tuple] = []
+        self.shapes = Shapes()
+        self._append = self.records.append
         #: disk -> (state name, span start)
         self._open_power: Dict[str, Tuple[str, float]] = {}
         #: rid -> (kind, offset, nbytes, arrival ts)
         self._open_requests: Dict[int, Tuple[str, int, int, float]] = {}
         self._finished = False
 
-    # ------------------------------------------------------------------
-    def _emit(self, event: TraceEvent) -> None:
-        self.events.append(event)
-        self.counts[event.category] = self.counts.get(event.category, 0) + 1
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Every record as a :class:`TraceEvent`, in emission order."""
+        return list(map(self.shapes.event, self.records))
 
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Records per category, in order of first appearance."""
+        return dict(Counter(record[2] for record in self.records))
+
+    # ------------------------------------------------------------------
     def request_arrived(
         self, rid: int, kind: str, offset: int, nbytes: int, ts: float
     ) -> None:
@@ -206,37 +336,17 @@ class RecordingTracer(Tracer):
         if opened is None:
             return
         kind, offset, nbytes, start = opened
-        self._emit(
-            TraceEvent(
-                ts=start,
-                kind="span",
-                category="request",
-                name=kind,
-                track=REQUEST_TRACK,
-                dur=ts - start,
-                attrs={"rid": rid, "offset": offset, "nbytes": nbytes},
-            )
+        self._append(
+            (start, REQUEST_TRACK, "request", kind, ts - start, REQUEST,
+             rid, offset, nbytes)
         )
 
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
-        self._emit(self._op_span(disk, op))
-
-    @staticmethod
-    def _op_span(disk: Any, op: Any) -> TraceEvent:
-        """The disk-op span every recorder emits (subclasses add attrs)."""
         start = op.start_time
-        return TraceEvent(
-            ts=start,
-            kind="span",
-            category="disk_op",
-            name=f"{_KIND_NAMES[op.kind]}:{_PRIORITY_NAMES[op.priority]}",
-            track=disk.name,
-            dur=op.finish_time - start,
-            attrs={
-                "sector": op.sector,
-                "nbytes": op.nbytes,
-                "queued_s": start - op.submit_time,
-            },
+        self._append(
+            (start, disk.name, "disk_op", OP_NAMES[op.kind][op.priority],
+             op.finish_time - start, OP,
+             op.sector, op.nbytes, start - op.submit_time)
         )
 
     def power_state(
@@ -245,30 +355,15 @@ class RecordingTracer(Tracer):
         opened = self._open_power.get(disk)
         if opened is not None:
             state, since = opened
-            self._emit(
-                TraceEvent(
-                    ts=since,
-                    kind="span",
-                    category="power",
-                    name=state,
-                    track=disk,
-                    dur=ts - since,
-                )
-            )
+            self._append((since, disk, "power", state, ts - since, POWER))
         self._open_power[disk] = (new, ts)
 
     def instant(
         self, category: str, name: str, track: str, ts: float, **attrs: Any
     ) -> None:
-        self._emit(
-            TraceEvent(
-                ts=ts,
-                kind="instant",
-                category=category,
-                name=name,
-                track=track,
-                attrs=attrs,
-            )
+        self._append(
+            (ts, track, category, name, 0.0,
+             self.shapes.id("instant", tuple(attrs)), *attrs.values())
         )
 
     def span(
@@ -280,30 +375,18 @@ class RecordingTracer(Tracer):
         end_ts: float,
         **attrs: Any,
     ) -> None:
-        self._emit(
-            TraceEvent(
-                ts=start_ts,
-                kind="span",
-                category=category,
-                name=name,
-                track=track,
-                dur=end_ts - start_ts,
-                attrs=attrs,
-            )
+        self._append(
+            (start_ts, track, category, name, end_ts - start_ts,
+             self.shapes.id("span", tuple(attrs)), *attrs.values())
         )
 
     def counter(
         self, name: str, track: str, ts: float, value: float, **attrs: Any
     ) -> None:
-        self._emit(
-            TraceEvent(
-                ts=ts,
-                kind="counter",
-                category="counter",
-                name=name,
-                track=track,
-                attrs={"value": value, **attrs},
-            )
+        self._append(
+            (ts, track, "counter", name, 0.0,
+             self.shapes.id("counter", ("value", *attrs)),
+             value, *attrs.values())
         )
 
     def finish(self, ts: float) -> None:
@@ -312,22 +395,12 @@ class RecordingTracer(Tracer):
         self._finished = True
         for disk in sorted(self._open_power):
             state, since = self._open_power[disk]
-            self._emit(
-                TraceEvent(
-                    ts=since,
-                    kind="span",
-                    category="power",
-                    name=state,
-                    track=disk,
-                    dur=ts - since,
-                )
-            )
+            self._append((since, disk, "power", state, ts - since, POWER))
         self._open_power.clear()
 
     # ------------------------------------------------------------------
-    def sorted_events(self) -> List[TraceEvent]:
-        """Events in (ts, track, name) order — stable across runs because
-        virtual time and emission order are both deterministic."""
-        return sorted(
-            self.events, key=lambda e: (e.ts, e.track, e.category, e.name)
-        )
+    def sorted_events(self) -> EventView:
+        """The records in (ts, track, category, name) order — stable
+        across runs because virtual time and emission order are both
+        deterministic."""
+        return EventView(self.records, self.shapes)

@@ -353,12 +353,37 @@ class TestMetricsCommands:
         assert "sim_events_total" in out
         assert "request_latency_seconds" in out
 
-    def test_simulate_metrics_rejects_observer_combos(self, capsys, tmp_path):
-        rc = main(
+    def test_simulate_metrics_combines_with_observers(self, capsys, tmp_path):
+        # One run writes the snapshot, the trace and the spans; metering
+        # alongside the tracers counts exactly what metering alone does.
+        from repro.obs.metrics import read_snapshot
+
+        alone = tmp_path / "alone.jsonl"
+        assert main(self.SIM + ["--metrics", str(alone)]) == 0
+        alone_out = capsys.readouterr().out
+        both = tmp_path / "both.jsonl"
+        spans = tmp_path / "spans.jsonl"
+        trace = tmp_path / "trace.json"
+        assert main(
             self.SIM
-            + ["--metrics", str(tmp_path / "m.prom"), "--profile"]
-        )
-        assert rc == 2
+            + ["--metrics", str(both), "--spans", str(spans),
+               "--trace", str(trace), "--profile"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "[spans] wrote" in out and "[trace] wrote" in out
+        assert "requests attributed" in out
+        assert out.splitlines()[:2] == alone_out.splitlines()[:2]
+
+        def counters(path):
+            data = read_snapshot(str(path)).to_dict()["families"]
+            return {
+                name: family
+                for name, family in data.items()
+                if family["kind"] == "counter"
+            }
+
+        assert counters(both) == counters(alone)
+        assert counters(both)
 
     def test_top_missing_file(self, capsys, tmp_path):
         assert main(["top", str(tmp_path / "nope.jsonl")]) == 2

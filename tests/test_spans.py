@@ -45,7 +45,7 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.attribution import RequestAttribution
-from repro.obs.tracer import REQUEST_TRACK, TraceEvent
+from repro.obs.tracer import REQUEST_TRACK, EventView, TraceEvent
 from repro.sim import Simulator
 
 KB = 1024
@@ -397,7 +397,7 @@ class TestExportSatellites:
         write_jsonl(spanned_events, path)
         stream = read_events(path)
         assert isinstance(stream, types.GeneratorType)
-        assert list(stream) == spanned_events
+        assert list(stream) == list(spanned_events)
 
     def test_summarize_reports_phase_totals(self, spanned_events):
         text = summarize_events(iter(spanned_events))
@@ -425,6 +425,66 @@ class TestExportSatellites:
         run_trace(controller, mixed_trace())
         html_text = render_explorer_html(tracer.sorted_events(), top=2)
         assert "<svg" in html_text
+
+
+# ----------------------------------------------------------------------
+# Records: flat tuples, read as events only on demand
+# ----------------------------------------------------------------------
+def assert_view_matches_events(view):
+    """Attribution straight off the recorder's records equals attribution
+    over the TraceEvents the view builds, and the view round-trips."""
+    events = list(view)
+    assert len(events) == len(view) > 0
+    assert list(view) == events  # a view iterates again, identically
+    assert list(EventView.of(events)) == events
+    from_records = [a.to_dict() for a in attribute_events(view)]
+    from_events = [a.to_dict() for a in attribute_events(events)]
+    assert from_records == from_events
+    assert from_records
+
+
+class TestRecordView:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_fig10_view_attribution_equals_event_attribution(self, scheme):
+        cell = workload_cell(scheme, "src2_2", scale=0.004, n_pairs=4)
+        run = run_cell_observed(cell, spans=True)
+        assert_view_matches_events(run.tracer.sorted_events())
+
+    def test_faulted_view_attribution_equals_event_attribution(self):
+        spec = [(i * 0.02, "w", (i % 40) * 64 * KB, 64 * KB) for i in range(300)]
+        spec += [
+            (i * 0.02 + 0.01, "r", ((i + 7) % 40) * 64 * KB + 8 * MB, 64 * KB)
+            for i in range(300)
+        ]
+        recorder = SpanRecorder()
+        result = run_faulted(
+            "rolo-r",
+            small_config(free_space_bytes=1 * MB),
+            make_trace(sorted(spec)),
+            FaultSchedule.parse("slow@0:P0:3x2,fail@2:M1"),
+            tracer=recorder,
+        )
+        assert result.consistent
+        assert recorder.counts.get("fault", 0) > 0
+        assert_view_matches_events(recorder.sorted_events())
+
+    def test_records_are_flat_tuples_of_atoms(self):
+        _, recorder = spanned_run("rolo-e", mixed_trace())
+        atoms = (int, float, str, type(None))
+        assert recorder.records
+        for record in recorder.records:
+            assert type(record) is tuple
+            assert all(isinstance(value, atoms) for value in record), record
+
+    def test_events_and_counts_read_the_records(self):
+        _, recorder = spanned_run("rolo-p", mixed_trace())
+        events = recorder.events
+        assert len(events) == len(recorder.records)
+        counts = {}
+        for event in events:
+            counts[event.category] = counts.get(event.category, 0) + 1
+        assert recorder.counts == counts
+        assert list(recorder.counts) == list(counts)  # first-seen order
 
 
 # ----------------------------------------------------------------------
@@ -555,9 +615,7 @@ def synthetic_stream(background, spinups, requests, disk="D0"):
                 },
             )
         )
-    recorder = RecordingTracer()
-    recorder.events.extend(events)
-    return recorder.sorted_events()
+    return EventView.of(events)
 
 
 _times = st.floats(0.0, 50.0, allow_nan=False)
