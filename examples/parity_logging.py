@@ -12,7 +12,7 @@ refreshes parity through idle slots, cutting the foreground cost to three
 I/Os of which one is a cheap sequential append.
 """
 
-from repro.core import Raid5Config, build_raid5_controller
+from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.sim import Simulator
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -41,7 +41,7 @@ def main() -> None:
     config = Raid5Config(n_disks=10).scaled(0.05)
     for scheme in ("raid5", "rolo-5"):
         sim = Simulator()
-        controller = build_raid5_controller(scheme, sim, config)
+        controller = build_controller(scheme, sim, config)
         metrics = run_trace(controller, trace)
         controller.assert_consistent()
         ops = sum(d.ops_completed for d in controller.disks)

@@ -56,55 +56,32 @@ RAID5_SCHEMES = {
 }
 
 
-def build_raid5_controller(
-    scheme: str,
-    sim: Simulator,
-    config: Raid5Config,
-    tracer: object = None,
-    oracle: object = None,
-):
-    """Construct a parity-based controller ('raid5' or 'rolo-5').
-
-    ``tracer`` behaves as in :func:`build_controller` (falsy tracers leave
-    the controller uninstrumented).  ``oracle`` is attached the same way;
-    the parity controllers report data-segment writes/reads through the
-    oracle's ``note_parity_write``/``note_parity_read`` hooks (parity
-    units are derived state and deliberately untracked).
-    """
-    key = scheme.lower()
-    try:
-        cls = RAID5_SCHEMES[key]
-    except KeyError:
-        known = ", ".join(sorted(RAID5_SCHEMES))
-        raise KeyError(f"unknown scheme {scheme!r}; known: {known}") from None
-    controller = cls(sim, config, tracer=tracer)
-    if oracle is not None:
-        oracle.attach(controller)
-    return controller
-
-
 def build_controller(
     scheme: str,
     sim: Simulator,
-    config: ArrayConfig,
+    config: ArrayConfig | Raid5Config,
     tracer: object = None,
     oracle: object = None,
 ) -> Controller:
-    """Construct a controller by scheme name (see :data:`SCHEMES`).
+    """Construct a controller by scheme name.
 
-    ``tracer`` is an optional :class:`repro.obs.Tracer`; the default (or a
-    falsy ``NullTracer``) leaves the controller uninstrumented.
-    ``oracle`` is an optional
+    The name is looked up in :data:`SCHEMES` (``config`` is an
+    :class:`ArrayConfig`), then in :data:`RAID5_SCHEMES` (``config`` is a
+    :class:`Raid5Config`).  ``tracer`` is an optional
+    :class:`repro.obs.Tracer`; the default (or a falsy ``NullTracer``)
+    leaves the controller uninstrumented.  ``oracle`` is an optional
     :class:`repro.faults.ConsistencyOracle`; when given it is attached to
     the controller and mirrors every acknowledged write for the
-    fault-injection consistency checks.
+    fault-injection consistency checks (the parity controllers report
+    data-segment writes/reads through its ``note_parity_write``/
+    ``note_parity_read`` hooks; parity units are derived state and
+    deliberately untracked).
     """
     key = scheme.lower()
-    try:
-        cls = SCHEMES[key]
-    except KeyError:
-        known = ", ".join(sorted(SCHEMES))
-        raise KeyError(f"unknown scheme {scheme!r}; known: {known}") from None
+    cls = SCHEMES.get(key) or RAID5_SCHEMES.get(key)
+    if cls is None:
+        known = ", ".join(sorted([*SCHEMES, *RAID5_SCHEMES]))
+        raise KeyError(f"unknown scheme {scheme!r}; known: {known}")
     controller = cls(sim, config, tracer=tracer)
     if oracle is not None:
         oracle.attach(controller)
@@ -140,5 +117,4 @@ __all__ = [
     "Raid5Controller",
     "Rolo5Controller",
     "RAID5_SCHEMES",
-    "build_raid5_controller",
 ]

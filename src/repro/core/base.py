@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ArrayConfig
 from repro.core.metrics import RunMetrics
@@ -608,7 +608,10 @@ class TraceDriver:
 
 
 def run_trace(
-    controller: Controller, trace: AnyTrace, drain: bool = True
+    controller: Controller,
+    trace: AnyTrace,
+    drain: bool = True,
+    probes: Sequence[Any] = (),
 ) -> RunMetrics:
     """Replay ``trace`` against ``controller`` and return its metrics.
 
@@ -618,18 +621,32 @@ def run_trace(
     request completes; the post-trace flush (``drain=True``) brings mirrors
     consistent *outside* the window so schemes are compared over identical
     horizons.
+
+    ``probes`` are run-scoped observers: objects with
+    ``install(sim, controller)`` and ``uninstall()``.  They install in the
+    order given, before the first arrival is scheduled, and uninstall in
+    reverse order after the drain and :meth:`Controller.finalize` -- also
+    when the run raises.
     """
     sim = controller.sim
     driver = TraceDriver(
         sim, controller, trace, on_complete=controller.finalize
     )
-    driver.start()
-    sim.run()
-    if driver.completed_at < 0:
-        raise RuntimeError("trace replay did not complete")
-    if drain:
-        controller.drain()
+    installed = []
+    try:
+        for probe in probes:
+            probe.install(sim, controller)
+            installed.append(probe)
+        driver.start()
         sim.run()
-    if controller.tracer is not None:
-        controller.tracer.finish(sim.now)
-    return controller.finalize()
+        if driver.completed_at < 0:
+            raise RuntimeError("trace replay did not complete")
+        if drain:
+            controller.drain()
+            sim.run()
+        if controller.tracer is not None:
+            controller.tracer.finish(sim.now)
+        return controller.finalize()
+    finally:
+        for probe in reversed(installed):
+            probe.uninstall()

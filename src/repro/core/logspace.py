@@ -15,6 +15,7 @@ Two layers:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Tuple
 
 
@@ -88,13 +89,7 @@ class RegionAllocator:
         if nbytes <= 0 or offset < 0 or offset + nbytes > self.total:
             raise ValueError(f"invalid interval ({offset}, {nbytes})")
         # Find insertion point keeping the list sorted by offset.
-        lo, hi = 0, len(self._free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._free[mid][0] < offset:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self._free, (offset,))
         # Overlap checks against neighbours.
         if lo > 0:
             prev_off, prev_len = self._free[lo - 1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core import Raid5Config, build_raid5_controller
+from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.experiments.registry import register
 from repro.experiments.report import Report, Series, Table
@@ -74,7 +74,7 @@ def run(
             results = {}
             for scheme in ("raid5", "rolo-5"):
                 sim = Simulator()
-                controller = build_raid5_controller(scheme, sim, config)
+                controller = build_controller(scheme, sim, config)
                 metrics = run_trace(controller, trace)
                 controller.assert_consistent()
                 results[scheme] = (metrics, controller)

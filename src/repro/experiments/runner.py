@@ -24,7 +24,6 @@ signatures; every caller transparently benefits from both layers.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import time
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
@@ -32,8 +31,8 @@ from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.metrics import RunMetrics
 from repro.experiments.cache import active_cache, freeze
-from repro.obs.metrics import MetricsRegistry, instrument
-from repro.obs.profiler import CellProfile
+from repro.obs.metrics import MetricsRegistry, RunInstrumentation
+from repro.obs.profiler import CellProfile, LabelCounter
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import RecordingTracer
@@ -190,7 +189,7 @@ class Cell:
         registry: Optional[MetricsRegistry] = None,
     ) -> Dict[str, Any]:
         """Run uncached; return the serialized result and run profile."""
-        run = _run_cell(self, trace, registry=registry)
+        run = _run_cell(self, trace, probes=_meters(registry))
         return {
             "result": run.metrics.to_dict(),
             "profile": run.profile.to_dict(),
@@ -210,7 +209,8 @@ class Cell:
         """
         if registry is None:
             registry = MetricsRegistry()
-        return _run_cell(self, trace, registry=registry).metrics, registry
+        run = _run_cell(self, trace, probes=_meters(registry))
+        return run.metrics, registry
 
 
 def workload_cell(
@@ -346,20 +346,24 @@ class ObservedRun:
     sampler: Optional[Any] = None  # TimeSeriesSampler when sampling was on
 
 
+def _meters(registry: Optional[MetricsRegistry]) -> Tuple[Any, ...]:
+    """The probes that meter a run into ``registry`` (none without one)."""
+    return () if registry is None else (RunInstrumentation(registry),)
+
+
 def _run_cell(
     cell: Cell,
     trace: Optional[AnyTrace] = None,
     tracer: Optional[Any] = None,
-    sample_interval: Optional[float] = None,
-    registry: Optional[MetricsRegistry] = None,
-    count_labels: bool = False,
+    probes: Iterable[Any] = (),
 ) -> ObservedRun:
     """Run one cell outside every cache layer: the single execution body.
 
-    Every observer here observes without mutating, so the metrics are
-    byte-identical whichever are attached.  The timed window starts after
-    the trace is built (or attached), so serial and pool runs time the
-    same work.
+    ``probes`` are run-scoped observers handed to
+    :func:`~repro.core.base.run_trace`.  Every observer here observes
+    without mutating, so the metrics are byte-identical whichever are
+    attached.  The timed window starts after the trace is built (or
+    attached), so serial and pool runs time the same work.
     """
     if trace is None:
         trace = cell.build_trace()
@@ -367,33 +371,15 @@ def _run_cell(
     started = time.perf_counter()
     sim = Simulator()
     controller = build_controller(cell.scheme, sim, config, tracer=tracer)
-    sampler = None
-    if sample_interval is not None:
-        sampler = TimeSeriesSampler(sim, controller, sample_interval)
-        sampler.start()
-    label_counts: Dict[str, int] = {}
-    if count_labels:
-
-        def _count(event) -> None:
-            label = event.label or "(unlabeled)"
-            label_counts[label] = label_counts.get(label, 0) + 1
-
-        sim.add_event_observer(_count)
-    with (
-        instrument(sim, controller, registry)
-        if registry is not None
-        else contextlib.nullcontext()
-    ):
-        metrics = run_trace(controller, trace)
+    metrics = run_trace(controller, trace, probes=probes)
     controller.assert_consistent()
     profile = CellProfile(
         label=cell.label(),
         wall_s=time.perf_counter() - started,
         events=sim.events_processed,
         sim_time_s=sim.now,
-        label_counts=label_counts,
     )
-    return ObservedRun(metrics, profile, tracer, sampler)
+    return ObservedRun(metrics, profile, tracer)
 
 
 def run_cell_observed(
@@ -421,13 +407,17 @@ def run_cell_observed(
         tracer = SpanRecorder()
     else:
         tracer = RecordingTracer() if trace_events else None
-    return _run_cell(
-        cell,
-        tracer=tracer,
-        sample_interval=sample_interval,
-        registry=registry,
-        count_labels=profile,
-    )
+    sampler = None
+    if sample_interval is not None:
+        sampler = TimeSeriesSampler(sample_interval)
+    counter = LabelCounter() if profile else None
+    probes = [p for p in (sampler, counter) if p is not None]
+    probes += _meters(registry)
+    run = _run_cell(cell, tracer=tracer, probes=probes)
+    run.sampler = sampler
+    if counter is not None:
+        run.profile.label_counts = counter.counts
+    return run
 
 
 def run_scheme_set(

@@ -1,12 +1,15 @@
 """Drives a :class:`FaultSchedule` through a live simulation.
 
-The injector schedules each fault event on the simulator clock before the
-run starts.  Disk failures honor the fail-stop-between-operations model:
-if the victim is mid-operation at the scheduled instant, the injector
-polls until the disk is quiet and fails it then (the event log records
-both the scheduled and the effective time).  After a failure it runs an
-oracle sweep, optionally starts an online rebuild, and sweeps again once
-the replacement is swapped in.
+The injector is a run probe: installed into
+:func:`~repro.core.base.run_trace`, it schedules each fault event on the
+simulator clock before the first arrival, and on uninstall it runs the
+closing ``end`` oracle sweep.  Disk failures honor the
+fail-stop-between-operations model: if the victim is mid-operation at
+the scheduled instant, the injector polls until the disk is quiet and
+fails it then (the event log records both the scheduled and the
+effective time).  After a failure it runs an oracle sweep, optionally
+starts an online rebuild, and sweeps again once the replacement is
+swapped in.
 
 Slowdown windows set/restore ``Disk.slowdown_factor``; latent sector
 errors are planted with ``Disk.inject_latent_error`` and, when a later
@@ -16,7 +19,6 @@ range (the scrub path), all visible in the event log.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Any, Dict, List, Optional
 
@@ -32,8 +34,12 @@ from repro.faults.schedule import (
     LatentSectorError,
     Slowdown,
 )
-from repro.obs.metrics import instrument
+from repro.obs.metrics import RunInstrumentation
 from repro.sim.engine import Simulator
+
+#: Poll period (virtual seconds) while a failing disk finishes in-flight
+#: work (fail-stop between operations).
+_QUIET_POLL_S = 0.005
 
 
 class FaultInjector:
@@ -41,43 +47,41 @@ class FaultInjector:
 
     def __init__(
         self,
-        sim: Simulator,
-        controller: Controller,
         schedule: FaultSchedule,
-        oracle: Optional[ConsistencyOracle] = None,
-        poll_interval: float = 0.005,
+        oracle: ConsistencyOracle,
     ) -> None:
-        self.sim = sim
-        self.controller = controller
         self.schedule = schedule
         self.oracle = oracle
-        self.poll_interval = poll_interval
+        self.sim: Optional[Simulator] = None
+        self.controller: Optional[Controller] = None
         #: Chronological log of everything the injector did.
         self.events: List[Dict[str, Any]] = []
         self.rebuilds: List[Dict[str, Any]] = []
         self.checks: List[OracleCheck] = []
-        self._armed = False
 
-    def arm(self) -> None:
+    def install(self, sim: Simulator, controller: Controller) -> None:
         """Schedule every fault event; call once, before the run."""
-        if self._armed:
-            raise RuntimeError("injector already armed")
-        self._armed = True
+        if self.sim is not None:
+            raise RuntimeError("injector already installed")
+        self.sim = sim
+        self.controller = controller
         for event in self.schedule.events:
             if isinstance(event, DiskFailure):
-                self.sim.at(
-                    event.time, self._fail, event, label="fault:fail"
-                )
+                sim.at(event.time, self._fail, event, label="fault:fail")
             elif isinstance(event, Slowdown):
-                self.sim.at(
+                sim.at(
                     event.time, self._slow_start, event, label="fault:slow"
                 )
             elif isinstance(event, LatentSectorError):
-                self.sim.at(
+                sim.at(
                     event.time, self._plant_lse, event, label="fault:lse"
                 )
             else:  # pragma: no cover - schedule types are closed
                 raise FaultScheduleError(f"unknown event {event!r}")
+
+    def uninstall(self) -> None:
+        """Run the closing ``end`` oracle sweep."""
+        self._check("end")
 
     # ------------------------------------------------------------------
     def _find_disk(self, name: str) -> Disk:
@@ -90,8 +94,7 @@ class FaultInjector:
         )
 
     def _check(self, event: str) -> None:
-        if self.oracle is not None:
-            self.checks.append(self.oracle.check(event))
+        self.checks.append(self.oracle.check(event))
 
     # ------------------------------------------------------------------
     # Disk failure + rebuild
@@ -125,9 +128,7 @@ class FaultInjector:
         else:
             # Fail-stop between operations: wait for the in-flight work to
             # complete, then fail the disk.
-            self.sim.poll(
-                self.poll_interval, quiet, act, label="fault:wait-quiet"
-            )
+            self.sim.poll(_QUIET_POLL_S, quiet, act, label="fault:wait-quiet")
 
     def _rebuilt(self, event: DiskFailure, started: float) -> None:
         self.rebuilds.append(
@@ -254,10 +255,10 @@ class FaultRunResult:
     events: List[Dict[str, Any]]
     rebuilds: List[Dict[str, Any]]
     checks: List[OracleCheck]
-    #: Full :meth:`ConsistencyOracle.to_dict` snapshot (clauses + checks)
-    #: when the run had an oracle; ``None`` otherwise.  The snapshot is
-    #: the canonical serialization of the checks — ``to_dict`` emits the
-    #: bare ``checks`` list only for oracle-less runs.
+    #: Full :meth:`ConsistencyOracle.to_dict` snapshot (clauses + checks);
+    #: ``None`` only for payloads from before every run had an oracle.
+    #: The snapshot is the canonical serialization of the checks —
+    #: ``to_dict`` emits the bare ``checks`` list only for those.
     oracle: Optional[Dict[str, Any]] = None
 
     @property
@@ -305,7 +306,6 @@ def run_faulted(
     config,
     trace,
     schedule: FaultSchedule,
-    with_oracle: bool = True,
     tracer=None,
     registry=None,
     oracle: Optional[ConsistencyOracle] = None,
@@ -317,48 +317,30 @@ def run_faulted(
     schedule has finished (and been oracle-checked) by the time this
     returns.  A final ``end`` sweep covers schedules without rebuilds.
 
-    With a metrics ``registry`` the run is instrumented (latency/power
-    histograms, degraded-read counts); like the oracle and tracer, the
-    registry observes only, so metered fault runs stay byte-identical.
-
-    A caller-supplied ``oracle`` (e.g. the verification harness's
-    :class:`~repro.verify.ReferenceModel`) replaces the internal
-    :class:`ConsistencyOracle`; ``checker`` is an invariant checker with
-    ``install(sim, controller)``/``uninstall()`` that chains onto the
-    engine event hook *inside* any metrics instrumentation so both
-    observers see every event and unwind cleanly.  RAID5-family schemes
-    are built through :func:`repro.core.build_raid5_controller` (their
-    fail-stop surface has no ``fail_disk``, so schedules for them must
-    contain only slowdown/LSE events).
+    The injector, the metrics ``registry`` (when given) and the
+    invariant ``checker`` (when given) are run probes, installed in that
+    order and uninstalled in reverse: the checker's final sweep, then the
+    metrics harvest, then the ``end`` oracle sweep.  Like the tracer,
+    each observes only, so the metrics are byte-identical whichever are
+    attached.  A caller-supplied ``oracle`` (e.g. the verification
+    harness's :class:`~repro.verify.ReferenceModel`) replaces the
+    internal :class:`ConsistencyOracle`.  Parity schemes (``raid5``,
+    ``rolo-5``) have no ``fail_disk``, so their schedules must contain
+    only slowdown/LSE events.
     """
-    from repro.core import RAID5_SCHEMES, build_raid5_controller
-
     sim = Simulator()
-    if oracle is None and with_oracle:
+    if oracle is None:
         oracle = ConsistencyOracle()
-    if scheme.lower() in RAID5_SCHEMES:
-        controller = build_raid5_controller(
-            scheme, sim, config, oracle=oracle
-        )
-    else:
-        controller = build_controller(
-            scheme, sim, config, tracer=tracer, oracle=oracle
-        )
-    injector = FaultInjector(sim, controller, schedule, oracle=oracle)
-    injector.arm()
-    with (
-        instrument(sim, controller, registry)
-        if registry is not None
-        else contextlib.nullcontext()
-    ):
-        if checker is not None:
-            checker.install(sim, controller)
-        try:
-            metrics = run_trace(controller, trace)
-        finally:
-            if checker is not None:
-                checker.uninstall()
-    injector._check("end")
+    controller = build_controller(
+        scheme, sim, config, tracer=tracer, oracle=oracle
+    )
+    injector = FaultInjector(schedule, oracle)
+    probes: List[Any] = [injector]
+    if registry is not None:
+        probes.append(RunInstrumentation(registry))
+    if checker is not None:
+        probes.append(checker)
+    metrics = run_trace(controller, trace, probes=probes)
     return FaultRunResult(
         scheme=scheme,
         schedule=schedule.spec(),
@@ -366,5 +348,5 @@ def run_faulted(
         events=injector.events,
         rebuilds=injector.rebuilds,
         checks=injector.checks,
-        oracle=oracle.to_dict() if oracle is not None else None,
+        oracle=oracle.to_dict(),
     )

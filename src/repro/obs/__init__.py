@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     RunInstrumentation,
     format_sweep_table,
-    instrument,
     lint_prometheus,
     log_buckets,
     read_snapshot,
@@ -83,7 +82,6 @@ __all__ = [
     "MetricsRegistry",
     "RunInstrumentation",
     "format_sweep_table",
-    "instrument",
     "lint_prometheus",
     "log_buckets",
     "read_snapshot",

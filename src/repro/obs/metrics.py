@@ -18,12 +18,13 @@ This module provides them without sample retention:
   parent's in any order), exact :meth:`~MetricsRegistry.to_dict` /
   :meth:`~MetricsRegistry.from_dict` round-trips, and exporters for
   Prometheus text format and JSONL snapshots.
-* :func:`instrument` — attaches a registry to one simulation run
-  (engine event dispatch + heap census, disk service times, power-state
-  residency, controller counters).  Instrumentation observes only:
-  metered runs produce :class:`RunMetrics` byte-identical to unmetered
-  ones (tests/test_metrics_registry.py pins this for all five schemes,
-  traced and fault-injected).
+* :class:`RunInstrumentation` — a run probe (``run_trace(...,
+  probes=[RunInstrumentation(registry)])``) that meters one simulation
+  run into a registry (engine event dispatch + heap census, disk service
+  times, power-state residency, controller counters).  Instrumentation
+  observes only: metered runs produce :class:`RunMetrics` byte-identical
+  to unmetered ones (tests/test_metrics_registry.py pins this for all
+  five schemes, traced and fault-injected).
 
 A registry is always passed explicitly; runs without one cost nothing
 (the hot paths guard with a single ``None`` check, the same discipline
@@ -32,7 +33,6 @@ as the tracer hooks).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -51,7 +51,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_POWER_BUCKETS",
     "TRACKED_QUANTILES",
-    "instrument",
+    "RunInstrumentation",
     "lint_prometheus",
     "read_snapshot",
     "render_registry",
@@ -755,42 +755,45 @@ VERIFY_VIOLATIONS_TOTAL = "verify_violations_total"
 class RunInstrumentation:
     """Meters one simulation run into a :class:`MetricsRegistry`.
 
-    Installs observation-only hooks (the engine event hook, per-disk op
-    observers, the ``RunMetrics`` response observer) and harvests
-    end-of-run state (power residency, spin counts, controller counters).
-    Every hook reads and never writes simulator/controller state, so a
-    metered run's :class:`RunMetrics` stays byte-identical to an
-    unmetered one.
+    A run probe: :func:`~repro.core.base.run_trace` calls
+    :meth:`install` before the first arrival and :meth:`uninstall` after
+    the run.  Installing adds observation-only hooks (the engine event
+    hook, per-disk op observers, the ``RunMetrics`` response observer);
+    uninstalling removes them and harvests end-of-run state (power
+    residency, spin counts, controller counters).  Every hook reads and
+    never writes simulator/controller state, so a metered run's
+    :class:`RunMetrics` stays byte-identical to an unmetered one.
     """
 
-    def __init__(self, sim, controller, registry: MetricsRegistry) -> None:
-        self.sim = sim
-        self.controller = controller
+    def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self.scheme = controller.scheme_name
         self._events_by_label: Dict[str, int] = {}
         self._heap_peak = 0
         self._power_peak = 0.0
         self._dirty_peak = 0
         self._occupancy_peak = 0.0
         self._tick = 0
+        self._installed = False
+
+    # -- hooks ----------------------------------------------------------
+    def install(self, sim, controller) -> None:
+        if self._installed:
+            raise RuntimeError("run instrumentation already installed")
+        self.sim = sim
+        self.controller = controller
+        self.scheme = scheme = controller.scheme_name
+        registry = self.registry
         self._power_hist = registry.histogram(
             "array_power_watts",
             "instantaneous array power draw, sampled on event dispatch",
             buckets=DEFAULT_POWER_BUCKETS,
-            scheme=self.scheme,
+            scheme=scheme,
         )
         self._started = time.perf_counter()
-        self._installed = False
-
-    # -- hooks ----------------------------------------------------------
-    def install(self) -> None:
         # Register through the engine's fused-hook builder so layered
         # observers (the invariant checker, profilers) compose in fixed
         # order and teardown re-selects the no-hook specialized loop.
-        self.sim.add_event_observer(self._on_event)
-        scheme = self.scheme
-        registry = self.registry
+        sim.add_event_observer(self._on_event)
         latency = {
             False: registry.histogram(
                 "request_latency_seconds",
@@ -809,7 +812,7 @@ class RunInstrumentation:
         def _on_response(is_write: bool, seconds: float) -> None:
             latency[is_write].observe(seconds)
 
-        self.controller.metrics.on_response = _on_response
+        controller.metrics.on_response = _on_response
         service = {
             0: registry.histogram(
                 "disk_service_time_seconds",
@@ -844,7 +847,7 @@ class RunInstrumentation:
             service[index].observe(op.finish_time - op.start_time)
             ops[index].inc()
 
-        for disk in self.controller.all_disks():
+        for disk in controller.all_disks():
             disk.op_observer = _on_op
         self._op_observer = _on_op
         self._installed = True
@@ -880,6 +883,7 @@ class RunInstrumentation:
 
     # -- teardown -------------------------------------------------------
     def uninstall(self) -> None:
+        """Remove every hook, then :meth:`harvest` the run once."""
         if not self._installed:
             return
         self.sim.remove_event_observer(self._on_event)
@@ -888,10 +892,11 @@ class RunInstrumentation:
             if disk.op_observer is self._op_observer:
                 disk.op_observer = None
         self._installed = False
+        self.harvest()
 
     def harvest(self) -> None:
-        """Fold end-of-run state into the registry (idempotent-by-design
-        only if called once; call exactly once, after the run)."""
+        """Fold end-of-run state into the registry (not idempotent:
+        :meth:`uninstall` calls it exactly once per run)."""
         registry = self.registry
         scheme = self.scheme
         sim = self.sim
@@ -1004,25 +1009,6 @@ class RunInstrumentation:
             "log_occupancy_peak", "peak log-region occupancy (sampled)",
             agg="max", scheme=scheme,
         ).set_max(self._occupancy_peak)
-
-
-@contextlib.contextmanager
-def instrument(sim, controller, registry: MetricsRegistry):
-    """Meter one run: install hooks on entry, harvest + remove on exit.
-
-    Usage::
-
-        registry = MetricsRegistry()
-        with instrument(sim, controller, registry):
-            metrics = run_trace(controller, trace)
-    """
-    run = RunInstrumentation(sim, controller, registry)
-    run.install()
-    try:
-        yield run
-    finally:
-        run.uninstall()
-        run.harvest()
 
 
 # ----------------------------------------------------------------------

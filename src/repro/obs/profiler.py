@@ -4,6 +4,8 @@
   dispatched, simulated time and (when asked for) events by label.  The
   single cell-run body in :mod:`repro.experiments.runner` fills it in for
   every run, so the numbers are free to read.
+* :class:`LabelCounter` — a run probe counting dispatched events by
+  label, for :attr:`CellProfile.label_counts`.
 * :class:`ProfileReport` — per-cell profiles collected by
   :func:`repro.experiments.parallel.execute_cells`.  Workers ship their
   cells' profiles back with the metrics; the parent merges them in
@@ -73,6 +75,24 @@ class CellProfile:
             for label, count in ordered:
                 lines.append(f"  {label:24s} {count}")
         return "\n".join(lines)
+
+
+class LabelCounter:
+    """Run probe: counts dispatched events by label."""
+
+    def __init__(self) -> None:
+        self.counts: Dict[str, int] = {}
+
+    def install(self, sim, controller) -> None:
+        self.sim = sim
+        sim.add_event_observer(self._count)
+
+    def uninstall(self) -> None:
+        self.sim.remove_event_observer(self._count)
+
+    def _count(self, event) -> None:
+        label = event.label or "(unlabeled)"
+        self.counts[label] = self.counts.get(label, 0) + 1
 
 
 @dataclasses.dataclass

@@ -55,26 +55,22 @@ class Sample:
 
 
 class TimeSeriesSampler:
-    """Samples a controller at a fixed virtual-time cadence."""
+    """Run probe sampling a controller at a fixed virtual-time cadence."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        controller: "Controller",
-        interval: float,
-    ) -> None:
+    def __init__(self, interval: float) -> None:
         if interval <= 0:
             raise ValueError("sample interval must be positive")
-        self.sim = sim
-        self.controller = controller
         self.interval = interval
         self.samples: List[Sample] = []
-        self._started = False
 
-    def start(self) -> None:
-        """Begin sampling at the current instant."""
-        self._started = True
-        self.sim.schedule(0.0, self._tick, label="sampler")
+    def install(self, sim: Simulator, controller: "Controller") -> None:
+        """Begin sampling ``controller`` at the current instant."""
+        self.sim = sim
+        self.controller = controller
+        sim.schedule(0.0, self._tick, label="sampler")
+
+    def uninstall(self) -> None:
+        """Nothing to detach: the tick chain ends with the run."""
 
     def _tick(self) -> None:
         if self.sim.peek() is None:

@@ -17,9 +17,9 @@ Hot-path design (every simulated disk op passes through here twice):
   a non-trivial heap, so pathological ``Timer`` re-arm patterns cannot grow
   the heap without bound.
 * Per-event observers are specialized away at setup time: installing or
-  clearing a hook (``set_event_hook`` / ``add_event_observer``) selects one
-  of several monomorphic run loops, so the no-hook loop carries zero hook
-  branches and the hooked loop calls a single pre-fused closure
+  removing an observer (``add_event_observer`` / ``remove_event_observer``)
+  selects one of several monomorphic run loops, so the no-hook loop carries
+  zero hook branches and the hooked loop calls a single pre-fused closure
   (:func:`fuse_observers`) chaining all observers in registration order.
 """
 
@@ -157,25 +157,6 @@ class Simulator:
         #: How many automatic/explicit compactions have run (introspection).
         self.compactions = 0
 
-    def set_event_hook(
-        self, hook: Optional[Callable[[Event], None]]
-    ) -> None:
-        """Install (or clear, with ``None``) a per-event observer.
-
-        The hook fires with each :class:`Event` just before its callback
-        runs.  It is for observation only (profiling, label counting) and
-        must not mutate simulator state.  Replaces the whole observer
-        chain; layered observers should prefer :meth:`add_event_observer`.
-
-        Installation selects the run loop: with no hook :meth:`run`
-        dispatches to a loop with zero hook branches, so the disabled path
-        costs literally nothing per event; with a hook it dispatches to a
-        loop calling the single pre-fused observer chain.
-        """
-        self._event_observers = [] if hook is None else [hook]
-        self._event_hook = hook
-        self._run_loop = self._run_nohook if hook is None else self._run_hooked
-
     def add_event_observer(self, observer: Callable[[Event], None]) -> None:
         """Append ``observer`` to the per-event chain and re-fuse the hook.
 
@@ -210,12 +191,7 @@ class Simulator:
 
     @property
     def event_hook(self) -> Optional[Callable[["Event"], None]]:
-        """The currently installed per-event observer (``None`` if unset).
-
-        Exposed so that layered observers (metrics instrumentation, the
-        verification invariant checker) can chain onto an existing hook
-        and restore it afterwards instead of silently clobbering it.
-        """
+        """The fused per-event observer chain (``None`` when empty)."""
         return self._event_hook
 
     @property
@@ -406,7 +382,7 @@ class Simulator:
         return self._now
 
     # The loops below are the simulation's profile-dominating code.  Each
-    # is monomorphic: selected once at set_event_hook/add_event_observer
+    # is monomorphic: selected once at add/remove_event_observer
     # time (and, for the ``until`` split, once per run call), with zero
     # feature tests per event.  They inline peek()+step() so each event
     # costs exactly one heap pop (cancelled events are skipped in place),

@@ -49,7 +49,6 @@ class InvariantChecker:
         self.checks_run = 0
         self.sim = None
         self.controller = None
-        self._prev_hook = None
         self._installed = False
         self._tick = 0
         self._last_energy = 0.0
@@ -92,7 +91,6 @@ class InvariantChecker:
             return
         self._check_now()
         self.sim.remove_event_observer(self._on_event)
-        self._prev_hook = None
         self._installed = False
 
     # ------------------------------------------------------------------

@@ -66,12 +66,8 @@ def _replay(scheme, trace, *, tracer=None, fault_spec=None):
         return sim, controller, metrics
     oracle = ConsistencyOracle()
     controller = build_controller(scheme, sim, ARRAY_CONFIG, oracle=oracle)
-    injector = FaultInjector(
-        sim, controller, FaultSchedule.parse(fault_spec), oracle=oracle
-    )
-    injector.arm()
-    metrics = run_trace(controller, trace)
-    injector._check("end")
+    injector = FaultInjector(FaultSchedule.parse(fault_spec), oracle)
+    metrics = run_trace(controller, trace, probes=[injector])
     return sim, controller, metrics
 
 

@@ -307,14 +307,16 @@ class TestRuntimeInvariantChecker:
         controller = build_controller("rolo-p", sim, small_config())
         seen = []
         hook = seen.append
-        sim.set_event_hook(hook)
+        sim.add_event_observer(hook)
         checker = InvariantChecker()
         checker.install(sim, controller)
         sim.schedule(0.0, lambda: None, label="tick")
         sim.run()
         checker.uninstall()
         assert sim.event_hook is hook
-        assert seen  # the chained previous hook kept firing
+        assert seen  # the previously registered observer kept firing
+        sim.remove_event_observer(hook)
+        assert sim.event_hook is None
 
     def test_checker_rejects_double_install(self, sim):
         from repro.core import build_controller

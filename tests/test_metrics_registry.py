@@ -608,7 +608,8 @@ def test_sampler_exports_create_parent_dirs(tmp_path, sim):
     from tests.conftest import small_config
 
     controller = build_controller("raid10", sim, small_config())
-    sampler = TimeSeriesSampler(sim, controller, interval=1.0)
+    sampler = TimeSeriesSampler(interval=1.0)
+    sampler.install(sim, controller)
     sampler.samples.append(sampler.observe())
     jsonl = tmp_path / "a" / "b" / "samples.jsonl"
     csv = tmp_path / "c" / "d" / "samples.csv"
@@ -617,14 +618,11 @@ def test_sampler_exports_create_parent_dirs(tmp_path, sim):
     assert jsonl.exists() and csv.exists()
 
 
-def test_sampler_rejects_nonpositive_interval(sim):
-    from repro.core import build_controller
+def test_sampler_rejects_nonpositive_interval():
     from repro.obs.sampler import TimeSeriesSampler
-    from tests.conftest import small_config
 
-    controller = build_controller("raid10", sim, small_config())
     with pytest.raises(ValueError):
-        TimeSeriesSampler(sim, controller, interval=0.0)
+        TimeSeriesSampler(interval=0.0)
 
 
 def test_shm_attach_stats_counts_hits_and_misses():

@@ -200,17 +200,16 @@ class TestSampler:
         sim = Simulator()
         config = ArrayConfig(n_pairs=2).scaled(0.01)
         controller = build_controller("raid10", sim, config)
-        return sim, controller, TimeSeriesSampler(sim, controller, interval)
+        return sim, controller, TimeSeriesSampler(interval)
 
     def test_rejects_bad_interval(self):
-        sim, controller, _ = self._build()
         with pytest.raises(ValueError):
-            TimeSeriesSampler(sim, controller, 0.0)
+            TimeSeriesSampler(0.0)
 
     def test_never_samples_past_last_foreign_event(self):
         sim, controller, sampler = self._build(interval=1.0)
         sim.schedule(3.5, lambda: None)
-        sampler.start()
+        sampler.install(sim, controller)
         sim.run()
         # Last foreign event at 3.5: no sample is recorded after it.  The
         # already-armed tick at 4.0 still drains (advancing the clock by
@@ -221,6 +220,7 @@ class TestSampler:
 
     def test_observe_fields(self):
         sim, controller, sampler = self._build()
+        sampler.install(sim, controller)
         sample = sampler.observe()
         assert sample.ts == 0.0
         assert sample.queue_depth == 0
@@ -230,7 +230,7 @@ class TestSampler:
     def test_csv_and_jsonl_outputs(self, tmp_path):
         sim, controller, sampler = self._build()
         sim.schedule(2.0, lambda: None)
-        sampler.start()
+        sampler.install(sim, controller)
         sim.run()
         csv_path = tmp_path / "samples.csv"
         jsonl_path = tmp_path / "samples.jsonl"
@@ -244,6 +244,7 @@ class TestSampler:
 
     def test_summary_text(self):
         sim, controller, sampler = self._build()
+        sampler.install(sim, controller)
         assert sampler.summary() == "samples: none collected"
         sampler.samples.append(sampler.observe())
         assert "peak_queue=" in sampler.summary()

@@ -11,6 +11,7 @@ replay.
 import cProfile
 import json
 import pstats
+import types
 
 import pytest
 
@@ -32,7 +33,9 @@ from repro.obs import (
     RecordingTracer,
     RunInstrumentation,
     SpanRecorder,
+    TimeSeriesSampler,
 )
+from repro.obs.profiler import LabelCounter
 from repro.raid.request import (
     RequestKind,
     acquire_request,
@@ -133,18 +136,19 @@ class TestFullHookStack:
             "rolo-r", sim, config, tracer=tracer
         )
         registry = MetricsRegistry()
-        instrumentation = RunInstrumentation(sim, controller, registry)
-        instrumentation.install()
         checker = InvariantChecker(sample_every=16)
-        checker.install(sim, controller)
-        assert sim.event_hook is not None
-        assert sim._run_loop.__func__ is Simulator._run_hooked
-
-        stacked = run_trace(controller, trace)
-
-        checker.uninstall()
-        instrumentation.uninstall()
-        instrumentation.harvest()
+        loops = []
+        loops_probe = types.SimpleNamespace(
+            install=lambda sim, _: loops.append(sim._run_loop.__func__),
+            uninstall=lambda: None,
+        )
+        stacked = run_trace(
+            controller,
+            trace,
+            probes=[RunInstrumentation(registry), checker, loops_probe],
+        )
+        # Both event observers were on the hook while the run went.
+        assert loops == [Simulator._run_hooked]
 
         # Byte-identical RunMetrics despite tracer + metrics + checker.
         assert json.dumps(stacked.to_dict(), sort_keys=True) == json.dumps(
@@ -159,16 +163,46 @@ class TestFullHookStack:
         scheme = controller.scheme_name
         assert registry.get("sim_events_total", scheme=scheme).value > 0
 
+    def test_failing_run_still_detaches_every_probe(self, monkeypatch):
+        harvests = []
+        harvest = RunInstrumentation.harvest
+
+        def counting_harvest(self):
+            harvests.append(self)
+            harvest(self)
+
+        monkeypatch.setattr(RunInstrumentation, "harvest", counting_harvest)
+        config, trace = _small_cell()
+        sim = Simulator()
+        controller = build_controller("rolo-r", sim, config)
+        meter = RunInstrumentation(MetricsRegistry())
+        probes = [
+            TimeSeriesSampler(0.5),
+            LabelCounter(),
+            meter,
+            InvariantChecker(sample_every=16),
+        ]
+
+        def fail() -> None:
+            raise ValueError("callback failed mid-run")
+
+        sim.at(1.0, fail, label="fail")
+        with pytest.raises(ValueError, match="callback failed mid-run"):
+            run_trace(controller, trace, probes=probes)
+        assert 0.9 < sim.now < 1.1
+        assert sim.event_hook is None
+        assert sim._run_loop.__func__ is Simulator._run_nohook
+        for disk in controller.all_disks():
+            assert disk._complete.__func__ is Disk._complete_fast
+        assert controller.metrics.on_response is None
+        assert harvests == [meter]
+
     def test_event_free_pool_census_is_harvested(self):
         config, trace = _small_cell()
         sim = Simulator()
         controller = build_controller("raid10", sim, config)
         registry = MetricsRegistry()
-        instrumentation = RunInstrumentation(sim, controller, registry)
-        instrumentation.install()
-        run_trace(controller, trace)
-        instrumentation.uninstall()
-        instrumentation.harvest()
+        run_trace(controller, trace, probes=[RunInstrumentation(registry)])
         scheme = controller.scheme_name
         size = registry.get("sim_event_free_pool_size", scheme=scheme)
         cap = registry.get("sim_event_free_pool_max", scheme=scheme)
@@ -327,17 +361,12 @@ def _instrumented_run(variant, config, trace):
         tracer=tracer.get(variant),
         oracle=ConsistencyOracle() if variant == "oracle" else None,
     )
-    layer = None
-    if variant == "metered":
-        layer = RunInstrumentation(sim, controller, MetricsRegistry())
-        layer.install()
-    elif variant == "verified":
-        layer = InvariantChecker()
-        layer.install(sim, controller)
-    metrics = run_trace(controller, trace)
+    probes = {
+        "metered": [RunInstrumentation(MetricsRegistry())],
+        "verified": [InvariantChecker()],
+    }
+    metrics = run_trace(controller, trace, probes=probes.get(variant, ()))
     controller.assert_consistent()
-    if layer is not None:
-        layer.uninstall()
     return metrics
 
 
@@ -374,8 +403,8 @@ def _call_counts(scheme, config, trace, tracer=None, attach=None):
 
 
 def _attach_then_detach(sim, controller):
-    meter = RunInstrumentation(sim, controller, MetricsRegistry())
-    meter.install()
+    meter = RunInstrumentation(MetricsRegistry())
+    meter.install(sim, controller)
     meter.uninstall()
     checker = InvariantChecker()
     checker.install(sim, controller)
@@ -385,7 +414,7 @@ def _attach_then_detach(sim, controller):
 
 
 def _leak_meter(sim, controller):
-    RunInstrumentation(sim, controller, MetricsRegistry()).install()
+    RunInstrumentation(MetricsRegistry()).install(sim, controller)
 
 
 @pytest.mark.parametrize("scheme", FIG10_SCHEMES)

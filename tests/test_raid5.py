@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Raid5Config, build_raid5_controller
+from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.raid.raid5 import Raid5Layout, Raid5Segment
 from repro.sim import Simulator
@@ -111,7 +111,7 @@ def small_raid5(**overrides):
 
 class TestRaid5Controller:
     def test_small_write_is_rmw_on_data_and_parity(self, sim):
-        controller = build_raid5_controller("raid5", sim, small_raid5())
+        controller = build_controller("raid5", sim, small_raid5())
         metrics = run_trace(controller, write_burst(1))
         # 1 data read + 1 data write + 1 parity read + 1 parity write.
         total_ops = sum(d.ops_completed for d in controller.disks)
@@ -119,7 +119,7 @@ class TestRaid5Controller:
         assert controller.parity_rmw_count == 1
 
     def test_full_stripe_write_skips_reads(self, sim):
-        controller = build_raid5_controller("raid5", sim, small_raid5())
+        controller = build_controller("raid5", sim, small_raid5())
         row_bytes = 4 * 64 * KB
         run_trace(controller, make_trace([(0.0, "w", 0, row_bytes)]))
         reads = sum(
@@ -131,7 +131,7 @@ class TestRaid5Controller:
         assert controller.parity_rmw_count == 0
 
     def test_read_path_single_op(self, sim):
-        controller = build_raid5_controller("raid5", sim, small_raid5())
+        controller = build_controller("raid5", sim, small_raid5())
         run_trace(controller, make_trace([(0.0, "r", 0, 64 * KB)]))
         assert sum(d.ops_completed for d in controller.disks) == 1
 
@@ -151,7 +151,7 @@ class TestRaid5Controller:
 
 class TestRolo5Controller:
     def test_small_write_logs_delta_instead_of_parity_rmw(self, sim):
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         from repro.core.base import run_trace as rt
 
         metrics = rt(controller, write_burst(1), drain=False)
@@ -163,7 +163,7 @@ class TestRolo5Controller:
         assert controller.dirty_units_total() == 1
 
     def test_drain_updates_all_parity(self, sim):
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         # 10 consecutive units span rows 0-2 (4 data units per row).
         run_trace(controller, write_burst(10))
         controller.assert_consistent()
@@ -183,7 +183,7 @@ class TestRolo5Controller:
 
         def run(scheme):
             sim = Simulator()
-            controller = build_raid5_controller(scheme, sim, small_raid5())
+            controller = build_controller(scheme, sim, small_raid5())
             metrics = run_trace(controller, trace)
             controller.assert_consistent()
             return metrics
@@ -194,28 +194,28 @@ class TestRolo5Controller:
 
     def test_rotation_triggers_parity_round(self, sim):
         # 4MB region, threshold 0.8 -> 52 appends of 64K rotate.
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         run_trace(controller, write_burst(60, gap=0.05))
         assert controller.metrics.rotations >= 1
         assert controller.metrics.destage_cycles >= 1
         controller.assert_consistent()
 
     def test_log_space_reclaimed_after_round(self, sim):
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         run_trace(controller, write_burst(60, gap=0.05))
         for region in controller.log_regions:
             region.check_invariants()
             assert region.live_bytes(0) == 0
 
     def test_full_stripe_write_bypasses_log(self, sim):
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         row_bytes = 4 * 64 * KB
         run_trace(controller, make_trace([(0.0, "w", 0, row_bytes)]))
         assert controller.metrics.logged_bytes == 0
         assert controller.dirty_units_total() == 0
 
     def test_fallback_to_rmw_when_log_full(self, sim):
-        controller = build_raid5_controller(
+        controller = build_controller(
             "rolo-5", sim, small_raid5(free_space_bytes=256 * KB)
         )
         run_trace(controller, write_burst(30, gap=0.001))
@@ -223,7 +223,7 @@ class TestRolo5Controller:
         controller.assert_consistent()
 
     def test_parity_updates_are_background(self, sim):
-        controller = build_raid5_controller("rolo-5", sim, small_raid5())
+        controller = build_controller("rolo-5", sim, small_raid5())
         run_trace(controller, write_burst(60, gap=0.05))
         background = sum(d.background_ops for d in controller.disks)
         assert background >= 2  # parity read+write pairs

@@ -16,12 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_trace, small_config, write_burst
-from repro.core import (
-    Raid5Config,
-    build_controller,
-    build_raid5_controller,
-    run_trace,
-)
+from repro.core import Raid5Config, build_controller, run_trace
 from repro.disk.disk import Disk, Scheduler
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import ULTRASTAR_36Z15
@@ -212,6 +207,22 @@ class TestAttributionSums:
         assert len(attrs) == result.metrics.requests
         assert_exact_sums(attrs)
 
+    @pytest.mark.parametrize("scheme", PARITY_SCHEMES)
+    def test_parity_slowdown_run_sums_exact(self, scheme):
+        # The faulted run keeps the tracer for parity schemes too.
+        recorder = SpanRecorder()
+        result = run_faulted(
+            scheme,
+            Raid5Config(n_disks=5).scaled(0.01),
+            write_burst(40, gap=0.05),
+            FaultSchedule.parse("slow@0:D0:3x2"),
+            tracer=recorder,
+        )
+        assert recorder.records
+        attrs = attribute_events(recorder.sorted_events())
+        assert len(attrs) == result.metrics.requests
+        assert_exact_sums(attrs)
+
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_failure_run_sums_exact(self, scheme):
         recorder = SpanRecorder()
@@ -230,7 +241,7 @@ class TestAttributionSums:
     def test_parity_schemes_sum_exact(self, scheme):
         sim = Simulator()
         recorder = SpanRecorder()
-        controller = build_raid5_controller(
+        controller = build_controller(
             scheme, sim, Raid5Config(n_disks=4).scaled(0.01), tracer=recorder
         )
         metrics = run_trace(controller, mixed_trace())
@@ -245,16 +256,15 @@ class TestByteIdentity:
         trace = mixed_trace()
         if scheme in PARITY_SCHEMES:
             config = Raid5Config(n_disks=4).scaled(0.01)
-            build = build_raid5_controller
         else:
             config = small_config()
-            build = build_controller
         sim = Simulator()
         spanned = run_trace(
-            build(scheme, sim, config, tracer=SpanRecorder()), trace
+            build_controller(scheme, sim, config, tracer=SpanRecorder()),
+            trace,
         )
         sim = Simulator()
-        plain = run_trace(build(scheme, sim, config), trace)
+        plain = run_trace(build_controller(scheme, sim, config), trace)
         assert json.dumps(spanned.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
