@@ -229,7 +229,7 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self.at(self._now + delay, callback, *args, label=label)
+        return self._push(self._now + delay, callback, args, label)
 
     def at(
         self,
@@ -239,6 +239,12 @@ class Simulator:
         label: str = "",
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
+        return self._push(time, callback, args, label)
+
+    def _push(
+        self, time: float, callback: Callable[..., None], args: tuple, label: str
+    ) -> Event:
+        """The one scheduling body; disk completions call it directly."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at {self._now!r}"
@@ -265,7 +271,7 @@ class Simulator:
     def compact(self) -> int:
         """Drop cancelled events from the heap in place.
 
-        Runs automatically from :meth:`at` once cancelled entries exceed
+        Runs automatically from :meth:`_push` once cancelled entries exceed
         half of a heap larger than ``_COMPACT_MIN_HEAP``; callers may also
         invoke it directly.  Returns the number of entries removed.  The
         heap list object is mutated in place so the run loop's local
@@ -470,7 +476,10 @@ class Simulator:
                 processed += 1
                 hook(event)
                 event.callback(*event.args)
-                self._recycle(event)
+                event.callback = None
+                event.args = None
+                if len(free) < _FREE_LIST_MAX:
+                    free.append(event)
         finally:
             self.events_processed += processed
 

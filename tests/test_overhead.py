@@ -26,6 +26,8 @@ from repro.disk.disk import (
     release_op,
 )
 from repro.disk.models import ULTRASTAR_36Z15
+from repro.disk.power import EnergyAccountant
+from repro.faults import FaultSchedule, run_faulted
 from repro.faults.oracle import ConsistencyOracle
 from repro.obs import (
     NULL_TRACER,
@@ -46,6 +48,7 @@ from repro.sim import Simulator
 from repro.sim.engine import fuse_observers
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from repro.verify.invariants import InvariantChecker
+from tests.conftest import small_config, write_burst
 
 KB = 1024
 MB = 1024 * KB
@@ -438,3 +441,46 @@ def test_detached_instrumentation_leaves_call_counts_unchanged(scheme):
     assert disabled == plain
     # Negative control: the comparison sees a leaked observer.
     assert _call_counts(scheme, config, trace, attach=_leak_meter) != plain
+
+
+def _code_key(func):
+    code = func.__code__
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
+def test_rebuild_run_call_budget():
+    """The per-op budget of a plain ``fail@`` + rebuild run, exactly.
+
+    Untraced disks integrate their ACTIVE<->IDLE toggle inline, so
+    ``EnergyAccountant.transition`` runs only for the failure and the
+    closing ``close()`` of each disk; and every op the run submits,
+    rebuild copies included, comes from the slab pool, so ``DiskOp``
+    is constructed only on a pool miss.
+    """
+    before = op_pool_stats()
+    profile = cProfile.Profile()
+    profile.enable()
+    result = run_faulted(
+        "raid10",
+        small_config(),
+        write_burst(60, gap=0.05),
+        FaultSchedule.parse("fail@1.5:M0"),
+    )
+    profile.disable()
+    after = op_pool_stats()
+    calls = {
+        func: stats[1] for func, stats in pstats.Stats(profile).stats.items()
+    }
+
+    def count(func):
+        return calls.get(_code_key(func), 0)
+
+    assert result.consistent and result.rebuilds
+    metrics = result.metrics
+    assert metrics.spin_up_count == metrics.spin_down_count == 0
+    n_disks = 4
+    assert count(EnergyAccountant.transition) == 1 + n_disks
+    acquired = count(acquire_op)
+    assert acquired == count(Disk.submit) > 9000
+    misses = acquired - (after["reused"] - before["reused"])
+    assert count(DiskOp.__init__) <= misses

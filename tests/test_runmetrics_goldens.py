@@ -1,0 +1,92 @@
+"""Pinned RunMetrics digests of *untraced* runs.
+
+``tests/test_event_goldens.py`` pins traced and span-recorded runs, whose
+power transitions all go through ``EnergyAccountant.transition``.  Plain
+runs take the disk's inline ACTIVE/IDLE accounting instead, so these
+digests pin that path: every energy joule, state duration, latency
+quantile and counter of the five Fig. 10 schemes, and of ``fail@`` +
+rebuild runs whose rebuild streams thousands of pooled copy ops.  Each
+digest is the sha256 of ``json.dumps(x.to_dict(), sort_keys=True)``, so
+floats are compared by their exact ``repr``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tests.conftest import KB, MB, make_trace, small_config
+from repro.experiments.runner import workload_cell
+from repro.faults import FaultSchedule, run_faulted
+
+#: scheme -> digest of ``RunMetrics.to_dict()`` for src2_2 at scale 0.004,
+#: 2 pairs (the Fig. 10 cell, shrunk).
+CELL_DIGESTS = {
+    "raid10": (
+        "b1999c6afbca6b13c92c29344e736013"
+        "312ad73109270fb1a2946d038eababfc"
+    ),
+    "graid": (
+        "eaed5057cdf75f716bf32c49b1ad0d72"
+        "b261c088e7e798c5f082ca82cd7dd5e8"
+    ),
+    "rolo-p": (
+        "90effe337bd795d3f0c2c012c11347ef"
+        "8f2c1daac921b75f6826d02d49dd9478"
+    ),
+    "rolo-r": (
+        "7558c13f33a08f53e385bd4e284e8d97"
+        "3d657bcaec48a8c8930e0dbba0d2cc11"
+    ),
+    "rolo-e": (
+        "42a2beb8db2d90c6d5aec79aaa19beb1"
+        "bc84fcdb3a1208745298c9748ea9486c"
+    ),
+}
+
+#: scheme -> digest of ``FaultRunResult.to_dict()`` for the run below.
+FAULTED_DIGESTS = {
+    "raid10": (
+        "e3a9384094ef8a9a6d3380963120e932"
+        "1200229c639c366d67d028212134cf85"
+    ),
+    "rolo-r": (
+        "4f7a7d6ba7665d263390416abe68347a"
+        "5c2b0dba52eefd63337904527403680f"
+    ),
+}
+
+
+def digest(payload: dict) -> str:
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", sorted(CELL_DIGESTS))
+def test_fig10_cell_metrics_digest(scheme):
+    cell = workload_cell(scheme, "src2_2", scale=0.004, n_pairs=2)
+    assert digest(cell.execute().to_dict()) == CELL_DIGESTS[scheme]
+
+
+def faulted_trace():
+    """Writes over 4 MiB with reads interleaved, long enough that the
+    rebuild after ``fail@`` overlaps foreground I/O."""
+    spec = [(i * 0.01, "w", (i % 64) * 64 * KB, 64 * KB) for i in range(400)]
+    spec += [
+        (i * 0.01 + 0.005, "r", ((i + 11) % 64) * 64 * KB, 64 * KB)
+        for i in range(400)
+    ]
+    return make_trace(sorted(spec))
+
+
+@pytest.mark.parametrize("scheme", sorted(FAULTED_DIGESTS))
+def test_fail_and_rebuild_result_digest(scheme):
+    result = run_faulted(
+        scheme,
+        small_config(free_space_bytes=1 * MB),
+        faulted_trace(),
+        FaultSchedule.parse("fail@1.5:M0"),
+    )
+    assert result.consistent
+    assert result.rebuilds
+    assert digest(result.to_dict()) == FAULTED_DIGESTS[scheme]
