@@ -73,8 +73,8 @@ class EnergyAccountant:
         self, model: PowerModel, start_time: float, initial: PowerState
     ) -> None:
         self._model = model
-        # Direct state->watts mapping; transition() runs on every op
-        # start/completion, so it must not pay a method call per sample.
+        # Direct state->watts mapping, so a transition pays no method call
+        # per sample.
         self._draw = model._draw
         self._state = initial
         #: Draw of the *current* state, refreshed on every transition, so
@@ -90,8 +90,8 @@ class EnergyAccountant:
         self.spin_down_count = 0
         #: Optional observer fired on each real state *change* (not on the
         #: same-state re-entry that :meth:`close` performs) with
-        #: ``(now, old_state, new_state)``.  This is the single choke
-        #: point the observability layer hooks to trace power spans.
+        #: ``(now, old_state, new_state)``; the observability layer hooks it
+        #: to trace power spans (``Disk`` fires it for its inline toggle).
         self.on_transition: Optional[
             Callable[[float, PowerState, PowerState], None]
         ] = None
@@ -101,7 +101,11 @@ class EnergyAccountant:
         return self._state
 
     def transition(self, now: float, new_state: PowerState) -> None:
-        """Account time spent in the old state and switch to ``new_state``."""
+        """Account time spent in the old state and switch to ``new_state``.
+
+        The one integration rule: ``Disk._start``/``_go_idle`` inline its
+        ACTIVE<->IDLE case bit for bit and must change with it.
+        """
         last = self._last_time
         if now < last:
             raise ValueError("time went backwards in energy accounting")
