@@ -1,7 +1,8 @@
 """Microbenchmarks of the simulator's hot paths.
 
 Each kernel below drives one hot path (event heap, timer re-arm, disk
-service, RAID layout mapping, log-space churn) and returns a count the
+service, uncontended copy chain, RAID layout mapping, log-space churn)
+and returns a count the
 pytest-benchmark wrapper under it asserts, so a kernel that stops doing
 its work fails instead of getting faster.  ``make bench-micro`` runs
 them.  End-to-end and per-layer speed are measured by ``perfbench/``.
@@ -85,6 +86,32 @@ def disk_random_io_kernel(n_ops: int = 2_000, seed: int = 1) -> int:
     return disk.ops_completed
 
 
+def copy_chain_kernel(n_batches: int = 500) -> int:
+    """An uncontended two-disk copy chain of 4 MiB batches, as a rebuild.
+
+    Nothing else is scheduled, so after its first read the chain runs
+    fast-forwarded (``DestageProcess._stretch``): this is the per-batch
+    cost of a rebuild on an unloaded array.  Returns the batches that
+    ran inline.
+    """
+    from repro.core.destage import DestageProcess, split_runs
+    from repro.disk.disk import Disk
+    from repro.disk.models import ULTRASTAR_36Z15
+
+    sim = Simulator()
+    source = Disk(sim, ULTRASTAR_36Z15, "S")
+    target = Disk(sim, ULTRASTAR_36Z15, "T")
+    process = DestageProcess(
+        sim, "copy", source, [target],
+        split_runs([(0, n_batches * 4 * MB)], 64 * KB, 4 * MB), 64 * KB,
+        idle_gated=False, idle_grace_s=0.0,
+    )
+    process.start()
+    sim.run()
+    assert process.bytes_moved == n_batches * 4 * MB
+    return process.inline_batches
+
+
 def layout_mapping_kernel(n_extents: int = 5_000, seed: int = 2) -> int:
     """Extent-to-segment mapping throughput on a spread layout."""
     from repro.raid.layout import Raid10Layout
@@ -139,6 +166,12 @@ def test_engine_timer_event_throughput(benchmark):
 
 def test_disk_random_io_throughput(benchmark):
     assert benchmark(disk_random_io_kernel, 2_000) == 2_000
+
+
+def test_copy_chain_throughput(benchmark):
+    # Every batch but the first, whose read starts the chain, is issued
+    # inline.
+    assert benchmark(copy_chain_kernel, 500) == 499
 
 
 def test_layout_mapping_throughput(benchmark):

@@ -16,7 +16,7 @@ from typing import Callable, Deque, List, Optional
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import DiskSpec
 from repro.disk.power import EnergyAccountant, PowerModel, PowerState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Histogram
 
 
@@ -259,6 +259,10 @@ class Disk:
         self._service_time = self.mechanics.service_time
         self._end_sector = self.mechanics.end_sector
         self._transfer_rate = spec.sustained_transfer_rate
+        #: Bounds any seek plus rotational latency from above.
+        self._max_positioning = (
+            spec.full_stroke_seek_time + spec.avg_rotational_latency
+        )
         self._push = sim._push
         self._active_watts = self.power._draw[PowerState.ACTIVE]
         self._idle_watts = self.power._draw[PowerState.IDLE]
@@ -397,8 +401,12 @@ class Disk:
         self._idle_since = -1.0
         self.power.transition(self.sim.now, PowerState.FAILED)
 
-    def submit(self, op: DiskOp) -> None:
-        """Queue an operation; wakes the disk if it is asleep."""
+    def submit(self, op: DiskOp) -> Optional[Event]:
+        """Queue an operation; wakes the disk if it is asleep.
+
+        Returns the op's completion event when it went straight into
+        service, else ``None``.
+        """
         # Read the power state once through the accountant's attribute:
         # submit/_try_start/_complete run per simulated op, and the
         # state->property->property chain showed up in replay profiles.
@@ -410,8 +418,8 @@ class Disk:
         if self._in_service is None and not (queues[0] or queues[1]) and (
             state is PowerState.IDLE or state is PowerState.ACTIVE
         ):
-            self._start(op, state)  # _try_start would pick this very op
-            return
+            # _try_start would pick this very op
+            return self._start(op, state)
         queues[op.priority].append(op)
         if state is PowerState.STANDBY:
             self._begin_spin_up()
@@ -419,6 +427,7 @@ class Disk:
             self._wake_after_down = True
         else:
             self._try_start()
+        return None
 
     def _next_op(self) -> Optional[DiskOp]:
         for queue in self._queues:
@@ -461,8 +470,10 @@ class Disk:
                 return
         self._start(op, state)
 
-    def _start(self, op: DiskOp, state: PowerState) -> None:
-        """Put ``op`` in service on a spun-up disk in power ``state``."""
+    def _start(self, op: DiskOp, state: PowerState) -> Event:
+        """Put ``op`` in service on a spun-up disk in power ``state``;
+        returns its completion event.  ``DestageProcess._stretch`` mirrors
+        this body for the copy ops it runs without events."""
         now = self.sim._now
         self._in_service = op
         op.start_time = now
@@ -496,7 +507,9 @@ class Disk:
             service = self._service_time(self._head_sector, sector, op.nbytes)
         if self.slowdown_factor != 1.0:
             service *= self.slowdown_factor
-        self._push(now + service, self._complete, (op,), self._io_label)
+        return self._push(
+            now + service, self._complete, (op,), self._io_label
+        )
 
     # Completion runs once per simulated op; ``self._complete`` is bound to
     # exactly one of the two variants below by ``_select_complete``, so the

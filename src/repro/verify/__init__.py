@@ -7,7 +7,7 @@ Three observe-only layers over the simulation stack:
   agreement at quiesce, and trace coverage;
 * :class:`InvariantChecker` — a sampled runtime checker for log-space
   accounting, power-state legality, rotation legality, destage progress,
-  and energy monotonicity, chained onto the engine event hook;
+  and energy monotonicity, sweeping on an engine stride;
 * the scenario fuzzer — seedable random scheme x workload x fault
   scenarios (:func:`run_fuzz`), with greedy :func:`shrink`-ing of
   failures into minimal JSON reproducers replayable via

@@ -39,6 +39,35 @@ def sim() -> Simulator:
     return Simulator()
 
 
+@pytest.fixture
+def event_path(monkeypatch):
+    """Keep every copy chain on the event path while the test runs."""
+    observe_every_disk(monkeypatch)
+
+
+def observe_every_disk(monkeypatch) -> None:
+    """Give every disk built from now on a no-op op observer.
+
+    Rebuild replacements included: a watched disk never takes part in a
+    fast-forward stretch (``DestageProcess._stretch``), so this forces
+    every copy chain onto the event path, and the observer changes no
+    output.
+    """
+    from repro.disk.disk import Disk
+
+    init = Disk.__init__
+
+    def observed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.op_observer = _ignore_op
+
+    monkeypatch.setattr(Disk, "__init__", observed_init)
+
+
+def _ignore_op(disk, op) -> None:
+    pass
+
+
 def small_config(**overrides) -> ArrayConfig:
     """A tiny array configuration for fast controller tests."""
     defaults = dict(

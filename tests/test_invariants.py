@@ -244,7 +244,7 @@ class TestRuntimeInvariantChecker:
     """The PR's runtime checker over whole scheme runs.
 
     Every scheme is swept under clean, single-failure, and slowdown
-    conditions with the checker chained onto the engine event hook; zero
+    conditions with the checker on its engine stride; zero
     violations must be reported, and the checked run's metrics snapshot
     must be byte-identical to an unchecked run of the same scenario.
     """

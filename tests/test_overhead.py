@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.base import _noop_note
+from repro.core.destage import DestageProcess
 from repro.disk.disk import (
     Disk,
     DiskOp,
@@ -48,7 +49,7 @@ from repro.sim import Simulator
 from repro.sim.engine import fuse_observers
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from repro.verify.invariants import InvariantChecker
-from tests.conftest import small_config, write_burst
+from tests.conftest import observe_every_disk, small_config, write_burst
 
 KB = 1024
 MB = 1024 * KB
@@ -448,15 +449,8 @@ def _code_key(func):
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
 
-def test_rebuild_run_call_budget():
-    """The per-op budget of a plain ``fail@`` + rebuild run, exactly.
-
-    Untraced disks integrate their ACTIVE<->IDLE toggle inline, so
-    ``EnergyAccountant.transition`` runs only for the failure and the
-    closing ``close()`` of each disk; and every op the run submits,
-    rebuild copies included, comes from the slab pool, so ``DiskOp``
-    is constructed only on a pool miss.
-    """
+def _profiled_rebuild_run():
+    """A plain ``fail@`` + rebuild run: result, call counts, pool misses."""
     before = op_pool_stats()
     profile = cProfile.Profile()
     profile.enable()
@@ -471,16 +465,53 @@ def test_rebuild_run_call_budget():
     calls = {
         func: stats[1] for func, stats in pstats.Stats(profile).stats.items()
     }
+    acquired = calls.get(_code_key(acquire_op), 0)
+    return result, calls, acquired - (after["reused"] - before["reused"])
+
+
+def test_rebuild_run_call_budget(monkeypatch):
+    """The per-op budget of a plain ``fail@`` + rebuild run, exactly.
+
+    Untraced disks integrate their ACTIVE<->IDLE toggle inline, so
+    ``EnergyAccountant.transition`` runs only for the failure and the
+    closing ``close()`` of each disk; and every op the run submits,
+    rebuild copies included, comes from the slab pool, so ``DiskOp``
+    is constructed only on a pool miss.  The rebuild fast-forwards: each
+    batch it copies inline skips the read's and the write's
+    ``Disk.submit``, which the event path (an op observer on every disk)
+    makes, and nothing else changes.
+    """
+    processes = []
+    init = DestageProcess.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        processes.append(self)
+
+    monkeypatch.setattr(DestageProcess, "__init__", recording_init)
+    with monkeypatch.context() as patch:
+        observe_every_disk(patch)
+        reference, event_calls, _ = _profiled_rebuild_run()
+    event_submits = event_calls.get(_code_key(Disk.submit), 0)
+    assert [p.inline_batches for p in processes] == [0]
+    processes.clear()
+
+    result, calls, misses = _profiled_rebuild_run()
 
     def count(func):
         return calls.get(_code_key(func), 0)
 
     assert result.consistent and result.rebuilds
+    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+        reference.to_dict(), sort_keys=True
+    )
     metrics = result.metrics
     assert metrics.spin_up_count == metrics.spin_down_count == 0
     n_disks = 4
     assert count(EnergyAccountant.transition) == 1 + n_disks
     acquired = count(acquire_op)
-    assert acquired == count(Disk.submit) > 9000
-    misses = acquired - (after["reused"] - before["reused"])
+    assert acquired == count(Disk.submit)
+    (rebuild,) = processes
+    assert count(Disk.submit) + 2 * rebuild.inline_batches == event_submits
+    assert rebuild.inline_batches > 0.9 * len(rebuild._batches)
     assert count(DiskOp.__init__) <= misses

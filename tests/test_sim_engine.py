@@ -330,3 +330,57 @@ class TestHeapHygiene:
         sim.run()
         assert sim.cancelled_pending == 0
         assert sim.events_processed == 1
+
+
+class TestStride:
+    """``set_stride``: a callback before every n-th event, no call between."""
+
+    @staticmethod
+    def _ticks(sim, n_events=10):
+        seen = []
+        for i in range(n_events):
+            sim.at(float(i), lambda i=i: seen.append(("event", i)))
+        sim.set_stride(3, lambda: seen.append(("tick", sim.now)))
+        return seen
+
+    def test_fires_before_every_nth_event_in_the_strided_loop(self):
+        sim = Simulator()
+        seen = self._ticks(sim)
+        assert sim._run_loop.__func__ is Simulator._run_strided
+        assert sim.event_hook is None
+        sim.run(until=7.5)
+        sim.run()
+        assert [s for s in seen if s[0] == "tick"] == [
+            ("tick", 2.0), ("tick", 5.0), ("tick", 8.0)
+        ]
+        assert seen.index(("tick", 2.0)) == seen.index(("event", 2)) - 1
+
+    def test_same_ticks_under_observers_and_step(self):
+        def run(drive):
+            sim = Simulator()
+            seen = self._ticks(sim)
+            drive(sim)
+            return seen
+
+        def hooked(sim):
+            sim.add_event_observer(lambda event: None)
+            assert sim._run_loop.__func__ is Simulator._run_hooked
+            sim.run()
+
+        def stepped(sim):
+            while sim.step():
+                pass
+
+        plain = run(Simulator.run)
+        assert run(hooked) == plain
+        assert run(stepped) == plain
+
+    def test_clear_restores_the_nohook_loop(self):
+        sim = Simulator()
+        sim.set_stride(2, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.set_stride(2, lambda: None)
+        sim.clear_stride()
+        assert sim._run_loop.__func__ is Simulator._run_nohook
+        with pytest.raises(SimulationError):
+            sim.set_stride(0, lambda: None)
