@@ -86,13 +86,16 @@ def disk_random_io_kernel(n_ops: int = 2_000, seed: int = 1) -> int:
     return disk.ops_completed
 
 
-def copy_chain_kernel(n_batches: int = 500) -> int:
+def copy_chain_kernel(n_batches: int = 500, stride: int = 0) -> int:
     """An uncontended two-disk copy chain of 4 MiB batches, as a rebuild.
 
-    Nothing else is scheduled, so after its first read the chain runs
-    fast-forwarded (``DestageProcess._stretch``): this is the per-batch
-    cost of a rebuild on an unloaded array.  Returns the batches that
-    ran inline.
+    Nothing else is scheduled, so after its first batch the chain runs
+    fast-forwarded, in the steady-state loop (``DestageProcess._steady``):
+    this is the per-batch cost of a rebuild on an unloaded array.  A
+    ``stride`` installs a no-op ``Simulator.set_stride`` callback, the
+    shape of a verified run (the invariant checker sweeps every 64
+    events), which ends a steady-state block at every stride point.
+    Returns the batches that ran inline.
     """
     from repro.core.destage import DestageProcess, split_runs
     from repro.disk.disk import Disk
@@ -106,10 +109,16 @@ def copy_chain_kernel(n_batches: int = 500) -> int:
         split_runs([(0, n_batches * 4 * MB)], 64 * KB, 4 * MB), 64 * KB,
         idle_gated=False, idle_grace_s=0.0,
     )
+    if stride:
+        sim.set_stride(stride, _no_sweep)
     process.start()
     sim.run()
     assert process.bytes_moved == n_batches * 4 * MB
     return process.inline_batches
+
+
+def _no_sweep() -> None:
+    pass
 
 
 def layout_mapping_kernel(n_extents: int = 5_000, seed: int = 2) -> int:
@@ -172,6 +181,10 @@ def test_copy_chain_throughput(benchmark):
     # Every batch but the first, whose read starts the chain, is issued
     # inline.
     assert benchmark(copy_chain_kernel, 500) == 499
+
+
+def test_strided_copy_chain_throughput(benchmark):
+    assert benchmark(copy_chain_kernel, 500, 64) == 499
 
 
 def test_layout_mapping_throughput(benchmark):

@@ -64,7 +64,30 @@ def observe_every_disk(monkeypatch) -> None:
     monkeypatch.setattr(Disk, "__init__", observed_init)
 
 
+def listen_on_every_disk(monkeypatch) -> None:
+    """Give every disk built from now on a no-op idle listener.
+
+    Rebuild replacements included: a listened-to disk still takes part
+    in fast-forward stretches, but never in their steady-state loop
+    (``DestageProcess._steady``), so copy chains run inline through the
+    per-completion body, and the listener changes no output.
+    """
+    from repro.disk.disk import Disk
+
+    init = Disk.__init__
+
+    def listened_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.add_idle_listener(_ignore_disk)
+
+    monkeypatch.setattr(Disk, "__init__", listened_init)
+
+
 def _ignore_op(disk, op) -> None:
+    pass
+
+
+def _ignore_disk(disk) -> None:
     pass
 
 

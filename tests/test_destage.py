@@ -1,5 +1,7 @@
 """Unit tests for destage batching and the destage process."""
 
+import math
+
 import pytest
 
 from repro.core.destage import DestageProcess, coalesce_units, split_runs
@@ -180,18 +182,24 @@ class TestDestageProcess:
 # ----------------------------------------------------------------------
 MB = 1024 * KB
 N_BATCHES = 12
+#: A chain long enough that batch 40 and later complete inside a
+#: steady-state block (``DestageProcess._steady``).
+LONG = 100
 
 
-def _copy_chain(sim, observe, n_targets=1):
-    """A 4 MiB-batch copy chain; ``observe`` keeps it on the event path."""
+def _copy_chain(sim, observe, n_targets=1, runs=None):
+    """A copy chain of 4 MiB batches cut from ``runs`` (``N_BATCHES``
+    contiguous batches by default); ``observe`` keeps it on the event
+    path."""
+    if runs is None:
+        runs = [(0, N_BATCHES * 4 * MB)]
     disks = make_disks(sim, 1 + n_targets)
     if observe:
         for disk in disks:
             disk.op_observer = lambda disk, op: None
     process = DestageProcess(
-        sim, "copy", disks[0], disks[1:],
-        split_runs([(0, N_BATCHES * 4 * MB)], UNIT, 4 * MB), UNIT,
-        idle_gated=False, idle_grace_s=0.0,
+        sim, "copy", disks[0], disks[1:], split_runs(runs, UNIT, 4 * MB),
+        UNIT, idle_gated=False, idle_grace_s=0.0,
     )
     return process, disks
 
@@ -237,9 +245,9 @@ def _count_submits(disks):
     return submits
 
 
-def _write_completion_times():
+def _write_completion_times(runs=None):
     sim = Simulator()
-    process, disks = _copy_chain(sim, observe=True)
+    process, disks = _copy_chain(sim, observe=True, runs=runs)
     times = []
     disks[1].op_observer = lambda disk, op: times.append(sim.now)
     process.start()
@@ -247,14 +255,91 @@ def _write_completion_times():
     return times
 
 
+def _long_chain(n_batches=LONG):
+    return [(0, n_batches * 4 * MB)]
+
+
+@pytest.fixture
+def steady_completions(monkeypatch):
+    """The completions the steady-state loop dispatches, one entry per
+    block."""
+    done = []
+    steady = DestageProcess._steady
+
+    def counting(self, op, budget):
+        done.append(steady(self, op, budget))
+        return done[-1]
+
+    monkeypatch.setattr(DestageProcess, "_steady", counting)
+    return done
+
+
+#: Foreign-event times: around batch 5's write completion in the short
+#: chain (1 ns either side), and around batch 45's in the long one, inside
+#: a steady-state block (a float step either side).
+FOREIGN = {
+    "-1e-09": (None, 5, lambda t: t - 1e-9),
+    "0.0": (None, 5, lambda t: t),
+    "1e-09": (None, 5, lambda t: t + 1e-9),
+    "steady-just-before": (
+        _long_chain(), 45, lambda t: math.nextafter(t, -math.inf)
+    ),
+    "steady-at": (_long_chain(), 45, lambda t: t),
+    "steady-just-after": (
+        _long_chain(), 45, lambda t: math.nextafter(t, math.inf)
+    ),
+}
+
+
+def _check_run_until(runs, until, batch, steady_completions):
+    """``run(until=)`` then ``run()`` leaves the event path's states, and
+    the whole run's."""
+
+    def run(observe, stop_at):
+        sim = Simulator()
+        process, disks = _copy_chain(sim, observe, runs=runs)
+        submits = _count_submits(disks)
+        process.start()
+        states = [submits]
+        if stop_at is not None:
+            sim.run(until=stop_at)
+            states.append(
+                (_copy_state(sim, process, disks), sim.events_processed)
+            )
+        sim.run()
+        states.append(
+            (_copy_state(sim, process, disks), sim.events_processed)
+        )
+        return states, process
+    fast, fast_process = run(observe=False, stop_at=until)
+    # The blocks before ``until`` ran every batch up to it.
+    assert sum(steady_completions) >= 2 * (batch - 2)
+    slow, _ = run(observe=True, stop_at=until)
+    whole, _ = run(observe=False, stop_at=None)
+    # Stopped in the event path's state: the pending completion is a
+    # real heap entry at its reserved (time, seq).
+    assert fast[1] == slow[1]
+    assert fast[1][0][0] == until and fast[1][0][2]
+    assert fast[2] == slow[2] == whole[1]
+    inline = fast_process.inline_batches
+    assert inline > 0
+    # Each inline batch skipped its read's and its write's submit.  Where
+    # ``until`` splits a write, that write is submitted and the next
+    # batch's read is too, but that batch's write is not: it balances.
+    assert len(fast[0]) + 2 * inline == len(slow[0])
+
+
 class TestFastForwardHorizon:
-    @pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
-    def test_foreign_event_at_a_batch_completion(self, offset):
-        at = _write_completion_times()[5] + offset
+    @pytest.mark.parametrize("place", list(FOREIGN))
+    def test_foreign_event_at_a_batch_completion(
+        self, place, steady_completions
+    ):
+        runs, batch, near = FOREIGN[place]
+        at = near(_write_completion_times(runs)[batch])
 
         def run(observe):
             sim = Simulator()
-            process, disks = _copy_chain(sim, observe)
+            process, disks = _copy_chain(sim, observe, runs=runs)
             log = []
             sim.at(at, lambda: log.append(_copy_state(sim, process, disks)))
             submits = _count_submits(disks)
@@ -263,6 +348,8 @@ class TestFastForwardHorizon:
             end = (_copy_state(sim, process, disks), sim.events_processed)
             return log, end, process, len(submits)
         fast_log, fast_end, fast, fast_submits = run(observe=False)
+        # The blocks before the foreign event ran every batch up to it.
+        assert sum(steady_completions) >= 2 * (batch - 2)
         slow_log, slow_end, slow, slow_submits = run(observe=True)
         assert fast_log == slow_log and len(fast_log) == 1
         assert fast_end == slow_end
@@ -271,38 +358,98 @@ class TestFastForwardHorizon:
         # its read's and its write's submit.
         assert fast_submits + 2 * fast.inline_batches == slow_submits
 
-    def test_run_until_inside_a_stretch(self):
+    def test_run_until_inside_a_stretch(self, steady_completions):
         times = _write_completion_times()
         # Inside batch 7's read: the read is pending when the run stops.
         until = times[6] + (times[7] - times[6]) / 4
+        _check_run_until(None, until, 6, steady_completions)
 
-        def run(observe, stop_at):
+    @pytest.mark.parametrize(
+        "near", [-math.inf, None, math.inf], ids=["before", "at", "after"]
+    )
+    def test_run_until_inside_a_steady_block(self, near, steady_completions):
+        """``until`` at batch 45's write completion in a long chain, inside
+        a steady-state block, or a float step either side of it."""
+        until = _write_completion_times(_long_chain())[45]
+        if near is not None:
+            until = math.nextafter(until, near)
+        _check_run_until(_long_chain(), until, 45, steady_completions)
+
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 5, 63, 64])
+    def test_stride_points_inside_steady_blocks(
+        self, every, steady_completions
+    ):
+        """A stride callback sees the event path's state whether its event
+        is a batch's read or its write completion; odd strides end blocks
+        on both."""
+
+        def run(observe):
             sim = Simulator()
-            process, disks = _copy_chain(sim, observe)
-            submits = _count_submits(disks)
-            process.start()
-            states = [submits]
-            if stop_at is not None:
-                sim.run(until=stop_at)
-                states.append(
-                    (_copy_state(sim, process, disks), sim.events_processed)
-                )
-            sim.run()
-            states.append(
-                (_copy_state(sim, process, disks), sim.events_processed)
+            process, disks = _copy_chain(sim, observe, runs=_long_chain())
+            log = []
+            sim.set_stride(
+                every, lambda: log.append(_copy_state(sim, process, disks))
             )
-            return states, process
-        fast, fast_process = run(observe=False, stop_at=until)
-        slow, _ = run(observe=True, stop_at=until)
-        whole, _ = run(observe=False, stop_at=None)
-        # Stopped in the event path's state: the pending completion is a
-        # real heap entry at its reserved (time, seq).
-        assert fast[1] == slow[1]
-        assert fast[1][0][0] == until and fast[1][0][2]
-        assert fast[2] == slow[2] == whole[1]
-        inline = fast_process.inline_batches
-        assert inline > 0
-        assert len(fast[0]) + 2 * inline == len(slow[0])
+            process.start()
+            sim.run()
+            end = (_copy_state(sim, process, disks), sim.events_processed)
+            return log, end
+
+        fast_log, fast_end = run(observe=False)
+        if every > 1:
+            assert sum(steady_completions) > LONG // 4
+        slow_log, slow_end = run(observe=True)
+        assert len(fast_log) == 2 * LONG // every
+        assert fast_log == slow_log
+        assert fast_end == slow_end
+
+    @pytest.mark.parametrize("chain", ["slowdown", "seek"])
+    def test_steady_chain_matches_event_path(self, chain, steady_completions):
+        """A chain whose disks slow down and recover mid-chain (scheduled
+        events), and one whose runs leave gaps and short batches (seeks,
+        another size), end in the event path's state, and every foreign
+        event sees it too."""
+        if chain == "slowdown":
+            runs = _long_chain()
+        else:
+            runs = [
+                (0, 30 * 4 * MB + 2 * UNIT),
+                (512 * MB, 40 * 4 * MB),
+                (256 * MB, 30 * 4 * MB + UNIT),
+            ]
+        times = _write_completion_times(runs)
+        changes = []
+        if chain == "slowdown":
+            changes = [
+                (times[30] + 0.01, 0, 2.0),
+                (times[50], 1, 1.5),
+                (times[70] - 0.02, 0, 1.0),
+                (times[80], 1, 1.0),
+            ]
+
+        def run(observe):
+            sim = Simulator()
+            process, disks = _copy_chain(sim, observe, runs=runs)
+            log = []
+
+            def slow_down(disk, factor):
+                disk.slowdown_factor = factor
+                log.append(_copy_state(sim, process, disks))
+
+            for at, index, factor in changes:
+                sim.at(at, slow_down, disks[index], factor)
+            process.start()
+            sim.run()
+            end = (_copy_state(sim, process, disks), sim.events_processed)
+            return log, end, process
+
+        fast_log, fast_end, fast = run(observe=False)
+        assert sum(steady_completions) > 2 * len(times) // 2
+        slow_log, slow_end, slow = run(observe=True)
+        assert fast_log == slow_log and len(fast_log) == len(changes)
+        assert fast_end == slow_end
+        assert fast.done and fast.inline_batches > 0
 
     @pytest.mark.parametrize("listener_on", [0, 1])
     @pytest.mark.parametrize("n_targets", [1, 2])

@@ -2,12 +2,19 @@
 
 A centralized copy chain (every rebuild, GRAID and RoLo-E destage) runs
 its batches inline while nothing else can interleave with it
-(``DestageProcess._stretch``).  Each scenario here runs twice: as is, and
-with a no-op op observer on every disk, replacements included, which
-keeps every chain on the event path.  The two runs must agree on
-everything they produce: ``RunMetrics``, the whole ``FaultRunResult``,
-the verification verdict (violations, invariant sweeps, reads checked)
-and the engine's ``events_processed``.
+(``DestageProcess._stretch``), a single-target chain whole batches at a
+time in its steady-state loop (``DestageProcess._steady``).  Each
+scenario here runs three ways, every disk built (replacements included)
+getting:
+
+* nothing: chains run inline, mostly in the steady-state loop;
+* a no-op idle listener: chains run inline, but per completion only;
+* a no-op op observer: every chain stays on the event path.
+
+The three runs must agree on everything they produce: ``RunMetrics``,
+the whole ``FaultRunResult``, the verification verdict (violations,
+invariant sweeps, reads checked), the engine's ``events_processed`` and
+the end time; the first two also on which batches ran inline.
 """
 
 import json
@@ -20,7 +27,7 @@ from repro.faults import run_faulted
 from repro.traces.compiled import truncate_trace
 from repro.verify import InvariantChecker, ReferenceModel, Scenario
 from repro.verify.fuzzer import FUZZ_SCHEMES
-from tests.conftest import observe_every_disk
+from tests.conftest import listen_on_every_disk, observe_every_disk
 
 #: The trace prefix (150 web_1 requests) spans ~567 s; a rebuild started
 #: at 100 s copies 4,670 batches and ends near 780 s.
@@ -49,11 +56,12 @@ def _scenario(scheme, spec):
     )
 
 
-def _verified_run(scenario, chains):
-    """What ``run_scenario`` runs, with its parts kept for comparison."""
+def _verified_run(scenario, chains, sample_every=64):
+    """What ``run_scenario`` runs, with its parts kept for comparison;
+    ``sample_every`` is the invariant checker's stride."""
     trace = truncate_trace(scenario.build_trace(), scenario.n_requests)
     reference = ReferenceModel(trace=trace)
-    checker = InvariantChecker()
+    checker = InvariantChecker(sample_every=sample_every)
     outcome = {}
     try:
         result = run_faulted(
@@ -78,7 +86,16 @@ def _verified_run(scenario, chains):
     return outcome
 
 
-def _both_paths(monkeypatch, scenario):
+#: How each run attaches to every disk built, replacements included.
+PATHS = {
+    "as-is": None,
+    "listener": listen_on_every_disk,
+    "event-path": observe_every_disk,
+}
+
+
+def _runs(monkeypatch, scenario, paths=PATHS, sample_every=64):
+    """``_verified_run`` of ``scenario`` once per path, as a dict."""
     chains = []
     init = DestageProcess.__init__
 
@@ -87,33 +104,61 @@ def _both_paths(monkeypatch, scenario):
         chains.append(self)
 
     monkeypatch.setattr(DestageProcess, "__init__", recording_init)
-    fast = _verified_run(scenario, chains)
-    chains.clear()
-    with monkeypatch.context() as patch:
-        observe_every_disk(patch)
-        slow = _verified_run(scenario, chains)
-    return fast, slow
+    outcomes = {}
+    for path in paths:
+        chains.clear()
+        with monkeypatch.context() as patch:
+            if PATHS[path] is not None:
+                PATHS[path](patch)
+            outcomes[path] = _verified_run(scenario, chains, sample_every)
+    return outcomes
+
+
+def _dump(outcome):
+    return json.dumps(outcome, sort_keys=True)
+
+
+def _assert_three_way(outcomes):
+    """The three paths agree; the first two ran the same batches inline."""
+    fast, listened, slow = (outcomes[path] for path in PATHS)
+    assert fast.pop("inline_batches") == listened.pop("inline_batches") > 0
+    assert slow.pop("inline_batches") == 0
+    assert _dump(fast) == _dump(listened) == _dump(slow)
 
 
 @pytest.mark.parametrize("condition", sorted(CONDITIONS))
 @pytest.mark.parametrize("scheme", FUZZ_SCHEMES)
 def test_fast_forward_matches_event_path(monkeypatch, scheme, condition):
-    fast, slow = _both_paths(monkeypatch, _scenario(scheme, CONDITIONS[condition]))
-    # The rebuild ran inline in one run and on the event path in the other.
-    assert fast.pop("inline_batches") > 4000
-    assert slow.pop("inline_batches") == 0
-    assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
-    assert "result" in fast and not fast["violations"]
+    outcomes = _runs(monkeypatch, _scenario(scheme, CONDITIONS[condition]))
+    # The rebuild ran inline in two runs and on the event path in the third.
+    assert outcomes["as-is"]["inline_batches"] > 4000
+    _assert_three_way(outcomes)
+    assert "result" in outcomes["as-is"]
+    assert not outcomes["as-is"]["violations"]
+
+
+@pytest.mark.parametrize("sample_every", [1, 2, 3, 63, 64])
+@pytest.mark.parametrize("scheme", FUZZ_SCHEMES)
+def test_stride_parity(monkeypatch, scheme, sample_every):
+    """Sweeps land on the same events with the same state whatever the
+    stride: odd and even strides end steady-state blocks on a batch's
+    read and on its write."""
+    outcomes = _runs(
+        monkeypatch, _scenario(scheme, CONDITIONS["primary-fail"]),
+        paths=("as-is", "event-path"), sample_every=sample_every,
+    )
+    fast, slow = outcomes["as-is"], outcomes["event-path"]
+    assert fast.pop("inline_batches") > 0 and slow.pop("inline_batches") == 0
+    assert _dump(fast) == _dump(slow)
+    assert fast["invariant_sweeps"] >= fast["events_processed"] // sample_every
 
 
 @pytest.mark.parametrize("scheme", FUZZ_SCHEMES)
 def test_failing_the_rebuild_source_fails_alike(monkeypatch, scheme):
     """A second failure of the rebuild's source is not survivable here:
-    the next copy read raises ``DiskFailedError``.  Both paths raise it at
-    the same instant, after the same events."""
+    the next copy read raises ``DiskFailedError``.  All three paths raise
+    it at the same instant, after the same events."""
     spec = "fail@100:P0,fail@150:M0:norebuild"
-    fast, slow = _both_paths(monkeypatch, _scenario(scheme, spec))
-    assert fast.pop("inline_batches") > 0
-    assert slow.pop("inline_batches") == 0
-    assert fast == slow
-    assert fast["error"] == "M0 has failed"
+    outcomes = _runs(monkeypatch, _scenario(scheme, spec))
+    _assert_three_way(outcomes)
+    assert outcomes["as-is"]["error"] == "M0 has failed"

@@ -47,6 +47,7 @@ from repro.raid.request import (
 )
 from repro.sim import Simulator
 from repro.sim.engine import fuse_observers
+from repro.sim.stats import Histogram
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from repro.verify.invariants import InvariantChecker
 from tests.conftest import observe_every_disk, small_config, write_burst
@@ -479,22 +480,34 @@ def test_rebuild_run_call_budget(monkeypatch):
     is constructed only on a pool miss.  The rebuild fast-forwards: each
     batch it copies inline skips the read's and the write's
     ``Disk.submit``, which the event path (an op observer on every disk)
-    makes, and nothing else changes.
+    makes, and nothing else changes.  Its single-target batches run in
+    the steady-state loop, which buckets the repeating idle gaps itself:
+    the histograms match the event path's while ``Histogram.add`` runs
+    for a small fraction of the batches.
     """
     processes = []
+    disks = []
     init = DestageProcess.__init__
+    disk_init = Disk.__init__
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         processes.append(self)
 
+    def recording_disk_init(self, *args, **kwargs):
+        disk_init(self, *args, **kwargs)
+        disks.append(self)
+
     monkeypatch.setattr(DestageProcess, "__init__", recording_init)
+    monkeypatch.setattr(Disk, "__init__", recording_disk_init)
     with monkeypatch.context() as patch:
         observe_every_disk(patch)
         reference, event_calls, _ = _profiled_rebuild_run()
     event_submits = event_calls.get(_code_key(Disk.submit), 0)
+    event_gaps = [disk.idle_gap_histogram.counts for disk in disks]
     assert [p.inline_batches for p in processes] == [0]
     processes.clear()
+    disks.clear()
 
     result, calls, misses = _profiled_rebuild_run()
 
@@ -515,3 +528,5 @@ def test_rebuild_run_call_budget(monkeypatch):
     assert count(Disk.submit) + 2 * rebuild.inline_batches == event_submits
     assert rebuild.inline_batches > 0.9 * len(rebuild._batches)
     assert count(DiskOp.__init__) <= misses
+    assert [disk.idle_gap_histogram.counts for disk in disks] == event_gaps
+    assert 16 * count(Histogram.add) < rebuild.inline_batches
