@@ -86,7 +86,9 @@ def disk_random_io_kernel(n_ops: int = 2_000, seed: int = 1) -> int:
     return disk.ops_completed
 
 
-def copy_chain_kernel(n_batches: int = 500, stride: int = 0) -> int:
+def copy_chain_kernel(
+    n_batches: int = 500, stride: int = 0, standby_s: float = 0.0
+) -> int:
     """An uncontended two-disk copy chain of 4 MiB batches, as a rebuild.
 
     Nothing else is scheduled, so after its first batch the chain runs
@@ -94,12 +96,15 @@ def copy_chain_kernel(n_batches: int = 500, stride: int = 0) -> int:
     this is the per-batch cost of a rebuild on an unloaded array.  A
     ``stride`` installs a no-op ``Simulator.set_stride`` callback, the
     shape of a verified run (the invariant checker sweeps every 64
-    events), which ends a steady-state block at every stride point.
-    Returns the batches that ran inline.
+    events), which ends a steady-state block at every stride point.  A
+    ``standby_s`` gives the source a standby timer of that interval, re-
+    armed each time it goes idle: the shape of a RoLo-E rebuild, whose
+    source is a non-duty disk.  Returns the batches that ran inline.
     """
     from repro.core.destage import DestageProcess, split_runs
     from repro.disk.disk import Disk
     from repro.disk.models import ULTRASTAR_36Z15
+    from repro.sim.engine import Timer
 
     sim = Simulator()
     source = Disk(sim, ULTRASTAR_36Z15, "S")
@@ -110,14 +115,16 @@ def copy_chain_kernel(n_batches: int = 500, stride: int = 0) -> int:
         idle_gated=False, idle_grace_s=0.0,
     )
     if stride:
-        sim.set_stride(stride, _no_sweep)
+        sim.set_stride(stride, _noop)
+    if standby_s:
+        source.standby_timer = Timer(sim, standby_s, _noop)
     process.start()
     sim.run()
     assert process.bytes_moved == n_batches * 4 * MB
     return process.inline_batches
 
 
-def _no_sweep() -> None:
+def _noop() -> None:
     pass
 
 
@@ -185,6 +192,11 @@ def test_copy_chain_throughput(benchmark):
 
 def test_strided_copy_chain_throughput(benchmark):
     assert benchmark(copy_chain_kernel, 500, 64) == 499
+
+
+def test_standby_copy_chain_throughput(benchmark):
+    # RoLo-E's default standby_return_s.
+    assert benchmark(copy_chain_kernel, 500, 0, 30.0) == 499
 
 
 def test_layout_mapping_throughput(benchmark):

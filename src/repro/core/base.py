@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ArrayConfig
 from repro.core.metrics import RunMetrics
@@ -25,6 +25,9 @@ from repro.raid.request import (
 from repro.sim.engine import Simulator
 from repro.traces.compiled import AnyTrace, CompiledTrace
 from repro.traces.record import Trace
+
+if TYPE_CHECKING:
+    from repro.core.recovery import RecoveryProcess  # import cycle
 
 #: Kind-column decode table (indexes match KIND_READ / KIND_WRITE).
 _KIND_BY_CODE = (RequestKind.READ, RequestKind.WRITE)
@@ -75,8 +78,8 @@ class Controller(abc.ABC):
         #: Reads routed around a failed copy (degraded-mode service count).
         self.degraded_reads = 0
         self._pending_sleep: Dict[Disk, Callable[[Disk], None]] = {}
-        #: failed disk -> in-progress replacement (empty until a rebuild).
-        self._rebuilding: Dict[Disk, Disk] = {}
+        #: failed disk -> its running rebuild (empty until a rebuild).
+        self._rebuilding: Dict[Disk, RecoveryProcess] = {}
         #: Pair indices with a failed copy, maintained by ``fail_disk`` /
         #: rebuild completion so hot routing (mirror pick, write targets)
         #: skips the per-segment ``.failed`` property chains while the
@@ -153,12 +156,18 @@ class Controller(abc.ABC):
     def fail_disk(self, disk: Disk) -> None:
         """Inject a fail-stop failure; subsequent I/O routes around it.
 
-        The scheme-specific reaction (duty hand-off, destage abort,
-        degraded routing state) happens in :meth:`_on_disk_failed`.
+        A running rebuild that copies from ``disk`` is aborted, and its
+        replacement dropped.  The scheme-specific reaction (duty
+        hand-off, destage abort, degraded routing state) happens in
+        :meth:`_on_disk_failed`.
         """
         role, index = self._locate(disk)
         disk.fail()
         self._cancel_sleep(disk)
+        for failed, rebuild in list(self._rebuilding.items()):
+            if rebuild.plan.source is disk:
+                rebuild.abort()
+                del self._rebuilding[failed]
         if role in ("primary", "mirror"):
             self._degraded_pairs.add(index)
         self._trace_instant(
@@ -218,7 +227,7 @@ class Controller(abc.ABC):
         process = RecoveryProcess(
             self.sim, self, plan, on_complete=_swap
         )
-        self._rebuilding[disk] = process.replacement
+        self._rebuilding[disk] = process
         process.start()
         return process
 
@@ -255,9 +264,9 @@ class Controller(abc.ABC):
         targets: List[Disk] = []
         for disk in (primary, mirror):
             if disk.failed:
-                replacement = self._rebuilding.get(disk)
-                if replacement is not None:
-                    targets.append(replacement)
+                rebuild = self._rebuilding.get(disk)
+                if rebuild is not None:
+                    targets.append(rebuild.replacement)
             else:
                 targets.append(disk)
         if not targets:

@@ -20,8 +20,9 @@ A centralized chain (every rebuild, too) *fast-forwards* while nothing
 else can interleave with it: it completes and starts its own ops inline,
 without pooled ops, heap events or ``Disk.submit``, and hands back to
 the event path the moment anything else could run first; a
-single-target chain copies whole batches at a time in local variables.
-The outputs are exactly those of the event path (see
+single-target chain copies whole batches at a time in local variables,
+pushing each disk's standby timer once per block instead of once per
+idle.  The outputs are exactly those of the event path (see
 :meth:`DestageProcess._stretch` and :meth:`DestageProcess._steady`).
 """
 
@@ -306,15 +307,15 @@ class DestageProcess:
         event path with the events taken out, step for step and in the
         same float order: ``Disk._complete_fast``'s bookkeeping, the
         chain's callback, ``Disk._start`` for the ops that callback
-        starts, and ``Disk._go_idle`` as the completing disk's tail, real
-        idle listeners included (no tracer or op observer is attached, so
-        no other hook runs).  The next completion is then dispatched in
-        heap order as the run loop would: clock, ``events_processed``,
-        stride countdown.  Before each dispatch the heap, ``stop()`` and
-        an abort are checked again, because listeners may schedule, stop
-        or abort; when anything else could run first, the pending
-        completions become real events at their reserved ``(time, seq)``
-        (:meth:`_hand_back`).
+        starts, and a call to ``Disk._go_idle`` as the completing disk's
+        tail, its standby timer and real idle listeners included (no
+        tracer or op observer is attached, so no other hook runs).  The
+        next completion is then dispatched in heap order as the run loop
+        would: clock, ``events_processed``, stride countdown.  Before each
+        dispatch the heap, ``stop()`` and an abort are checked again,
+        because listeners may schedule, stop or abort; when anything else
+        could run first, the pending completions become real events at
+        their reserved ``(time, seq)`` (:meth:`_hand_back`).
 
         A read completes inline only when its batch's writes are sure to
         finish before anything else and within ``run(until=)`` too, so a
@@ -427,22 +428,11 @@ class DestageProcess:
                     if starter.slowdown_factor != 1.0:
                         service *= starter.slowdown_factor
                     pending.append((time + service, seq, starter))
-                # ... and the completing disk's tail: Disk._go_idle.
+                # ... and the completing disk's tail.
                 if disk._queues[0] or disk._queues[1]:
                     disk._try_start()
                 elif disk._in_service is None:
-                    power = disk.power
-                    if power._state is active:
-                        elapsed = time - power._last_time
-                        if elapsed:
-                            power.energy_joules += power._watts * elapsed
-                            power.state_durations[active] += elapsed
-                        power._last_time = time
-                        power._state = idle
-                        power._watts = disk._idle_watts
-                    disk._idle_since = time
-                    if disk._idle_listeners:
-                        disk._notify_idle()
+                    disk._go_idle(time)
                 # At a batch boundary of a single-target chain (the write
                 # just completed and the next read started), whole batches
                 # may run in the steady-state loop; without a stride its
@@ -515,12 +505,20 @@ class DestageProcess:
         bulk when the block ends, and everything is written back before
         anything else can observe it; no foreign code runs inside a block.
 
+        A disk's standby timer re-arms each time the disk goes idle: each
+        such virtual idle takes one seq after the op it starts, as on the
+        event path, and the timer's pending expiry is pushed once, at
+        write-back, where its last arm would have put it.
+
         A batch is taken only while neither disk has an idle listener, the
         source has no latent errors, its read is not the last batch's and
         the next batch continues it with the same size.  The block ends
         before a batch whose write would not complete strictly before the
-        heap's next live entry (ties go to :meth:`_stretch`, which compares
-        seqs) or would complete past ``run(until=)``, and before the
+        heap's next live entry other than the two standby timers' (ties go
+        to :meth:`_stretch`, which compares seqs) or would complete past
+        ``run(until=)``, before a completion not strictly earlier than a
+        standby timer's pending expiry (so no timer fires inside a block:
+        a batch period shorter than the interval), and before the
         completion that would bring the stride countdown to zero, so its
         callback sees the state it sees on the event path.  Returns the
         completions dispatched, at most ``budget``, with the next one left
@@ -540,14 +538,27 @@ class DestageProcess:
             or target._head_sector != sector
         ):
             return 0
+        # Standby timers: a disk's pending expiry, then the one each of its
+        # idles re-arms (``math.inf`` without a timer).
+        s_timer = source.standby_timer
+        t_timer = target.standby_timer
+        s_interval = t_interval = s_expiry = t_expiry = math.inf
+        own: Tuple[Any, ...] = ()
+        if s_timer is not None:
+            s_interval = s_timer.interval
+            if s_timer.armed:
+                own = (s_timer._event,)
+                s_expiry = s_timer._event.time
+        if t_timer is not None:
+            t_interval = t_timer.interval
+            if t_timer.armed:
+                own += (t_timer._event,)
+                t_expiry = t_timer._event.time
         # A write must complete before ``limit``: the heap's next live
-        # entry, or just past ``run(until=)``.
+        # entry but the timers' own, or just past ``run(until=)``.
         limit = math.nextafter(sim._until, math.inf)
-        heap = sim._heap
-        if heap:
-            head = heap[0]
-            if head[2].cancelled:
-                head = sim._head()
+        if sim._heap:
+            head = sim._head_except(own)
             if head is not None and head[0] < limit:
                 limit = head[0]
         pending = self._pending
@@ -596,10 +607,17 @@ class DestageProcess:
             if size != nbytes or offset // 512 != sector + step:
                 break
             t_write = t_read + write_s
-            if t_write >= limit:
+            s_next = t_read + s_interval  # the read's idle re-arms it
+            if (
+                t_write >= limit
+                or t_read >= s_expiry
+                or t_write >= s_next
+                or t_write >= t_expiry
+            ):
                 break
             # The read completes at t_read: the write starts on the target
             # (idle since ``started``) and the source goes idle.
+            s_expiry = s_next
             gap = t_read - started
             s_busy += gap
             if t_lo < gap <= t_hi:
@@ -618,6 +636,7 @@ class DestageProcess:
                 break
             # The write completes at t_write: the next read starts on the
             # source (idle since t_read) and the target goes idle.
+            t_expiry = t_write + t_interval
             gap = t_write - t_read
             t_busy += gap
             if s_lo < gap <= s_hi:
@@ -665,8 +684,15 @@ class DestageProcess:
         self._next_batch = index
         self.inline_batches += writes
         self.bytes_moved += writes * nbytes
-        seq = sim._seq + done - 1  # the pending op's
-        sim._seq += done
+        # Seqs: each completion's op start, then its disk's timer arm.
+        read_seqs = 1 if s_timer is None else 2
+        write_seqs = 1 if t_timer is None else 2
+        base = sim._seq
+        sim._seq = base + reads * read_seqs + writes * write_seqs
+        last_read = base + writes * (read_seqs + write_seqs)
+        if reads == writes:
+            last_read -= read_seqs + write_seqs
+        last_write = base + writes * read_seqs + (writes - 1) * write_seqs
         op.sector = sector
         if reads > writes:
             # Ends before the write completes: the target serves it.
@@ -687,7 +713,7 @@ class DestageProcess:
             t_power._state = active
             t_power._watts = t_active_w
             t_power._last_time = t_read
-            pending[0] = (t_write, seq, target)
+            pending[0] = (t_write, last_read, target)
         else:
             # Ends before the next read completes: as on entry, with the
             # read one or more batches on.
@@ -698,7 +724,19 @@ class DestageProcess:
             target._head_sector = sector
             target._idle_since = started
             t_power._last_time = started
-            pending[0] = (t_read, seq, source)
+            pending[0] = (t_read, last_write, source)
+        # Each timer's arms but the last were cancelled by the next: push
+        # the last one's expiry, once.
+        if s_timer is not None:
+            s_timer.cancel()
+            s_timer._event = sim._push(
+                s_expiry, s_timer._fire, (), "timer", last_read + 1
+            )
+        if t_timer is not None and writes:
+            t_timer.cancel()
+            t_timer._event = sim._push(
+                t_expiry, t_timer._fire, (), "timer", last_write + 1
+            )
         return done
 
     def _batch_fits(

@@ -16,7 +16,12 @@ Two layers:
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import itemgetter
 from typing import Dict, List, Mapping, Tuple
+
+#: A live ``(offset, nbytes)`` chunk's length, mapped over chunk lists
+#: by the sums below (no per-chunk generator step).
+_length = itemgetter(1)
 
 
 class LogSpaceError(Exception):
@@ -172,9 +177,7 @@ class LogRegion:
         epochs = self._live.get(pair)
         if not epochs:
             return 0
-        return sum(
-            nbytes for chunks in epochs.values() for _, nbytes in chunks
-        )
+        return sum(sum(map(_length, chunks)) for chunks in epochs.values())
 
     # ------------------------------------------------------------------
     def fits(self, nbytes: int) -> bool:
@@ -283,10 +286,9 @@ class LogRegion:
     def check_invariants(self) -> None:
         self._allocator.check_invariants()
         live_total = sum(
-            nbytes
+            sum(map(_length, chunks))
             for epochs in self._live.values()
             for chunks in epochs.values()
-            for _, nbytes in chunks
         )
         if live_total + self._cache_used != self.used:
             raise AssertionError("live + cache != allocated")

@@ -215,6 +215,10 @@ class RecoveryProcess:
     def start(self) -> None:
         self._process.start()
 
+    def abort(self) -> None:
+        """Stop copying, never to complete: the source has failed."""
+        self._process.abort()
+
     def _done(self, process: DestageProcess) -> None:
         self.finished_at = self.sim.now
         if self.on_complete is not None:

@@ -76,15 +76,11 @@ class RoloEController(Controller):
         self._cycle = CycleWindow(
             logging_start=self.sim.now, energy_at_logging_start=0.0
         )
-        self._sleep_timers: Dict[Disk, Timer] = {}
-        for disk in self.primaries + self.mirrors:
-            timer = Timer(
-                self.sim,
-                cfg.standby_return_s,
-                lambda d=disk: self._sleep_timer_fired(d),
-            )
-            self._sleep_timers[disk] = timer
-            disk.add_idle_listener(self._disk_idle)
+        self._sleep_timers: Dict[Disk, Timer] = {
+            disk: self._sleep_timer(disk)
+            for disk in self.primaries + self.mirrors
+        }
+        self._set_standby_timers()
 
     def disks_by_role(self) -> Dict[str, List[Disk]]:
         return {"primary": self.primaries, "mirror": self.mirrors}
@@ -104,11 +100,29 @@ class RoloEController(Controller):
             self.mirrors[self._duty_pair],
         )
 
-    def _disk_idle(self, disk: Disk) -> None:
-        if self._mode is _Mode.DESTAGING or self._is_on_duty(disk):
-            return
-        if disk.state.spun_up:
-            self._sleep_timers[disk].arm()
+    def _sleep_timer(self, disk: Disk) -> Timer:
+        return Timer(
+            self.sim,
+            self.config.standby_return_s,
+            lambda: self._sleep_timer_fired(disk),
+        )
+
+    def _set_standby_timers(self) -> None:
+        """Make each disk's sleep timer its standby timer (re-armed each
+        time the disk drains to quiet) while it may send the disk back to
+        STANDBY: never on duty, nor while destaging.
+
+        Call after every change of the mode's DESTAGING-ness, the duty
+        pair or a disk.  Clearing a disk's timer leaves a pending expiry
+        to :meth:`_sleep_timer_fired`'s own check.
+        """
+        destaging = self._mode is _Mode.DESTAGING
+        for disk in self.primaries + self.mirrors:
+            disk.standby_timer = (
+                None
+                if destaging or self._is_on_duty(disk)
+                else self._sleep_timers[disk]
+            )
 
     def _sleep_timer_fired(self, disk: Disk) -> None:
         if self._mode is _Mode.DESTAGING or self._is_on_duty(disk):
@@ -365,6 +379,7 @@ class RoloEController(Controller):
 
     def _start_destage_processes(self) -> None:
         self._mode = _Mode.DESTAGING
+        self._set_standby_timers()
         p_disk, m_disk = self._duty_disks()
         self._active_processes = 0
         for pair in range(self.config.n_pairs):
@@ -458,6 +473,7 @@ class RoloEController(Controller):
             to_pair=self._duty_pair,
         )
         self._mode = _Mode.LOGGING
+        self._set_standby_timers()
         duty = (self.primaries[self._duty_pair], self.mirrors[self._duty_pair])
         for disk in self.primaries + self.mirrors:
             if disk not in duty:
@@ -499,12 +515,8 @@ class RoloEController(Controller):
         timer = self._sleep_timers.pop(old, None)
         if timer is not None:
             timer.cancel()
-        self._sleep_timers[new] = Timer(
-            self.sim,
-            self.config.standby_return_s,
-            lambda d=new: self._sleep_timer_fired(d),
-        )
-        new.add_idle_listener(self._disk_idle)
+        self._sleep_timers[new] = self._sleep_timer(new)
+        self._set_standby_timers()
         if (
             self._draining
             and self._mode is _Mode.LOGGING

@@ -16,7 +16,7 @@ from typing import Callable, Deque, List, Optional
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import DiskSpec
 from repro.disk.power import EnergyAccountant, PowerModel, PowerState
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, Timer
 from repro.sim.stats import Histogram
 
 
@@ -250,6 +250,10 @@ class Disk:
         #: removed first, modelling the drive remapping the sectors.
         self.on_media_error: Optional[Callable[["Disk", int, int], None]] = None
         self._idle_listeners: List[Callable[["Disk"], None]] = []
+        #: A drive's standby timer: re-armed each time the disk drains to
+        #: quiet, before the idle listeners run (the controller's power
+        #: policy sets and clears it; its expiry decides what to do).
+        self.standby_timer: Optional[Timer] = None
         # Hot-path constants: the per-op event label is invariant, so build
         # it once instead of formatting an f-string per operation; the
         # scheduler test and mechanical-model lookups are likewise bound at
@@ -580,8 +584,8 @@ class Disk:
             self._go_idle(now)
 
     def _go_idle(self, now: float) -> None:
-        """The queue drained: close an ACTIVE span, open an idle slot and
-        tell the idle listeners (if any)."""
+        """The queue drained: close an ACTIVE span, open an idle slot,
+        re-arm the standby timer and tell the idle listeners (if any)."""
         power = self.power
         if power._state is PowerState.ACTIVE:
             # power.transition(now, IDLE) inline, as in _start.
@@ -598,6 +602,9 @@ class Disk:
             if power.on_transition is not None:
                 power.on_transition(now, PowerState.ACTIVE, PowerState.IDLE)
         self._idle_since = now
+        timer = self.standby_timer
+        if timer is not None and power._state is PowerState.IDLE:
+            timer.arm()
         if self._idle_listeners:
             self._notify_idle()
 

@@ -423,6 +423,31 @@ class Simulator:
             self._recycle(entry[2])
         return heap[0] if heap else None
 
+    def _head_except(
+        self, events: Tuple[Event, ...]
+    ) -> Optional[Tuple[float, int, Event]]:
+        """The next live entry whose event is none of ``events``, or
+        ``None``: :meth:`_head`, then a best-first walk down the heap past
+        the entries it skips, leaving them in place."""
+        head = self._head()
+        if head is None or head[2] not in events:
+            return head
+        heap = self._heap
+        size = len(heap)
+        frontier = [(heap[i][0], heap[i][1], i) for i in (1, 2) if i < size]
+        heapq.heapify(frontier)
+        while frontier:
+            index = heapq.heappop(frontier)[2]
+            entry = heap[index]
+            event = entry[2]
+            if not event.cancelled and event not in events:
+                return entry
+            for child in (2 * index + 1, 2 * index + 2):
+                if child < size:
+                    below = heap[child]
+                    heapq.heappush(frontier, (below[0], below[1], child))
+        return None
+
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` when the queue is empty."""
         heap = self._heap

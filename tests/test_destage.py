@@ -245,11 +245,13 @@ def _count_submits(disks):
     return submits
 
 
-def _write_completion_times(runs=None):
+def _completion_times(runs=None, disk=1):
+    """The event path's completion times on the target (``disk=1``) or
+    the source (``disk=0``)."""
     sim = Simulator()
     process, disks = _copy_chain(sim, observe=True, runs=runs)
     times = []
-    disks[1].op_observer = lambda disk, op: times.append(sim.now)
+    disks[disk].op_observer = lambda _disk, _op: times.append(sim.now)
     process.start()
     sim.run()
     return times
@@ -335,7 +337,7 @@ class TestFastForwardHorizon:
         self, place, steady_completions
     ):
         runs, batch, near = FOREIGN[place]
-        at = near(_write_completion_times(runs)[batch])
+        at = near(_completion_times(runs)[batch])
 
         def run(observe):
             sim = Simulator()
@@ -359,7 +361,7 @@ class TestFastForwardHorizon:
         assert fast_submits + 2 * fast.inline_batches == slow_submits
 
     def test_run_until_inside_a_stretch(self, steady_completions):
-        times = _write_completion_times()
+        times = _completion_times()
         # Inside batch 7's read: the read is pending when the run stops.
         until = times[6] + (times[7] - times[6]) / 4
         _check_run_until(None, until, 6, steady_completions)
@@ -370,7 +372,7 @@ class TestFastForwardHorizon:
     def test_run_until_inside_a_steady_block(self, near, steady_completions):
         """``until`` at batch 45's write completion in a long chain, inside
         a steady-state block, or a float step either side of it."""
-        until = _write_completion_times(_long_chain())[45]
+        until = _completion_times(_long_chain())[45]
         if near is not None:
             until = math.nextafter(until, near)
         _check_run_until(_long_chain(), until, 45, steady_completions)
@@ -418,7 +420,7 @@ class TestFastForwardHorizon:
                 (512 * MB, 40 * 4 * MB),
                 (256 * MB, 30 * 4 * MB + UNIT),
             ]
-        times = _write_completion_times(runs)
+        times = _completion_times(runs)
         changes = []
         if chain == "slowdown":
             changes = [
@@ -450,6 +452,101 @@ class TestFastForwardHorizon:
         assert fast_log == slow_log and len(fast_log) == len(changes)
         assert fast_end == slow_end
         assert fast.done and fast.inline_batches > 0
+
+    @pytest.mark.parametrize(
+        "on, interval",
+        [(0, "long"), (0, "short"), (0, "period"), (1, "long"), (1, "short")],
+        ids=[
+            "source-long", "source-short", "source-period",
+            "target-long", "target-short",
+        ],
+    )
+    def test_standby_timer(self, on, interval, steady_completions):
+        """A standby timer on the source (or the target), re-armed at each
+        of its idles: far longer than a batch (steady-state blocks take
+        it), shorter than a batch period (it fires inside every batch) and
+        equal to one (its expiry ties one of the disk's completions, and
+        fires first).  Every expiry and every ``run(until=)`` stop sees
+        the event path's disk, power and heap state and the timer's live
+        ``(time, seq)``."""
+        runs = _long_chain()
+        done = _completion_times(runs, disk=on)
+        period = done[46] - done[45]
+        seconds = {"long": 20 * period, "short": 0.75 * period}.get(
+            interval, period
+        )
+        # The second stop falls after a block's last arm, before the next.
+        stops = [
+            done[10] + period / 3,
+            done[20] + 0.75 * period,
+            done[45],
+            math.nextafter(done[70], math.inf),
+        ]
+
+        def run(observe):
+            sim = Simulator()
+            process, disks = _copy_chain(sim, observe, runs=runs)
+
+            def state():
+                event = timer._event
+                live = None if event is None else (event.time, event.seq)
+                return _copy_state(sim, process, disks), live
+
+            fires = []
+            timer = Timer(sim, seconds, lambda: fires.append(state()))
+            disks[on].standby_timer = timer
+            process.start()
+            stopped = []
+            for until in stops + [None]:
+                sim.run(until=until)
+                stopped.append((state(), sim.events_processed))
+            return fires, stopped, process
+
+        fast_fires, fast_stopped, fast = run(observe=False)
+        slow_fires, slow_stopped, slow = run(observe=True)
+        assert fast_fires == slow_fires
+        assert fast_stopped == slow_stopped
+        assert fast.done and fast.inline_batches > 0
+        fired_at = [fire[0][0] for fire in fast_fires]
+        if interval == "long":
+            # Once, after the chain; the blocks took nearly every batch.
+            assert len(fired_at) == 1
+            assert sum(steady_completions) > 2 * (LONG - 10)
+        elif interval == "short":
+            assert len(fired_at) >= LONG - 1
+        else:
+            assert set(fired_at) & set(done)
+
+    @pytest.mark.parametrize("every", [61, 62])
+    def test_standby_timer_set_inside_a_stretch(self, every):
+        """A stride callback gives the source an unarmed standby timer
+        shorter than a write at a read's or a write's completion: the
+        next steady-state block must not take a write its first arm's
+        expiry lands inside."""
+
+        def run(observe):
+            sim = Simulator()
+            process, disks = _copy_chain(sim, observe, runs=_long_chain())
+            fires = []
+            timer = Timer(
+                sim, 0.05,
+                lambda: fires.append(_copy_state(sim, process, disks)),
+            )
+
+            def set_timer():
+                disks[0].standby_timer = timer
+
+            sim.set_stride(every, set_timer)
+            process.start()
+            sim.run()
+            end = (_copy_state(sim, process, disks), sim.events_processed)
+            return fires, end
+
+        fast_fires, fast_end = run(observe=False)
+        slow_fires, slow_end = run(observe=True)
+        assert len(fast_fires) >= LONG // 2
+        assert fast_fires == slow_fires
+        assert fast_end == slow_end
 
     @pytest.mark.parametrize("listener_on", [0, 1])
     @pytest.mark.parametrize("n_targets", [1, 2])

@@ -21,8 +21,8 @@ import json
 
 import pytest
 
+from repro.core import DataLossError
 from repro.core.destage import DestageProcess
-from repro.disk.disk import DiskFailedError
 from repro.faults import run_faulted
 from repro.traces.compiled import truncate_trace
 from repro.verify import InvariantChecker, ReferenceModel, Scenario
@@ -73,7 +73,7 @@ def _verified_run(scenario, chains, sample_every=64):
             checker=checker,
         )
         outcome["result"] = result.to_dict()
-    except DiskFailedError as exc:
+    except DataLossError as exc:
         outcome["error"] = str(exc)
     outcome.update(
         violations=list(reference.violations) + list(checker.violations),
@@ -155,10 +155,18 @@ def test_stride_parity(monkeypatch, scheme, sample_every):
 
 @pytest.mark.parametrize("scheme", FUZZ_SCHEMES)
 def test_failing_the_rebuild_source_fails_alike(monkeypatch, scheme):
-    """A second failure of the rebuild's source is not survivable here:
-    the next copy read raises ``DiskFailedError``.  All three paths raise
-    it at the same instant, after the same events."""
+    """A second failure of the rebuild's source aborts the rebuild, so
+    the pair has lost both copies, as when neither failure rebuilds: the
+    next access to it raises ``DataLossError``.  All three paths raise it
+    at the same instant, after the same events."""
     spec = "fail@100:P0,fail@150:M0:norebuild"
     outcomes = _runs(monkeypatch, _scenario(scheme, spec))
     _assert_three_way(outcomes)
-    assert outcomes["as-is"]["error"] == "M0 has failed"
+    error = "pair 0 has lost both copies"
+    assert outcomes["as-is"]["error"] == error
+    unrebuilt = _runs(
+        monkeypatch,
+        _scenario(scheme, "fail@100:P0:norebuild,fail@150:M0:norebuild"),
+        paths=("as-is",),
+    )
+    assert unrebuilt["as-is"]["error"] == error

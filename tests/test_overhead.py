@@ -46,7 +46,7 @@ from repro.raid.request import (
     request_pool_stats,
 )
 from repro.sim import Simulator
-from repro.sim.engine import fuse_observers
+from repro.sim.engine import Timer, fuse_observers
 from repro.sim.stats import Histogram
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from repro.verify.invariants import InvariantChecker
@@ -450,16 +450,16 @@ def _code_key(func):
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
 
-def _profiled_rebuild_run():
+def _profiled_rebuild_run(scheme, spec):
     """A plain ``fail@`` + rebuild run: result, call counts, pool misses."""
     before = op_pool_stats()
     profile = cProfile.Profile()
     profile.enable()
     result = run_faulted(
-        "raid10",
+        scheme,
         small_config(),
         write_burst(60, gap=0.05),
-        FaultSchedule.parse("fail@1.5:M0"),
+        FaultSchedule.parse(spec),
     )
     profile.disable()
     after = op_pool_stats()
@@ -468,6 +468,52 @@ def _profiled_rebuild_run():
     }
     acquired = calls.get(_code_key(acquire_op), 0)
     return result, calls, acquired - (after["reused"] - before["reused"])
+
+
+def _rebuild_budget(monkeypatch, scheme, spec):
+    """Profile ``spec`` on ``scheme`` on the event path (an op observer on
+    every disk), then as is; check what every scheme's budget shares and
+    return the second run's result, call ``count``, rebuild chain (RoLo-E's
+    drain adds destage chains) and the first run's ``Disk.submit`` calls."""
+    processes = []
+    disks = []
+    init = DestageProcess.__init__
+    disk_init = Disk.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        processes.append(self)
+
+    def recording_disk_init(self, *args, **kwargs):
+        disk_init(self, *args, **kwargs)
+        disks.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DestageProcess, "__init__", recording_init)
+        patch.setattr(Disk, "__init__", recording_disk_init)
+        with patch.context() as observed:
+            observe_every_disk(observed)
+            reference, event_calls, _ = _profiled_rebuild_run(scheme, spec)
+        event_submits = event_calls.get(_code_key(Disk.submit), 0)
+        event_gaps = [disk.idle_gap_histogram.counts for disk in disks]
+        assert not any(p.inline_batches for p in processes)
+        processes.clear()
+        disks.clear()
+        result, calls, misses = _profiled_rebuild_run(scheme, spec)
+
+    def count(func):
+        return calls.get(_code_key(func), 0)
+
+    assert result.consistent and result.rebuilds
+    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
+        reference.to_dict(), sort_keys=True
+    )
+    assert count(acquire_op) == count(Disk.submit)
+    (rebuild,) = [p for p in processes if p.name.startswith("rebuild-")]
+    assert rebuild.inline_batches > 0.9 * len(rebuild._batches)
+    assert count(DiskOp.__init__) <= misses
+    assert [disk.idle_gap_histogram.counts for disk in disks] == event_gaps
+    return result, count, rebuild, event_submits
 
 
 def test_rebuild_run_call_budget(monkeypatch):
@@ -483,50 +529,23 @@ def test_rebuild_run_call_budget(monkeypatch):
     makes, and nothing else changes.  Its single-target batches run in
     the steady-state loop, which buckets the repeating idle gaps itself:
     the histograms match the event path's while ``Histogram.add`` runs
-    for a small fraction of the batches.
+    for a small fraction of the batches.  On RoLo-E the rebuild's source
+    is a sleeping non-duty disk with a standby timer, which the loop
+    re-arms once per block: ``Timer.arm`` runs for a small fraction of
+    the batches too.
     """
-    processes = []
-    disks = []
-    init = DestageProcess.__init__
-    disk_init = Disk.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        processes.append(self)
-
-    def recording_disk_init(self, *args, **kwargs):
-        disk_init(self, *args, **kwargs)
-        disks.append(self)
-
-    monkeypatch.setattr(DestageProcess, "__init__", recording_init)
-    monkeypatch.setattr(Disk, "__init__", recording_disk_init)
-    with monkeypatch.context() as patch:
-        observe_every_disk(patch)
-        reference, event_calls, _ = _profiled_rebuild_run()
-    event_submits = event_calls.get(_code_key(Disk.submit), 0)
-    event_gaps = [disk.idle_gap_histogram.counts for disk in disks]
-    assert [p.inline_batches for p in processes] == [0]
-    processes.clear()
-    disks.clear()
-
-    result, calls, misses = _profiled_rebuild_run()
-
-    def count(func):
-        return calls.get(_code_key(func), 0)
-
-    assert result.consistent and result.rebuilds
-    assert json.dumps(result.to_dict(), sort_keys=True) == json.dumps(
-        reference.to_dict(), sort_keys=True
+    result, count, rebuild, event_submits = _rebuild_budget(
+        monkeypatch, "raid10", "fail@1.5:M0"
     )
+    assert count(Disk.submit) + 2 * rebuild.inline_batches == event_submits
+    assert 16 * count(Histogram.add) < rebuild.inline_batches
     metrics = result.metrics
     assert metrics.spin_up_count == metrics.spin_down_count == 0
     n_disks = 4
     assert count(EnergyAccountant.transition) == 1 + n_disks
-    acquired = count(acquire_op)
-    assert acquired == count(Disk.submit)
-    (rebuild,) = processes
-    assert count(Disk.submit) + 2 * rebuild.inline_batches == event_submits
-    assert rebuild.inline_batches > 0.9 * len(rebuild._batches)
-    assert count(DiskOp.__init__) <= misses
-    assert [disk.idle_gap_histogram.counts for disk in disks] == event_gaps
-    assert 16 * count(Histogram.add) < rebuild.inline_batches
+
+    _, count, rebuild, _ = _rebuild_budget(
+        monkeypatch, "rolo-e", "fail@1.5:M1"
+    )
+    assert rebuild.source.name == "P1"
+    assert 16 * count(Timer.arm) < rebuild.inline_batches
