@@ -144,18 +144,43 @@ def layout_mapping_kernel(n_extents: int = 5_000, seed: int = 2) -> int:
     return total
 
 
-def logspace_kernel(epochs: int = 8, appends_per_epoch: int = 200) -> int:
-    """Log-region append/reclaim churn; returns final used bytes (0)."""
-    from repro.core.logspace import LogRegion
+def logspace_kernel(epochs: int = 8, writes_per_epoch: int = 400):
+    """Log-region churn in the logging controllers' per-write order.
 
+    Each write probes ``fits``, appends its stripe segments (one or two
+    pairs' shares), then reads ``occupancy``; each epoch ends with every
+    pair's reclaim of its earlier epochs, as a destage completion does.
+    Returns the number of appends and the final used bytes.
+    """
+    from repro.core.logspace import LogRegion
+    from repro.raid.layout import StripeSegment
+
+    n_pairs = 4
+    unit = 32 * KB
+    rng = random.Random(11)
+    writes = []
+    for _ in range(writes_per_epoch):
+        pair = rng.randrange(n_pairs)
+        nbytes = rng.choice((4, 8, 16, 32)) * KB
+        within = rng.randrange(0, unit, 4 * KB)
+        head = min(nbytes, unit - within)
+        segments = [StripeSegment(pair, within, head)]
+        if head < nbytes:  # the write crosses into the next pair's unit
+            segments.append(
+                StripeSegment((pair + 1) % n_pairs, 0, nbytes - head)
+            )
+        writes.append((nbytes, segments))
     region = LogRegion("bench", 0, 64 * MB)
+    appends = 0
     for epoch in range(epochs):
-        for i in range(appends_per_epoch):
-            region.append(32 * KB, {i % 4: 32 * KB}, epoch)
-        for pair in range(4):
+        for nbytes, segments in writes:
+            if region.fits(nbytes):
+                region.append(nbytes, segments, epoch)
+                appends += region.occupancy < 1.0
+        for pair in range(n_pairs):
             region.reclaim(pair, epoch)
     region.reclaim_all()
-    return region.used
+    return appends, region.used
 
 
 # ----------------------------------------------------------------------
@@ -204,4 +229,5 @@ def test_layout_mapping_throughput(benchmark):
 
 
 def test_logspace_append_reclaim_throughput(benchmark):
-    assert benchmark(logspace_kernel) == 0
+    # Every write fits: two epochs' writes are ~1/8 of the region.
+    assert benchmark(logspace_kernel) == (8 * 400, 0)

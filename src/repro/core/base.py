@@ -15,6 +15,7 @@ from repro.disk.disk import (
     Scheduler,
     acquire_op,
 )
+from repro.disk.mechanical import MechanicalModel
 from repro.disk.power import PowerState
 from repro.raid.request import (
     IORequest,
@@ -92,6 +93,8 @@ class Controller(abc.ABC):
         #: module-level no-op when detached — so read paths never test
         #: for an oracle per segment.
         self.oracle = None
+        #: One service-time model (and seek memo) for every disk built.
+        self._mechanics = MechanicalModel(config.disk)
         self._build_disks()
 
     # ------------------------------------------------------------------
@@ -321,6 +324,7 @@ class Controller(abc.ABC):
             initial_state=initial,
             scheduler=Scheduler(self.config.disk_scheduler),
             tracer=self.tracer,
+            mechanics=self._mechanics,
         )
 
     # ------------------------------------------------------------------

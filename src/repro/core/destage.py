@@ -135,8 +135,15 @@ class DestageProcess:
         self.aborted = False
         self.on_complete = on_complete
         self.bytes_moved = 0
-        #: Batches whose read was issued inside a fast-forward stretch;
-        #: each skips its ``1 + len(targets)`` ``Disk.submit`` calls.
+        #: Batches whose read was issued inside a fast-forward stretch,
+        #: each skipping that read's ``Disk.submit``.  The writes skip
+        #: ``len(targets)`` submits per batch whose read *completed* in a
+        #: stretch, a count that differs from this one by the stretches
+        #: begun at a read issued on the event path (+1 each), less the
+        #: reads issued in a stretch that completed on the event path
+        #: (-1 each).  A chain fast-forwarded in one stretch up to its
+        #: last batch balances the two; a chain that stretches twice can
+        #: be one batch off (the RoLo-E ``fail@1.5:M1`` rebuild).
         self.inline_batches = 0
         #: Virtual completions in flight during a stretch, as
         #: ``(time, seq, disk)``.

@@ -169,14 +169,7 @@ class GraidController(Controller):
         request.seal(self.sim.now)
 
     def _log_write(self, request: IORequest, segments, log_bytes: int) -> None:
-        contributions: Dict[int, int] = {}
-        for seg in segments:
-            contributions[seg.pair] = (
-                contributions.get(seg.pair, 0) + seg.nbytes
-            )
-        offset = self.log_region.append(
-            log_bytes, contributions, self._epoch
-        )
+        offset = self.log_region.append(log_bytes, segments, self._epoch)
         self.metrics.logged_bytes += log_bytes
         unit = self.layout.stripe_unit
         for seg in segments:

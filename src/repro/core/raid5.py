@@ -17,6 +17,7 @@ from typing import Dict, List
 from repro.core.base import _noop_note
 from repro.core.metrics import RunMetrics
 from repro.disk.disk import Disk, DiskOp, OpKind, Priority, Scheduler
+from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import ULTRASTAR_36Z15, DiskSpec
 from repro.disk.power import PowerState
 from repro.raid.raid5 import Raid5Layout
@@ -100,6 +101,7 @@ class Raid5Controller:
         # Same contract as Controller: a falsy tracer normalizes to None
         # so run_trace and the disks guard with one identity check.
         self.tracer = tracer if tracer else None
+        mechanics = MechanicalModel(config.disk)
         self.disks: List[Disk] = [
             Disk(
                 sim,
@@ -108,6 +110,7 @@ class Raid5Controller:
                 initial_state=PowerState.IDLE,
                 scheduler=Scheduler(config.disk_scheduler),
                 tracer=self.tracer,
+                mechanics=mechanics,
             )
             for i in range(config.n_disks)
         ]

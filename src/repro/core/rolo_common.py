@@ -201,14 +201,8 @@ class RotatedLoggingController(Controller):
             request.seal(self.sim.now)
             return
 
-        contributions: Dict[int, int] = {}
-        for seg in healthy:
-            contributions[seg.pair] = (
-                contributions.get(seg.pair, 0) + seg.nbytes
-            )
-        offset = self.mirror_logs[target].append(
-            log_bytes, contributions, self._epoch
-        )
+        m_log = self.mirror_logs[target]
+        offset = m_log.append(log_bytes, healthy, self._epoch)
         self.metrics.logged_bytes += log_bytes
         self._issue(
             self.mirrors[target],
@@ -219,9 +213,8 @@ class RotatedLoggingController(Controller):
             sequential=True,
         )
         if self.log_to_primary_too:
-            p_offset = self.primary_logs[target].append(
-                log_bytes, contributions, self._epoch
-            )
+            p_log = self.primary_logs[target]
+            p_offset = p_log.append(log_bytes, healthy, self._epoch)
             self._issue(
                 self.primaries[target],
                 OpKind.WRITE,
@@ -244,11 +237,13 @@ class RotatedLoggingController(Controller):
         request.seal(self.sim.now)
 
         if self.tracer is not None:
-            self._trace_occupancy(self.mirror_logs[target])
+            self._trace_occupancy(m_log)
             if self.log_to_primary_too:
-                self._trace_occupancy(self.primary_logs[target])
+                self._trace_occupancy(p_log)
 
-        occupancy = self._logger_occupancy(target)
+        occupancy = m_log.occupancy
+        if self.log_to_primary_too:
+            occupancy = max(occupancy, p_log.occupancy)
         if occupancy >= self.config.rotate_threshold:
             duty_slot = self._slot_of(target)
             if duty_slot is not None:
@@ -291,16 +286,16 @@ class RotatedLoggingController(Controller):
 
     def _log_target_ok(self, index: int, nbytes: int) -> bool:
         """Can mirror ``index`` absorb a log append of ``nbytes``?"""
-        if self.mirrors[index].failed:
-            return False
-        if not self.mirror_logs[index].fits(nbytes):
-            return False
-        if self.log_to_primary_too and (
-            self.primaries[index].failed
-            or not self.primary_logs[index].fits(nbytes)
+        if not self.mirror_logs[index].fits(nbytes) or (
+            self.log_to_primary_too
+            and not self.primary_logs[index].fits(nbytes)
         ):
             return False
-        return True
+        # Only a degraded pair can have a failed disk.
+        return index not in self._degraded_pairs or not (
+            self.mirrors[index].failed
+            or (self.log_to_primary_too and self.primaries[index].failed)
+        )
 
     def _append_target(self, slot: int, nbytes: int) -> Optional[int]:
         """Mirror index that should receive this append.
@@ -312,10 +307,9 @@ class RotatedLoggingController(Controller):
         """
         current = self._on_duty[slot]
         previous = self._previous_duty[slot]
-        current_up = self.mirrors[current].state.spun_up
         if (
-            not current_up
-            and previous is not None
+            previous is not None
+            and not self.mirrors[current].state.spun_up
             and self.mirrors[previous].state.spun_up
             and self._log_target_ok(previous, nbytes)
         ):

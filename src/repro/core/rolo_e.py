@@ -173,13 +173,8 @@ class RoloEController(Controller):
                 self._begin_destage()
             return
 
-        contributions: Dict[int, int] = {}
-        for seg in segments:
-            contributions[seg.pair] = (
-                contributions.get(seg.pair, 0) + seg.nbytes
-            )
-        p_offset = p_log.append(request.nbytes, contributions, 0)
-        m_offset = m_log.append(request.nbytes, contributions, 0)
+        p_offset = p_log.append(request.nbytes, segments, 0)
+        m_offset = m_log.append(request.nbytes, segments, 0)
         self.metrics.logged_bytes += 2 * request.nbytes
         self._issue(
             p_disk, OpKind.WRITE, p_offset, request.nbytes,

@@ -213,14 +213,21 @@ class Disk:
         initial_state: PowerState = PowerState.IDLE,
         scheduler: Scheduler = Scheduler.FCFS,
         tracer: object = None,
+        mechanics: Optional[MechanicalModel] = None,
     ) -> None:
         if initial_state not in (PowerState.IDLE, PowerState.STANDBY):
             raise ValueError("disks start IDLE or STANDBY")
+        if mechanics is None:
+            mechanics = MechanicalModel(spec)
+        elif mechanics.spec != spec:
+            raise ValueError(f"{name}: mechanics are for another spec")
         self.sim = sim
         self.spec = spec
         self.name = name
         self.scheduler = scheduler
-        self.mechanics = MechanicalModel(spec)
+        #: Service-time model; disks of one spec may share it (and its
+        #: seek memo), as a controller's disks do.
+        self.mechanics = mechanics
         self.power = EnergyAccountant(
             PowerModel(spec), sim.now, initial_state
         )

@@ -17,8 +17,9 @@ from repro.disk.models import SECTOR_SIZE, DiskSpec
 class MechanicalModel:
     """Computes per-operation service times for one drive.
 
-    The model keeps no state; callers pass the previous head position so a
-    single instance can be shared between disks of the same spec.
+    The model keeps no per-disk state; callers pass the previous head
+    position, so one instance (and its seek memo) serves every disk of the
+    same spec in an array.
     """
 
     def __init__(self, spec: DiskSpec) -> None:

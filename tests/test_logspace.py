@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.logspace import LogRegion, LogSpaceError, RegionAllocator
+from repro.raid.layout import StripeSegment
 
 KB = 1024
 MB = 1024 * KB
@@ -147,6 +148,31 @@ class TestLogRegion:
         assert region.used == 32 * KB
         region.check_invariants()
 
+    def test_segment_shares_group_by_pair_in_first_appearance_order(self):
+        region = self.region()
+        segments = [
+            StripeSegment(1, 0, 4 * KB),
+            StripeSegment(0, 0, 8 * KB),
+            StripeSegment(1, 4 * KB, 4 * KB),
+        ]
+        assert region.append(16 * KB, segments, epoch=0) == 10 * MB
+        assert region.live_bytes(1) == 8 * KB
+        assert region.reclaim(1, before_epoch=1) == 8 * KB
+        # Pair 1's summed share came first: [0, 8K) is free again.
+        assert region._allocator.free_list() == [
+            (0, 8 * KB),
+            (16 * KB, MB - 16 * KB),
+        ]
+
+    def test_adjacent_shares_extend_one_run(self):
+        region = self.region()
+        region.append(4 * KB, {0: 4 * KB}, epoch=0)
+        region.append(4 * KB, [StripeSegment(0, 0, 4 * KB)], epoch=0)
+        region.append(4 * KB, {0: 4 * KB}, epoch=1)
+        starts, ends = region._live[0][0]
+        assert (list(starts), list(ends)) == ([0], [8 * KB])
+        region.check_invariants()
+
     def test_reclaim_all(self):
         region = self.region()
         region.append(64 * KB, {0: 64 * KB}, epoch=0)
@@ -249,6 +275,31 @@ class TestDataRegionExpansion:
         assert region.converted_bytes == 256 * KB
         assert region.used == 0
         region.check_invariants()
+
+    def test_reset_keeps_converted_extent_in_place(self):
+        region = LogRegion("x", 0, MB)
+        assert region.append(256 * KB, {0: 256 * KB}, epoch=0) == 0
+        assert region.expand_data_region(256 * KB) == 256 * KB
+        region.charge_cache(64 * KB)
+        region.reset()
+        region.check_invariants()
+        assert region._allocator.free_list() == [
+            (0, 256 * KB),
+            (512 * KB, 512 * KB),
+        ]
+        # First fit skips the converted extent at [256K, 512K).
+        assert region.append(512 * KB, {0: 512 * KB}, epoch=1) == 512 * KB
+
+    def test_misplaced_converted_extent_fails_the_check(self):
+        region = LogRegion("x", 0, MB)
+        region.append(256 * KB, {0: 256 * KB}, epoch=0)
+        offset = region.expand_data_region(256 * KB)
+        region.reclaim_all()
+        # The converted bytes move to offset 0: the totals still balance.
+        region._allocator.free(offset, 256 * KB)
+        assert region._allocator.allocate(256 * KB) == 0
+        with pytest.raises(AssertionError, match="converted extent"):
+            region.check_invariants()
 
     def test_validation(self):
         region = LogRegion("x", 0, MB)

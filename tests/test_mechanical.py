@@ -4,8 +4,13 @@ import random
 
 import pytest
 
+from repro.core import build_controller
+from repro.core.raid5 import Raid5Config
+from repro.disk.disk import Disk
 from repro.disk.mechanical import MechanicalModel
-from repro.disk.models import SECTOR_SIZE, ULTRASTAR_36Z15
+from repro.disk.models import CHEETAH_15K5, SECTOR_SIZE, ULTRASTAR_36Z15
+from repro.sim import Simulator
+from tests.conftest import small_config
 
 
 @pytest.fixture
@@ -114,3 +119,31 @@ class TestEndSector:
         ]
         assert cyls == sorted(cyls)
         assert max(cyls) <= ULTRASTAR_36Z15.cylinders - 1
+
+
+class TestSharedModel:
+    """A controller's disks share one model, so one seek memo per array."""
+
+    @pytest.mark.parametrize("scheme", ["rolo-r", "raid5"])
+    def test_array_disks_share_one_model(self, scheme):
+        config = Raid5Config() if scheme == "raid5" else small_config()
+        controller = build_controller(scheme, Simulator(), config)
+        disks = controller.all_disks()
+        assert len(disks) > 1
+        assert len({id(disk.mechanics) for disk in disks}) == 1
+
+    def test_rebuild_replacement_shares_the_model(self):
+        controller = build_controller("raid10", Simulator(), small_config())
+        failed = controller.mirrors[0]
+        controller.fail_disk(failed)
+        replacement = controller.begin_rebuild(failed).replacement
+        assert replacement.mechanics is controller.primaries[0].mechanics
+
+    def test_model_for_another_spec_is_rejected(self):
+        with pytest.raises(ValueError):
+            Disk(
+                Simulator(),
+                CHEETAH_15K5,
+                "D0",
+                mechanics=MechanicalModel(ULTRASTAR_36Z15),
+            )

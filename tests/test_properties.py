@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from repro.cache import LRUCache
 from repro.core import build_controller, plan_recovery
 from repro.core.destage import coalesce_units, split_runs
-from repro.core.logspace import LogSpaceError, RegionAllocator
+from repro.core.logspace import LogRegion, LogSpaceError, RegionAllocator
 from repro.core.recovery import RecoveryProcess
-from repro.raid.layout import Raid10Layout
+from repro.raid.layout import Raid10Layout, StripeSegment
 from repro.reliability import AbsorbingCTMC
 from repro.sim import Simulator
 from repro.sim.stats import StreamingStat
@@ -66,6 +66,144 @@ def test_allocator_free_all_restores_full_coalesced_space(sizes):
     assert alloc.free_bytes == total
     assert alloc.fragments == 1
     assert alloc.largest_free_extent == total
+
+
+# ----------------------------------------------------------------------
+# Bulk frees: one merge leaves what per-interval frees in any order leave.
+# ----------------------------------------------------------------------
+def _assert_same_allocator(bulk, single):
+    bulk.check_invariants()
+    single.check_invariants()
+    assert bulk.free_list() == single.free_list()
+    assert bulk.allocated == single.allocated
+    assert bulk.largest_free_extent == single.largest_free_extent
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 16), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_bulk_free_matches_per_interval_frees(sizes, data):
+    total = 512 * KB
+    bulk = RegionAllocator(total)
+    single = RegionAllocator(total)
+    extents = []
+    for units in sizes:
+        offset = bulk.allocate(units * KB)
+        assert single.allocate(units * KB) == offset
+        extents.append((offset, units * KB))
+    # Fragment both free lists alike, then free the rest in one merge on
+    # one side and one interval at a time, in a drawn order, on the other.
+    indexes = list(range(len(extents)))
+    early = data.draw(st.lists(st.sampled_from(indexes), unique=True))
+    for index in early:
+        bulk.free(*extents[index])
+        single.free(*extents[index])
+    rest = [i for i in indexes if i not in early]
+    batch = []
+    if rest:
+        batch = data.draw(st.lists(st.sampled_from(rest), unique=True))
+    freed = bulk.free_runs(
+        [extents[i][0] for i in batch],
+        [extents[i][0] + extents[i][1] for i in batch],
+    )
+    assert freed == sum(extents[i][1] for i in batch)
+    for index in data.draw(st.permutations(batch)):
+        single.free(*extents[index])
+    _assert_same_allocator(bulk, single)
+    # Every later first-fit placement agrees too.
+    for units in data.draw(st.lists(st.integers(1, 64), max_size=8)):
+        placed = []
+        for allocator in (bulk, single):
+            try:
+                placed.append(allocator.allocate(units * KB))
+            except LogSpaceError:
+                placed.append(None)
+        assert placed[0] == placed[1]
+    _assert_same_allocator(bulk, single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("append"),
+                st.lists(
+                    st.tuples(st.integers(0, 3), st.integers(1, 8)),
+                    min_size=1,
+                    max_size=3,
+                ),
+            ),
+            st.tuples(st.just("reclaim"), st.integers(0, 3)),
+        ),
+        max_size=80,
+    ),
+    data=st.data(),
+)
+def test_epoch_reclaim_matches_per_chunk_frees(ops, data):
+    """A ledger reclaim equals freeing each append's share on its own."""
+    region = LogRegion("M0", base_offset=0, capacity=128 * KB)
+    reference = RegionAllocator(128 * KB)
+    chunks = {}  # (pair, epoch) -> [(offset, share)], one per append
+    epoch = 0
+    for kind, arg in ops:
+        if kind == "append":
+            segments = [
+                StripeSegment(pair, 0, units * KB) for pair, units in arg
+            ]
+            shares = {}  # grouped by pair in first-appearance order
+            for seg in segments:
+                shares[seg.pair] = shares.get(seg.pair, 0) + seg.nbytes
+            nbytes = sum(shares.values())
+            if not region.fits(nbytes):
+                assert reference.largest_free_extent < nbytes
+                continue
+            cursor = region.append(nbytes, segments, epoch)
+            assert cursor == reference.allocate(nbytes)
+            for pair, share in shares.items():
+                chunks.setdefault((pair, epoch), []).append((cursor, share))
+                cursor += share
+        else:
+            epoch += 1
+            stale = [
+                chunk
+                for key in [k for k in chunks if k[0] == arg and k[1] < epoch]
+                for chunk in chunks.pop(key)
+            ]
+            for offset, share in data.draw(st.permutations(stale)):
+                reference.free(offset, share)
+            assert region.reclaim(arg, before_epoch=epoch) == sum(
+                share for _, share in stale
+            )
+        region.check_invariants()
+        _assert_same_allocator(region._allocator, reference)
+
+
+def test_bulk_free_rejects_double_frees():
+    allocator = RegionAllocator(64 * KB)
+    first = allocator.allocate(4 * KB)
+    second = allocator.allocate(4 * KB)
+    allocator.allocate(4 * KB)
+    allocator.free(first, 4 * KB)
+    with pytest.raises(LogSpaceError):  # overlaps a free interval
+        allocator.free_runs([first, second], [first + 4 * KB, second + 4 * KB])
+    allocator = RegionAllocator(64 * KB)
+    first = allocator.allocate(4 * KB)
+    allocator.allocate(4 * KB)
+    with pytest.raises(LogSpaceError):  # the same run twice in one merge
+        allocator.free_runs([first, first], [first + 4 * KB, first + 4 * KB])
+
+
+def test_double_free_inside_an_epoch_reclaim_raises():
+    region = LogRegion("M0", base_offset=0, capacity=64 * KB)
+    region.append(8 * KB, {0: 4 * KB, 1: 4 * KB}, epoch=0)
+    region.append(4 * KB, {0: 4 * KB}, epoch=0)
+    # Pair 0's second run is freed behind the ledger's back.
+    region._allocator.free(8 * KB, 4 * KB)
+    with pytest.raises(LogSpaceError):
+        region.reclaim(0, before_epoch=1)
 
 
 # ----------------------------------------------------------------------
