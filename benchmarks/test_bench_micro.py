@@ -1,8 +1,9 @@
 """Microbenchmarks of the simulator's hot paths.
 
 Each kernel below drives one hot path (event heap, timer re-arm, disk
-service, uncontended copy chain, RAID layout mapping, log-space churn)
-and returns a count the
+service, uncontended copy chain, RAID layout mapping, log-space churn,
+and the observation path: a metered cell, a span-recorded cell and its
+latency attribution) and returns a count the
 pytest-benchmark wrapper under it asserts, so a kernel that stops doing
 its work fails instead of getting faster.  ``make bench-micro`` runs
 them.  End-to-end and per-layer speed are measured by ``perfbench/``.
@@ -94,7 +95,7 @@ def copy_chain_kernel(
     Nothing else is scheduled, so after its first batch the chain runs
     fast-forwarded, in the steady-state loop (``DestageProcess._steady``):
     this is the per-batch cost of a rebuild on an unloaded array.  A
-    ``stride`` installs a no-op ``Simulator.set_stride`` callback, the
+    ``stride`` installs a no-op ``Simulator.add_stride`` callback, the
     shape of a verified run (the invariant checker sweeps every 64
     events), which ends a steady-state block at every stride point.  A
     ``standby_s`` gives the source a standby timer of that interval, re-
@@ -115,7 +116,7 @@ def copy_chain_kernel(
         idle_gated=False, idle_grace_s=0.0,
     )
     if stride:
-        sim.set_stride(stride, _noop)
+        sim.add_stride(stride, _noop)
     if standby_s:
         source.standby_timer = Timer(sim, standby_s, _noop)
     process.start()
@@ -183,6 +184,36 @@ def logspace_kernel(epochs: int = 8, writes_per_epoch: int = 400):
     return appends, region.used
 
 
+def _observed_cell(scheme: str):
+    """A small src2_2 cell (2,369 requests), ``rolo simulate``-style."""
+    from repro.experiments.runner import workload_cell
+
+    return workload_cell(scheme, "src2_2", scale=0.004, n_pairs=4)
+
+
+def metered_cell_kernel(scheme: str = "rolo-r") -> int:
+    """One metered replay (``execute_metered``): the meter's sample
+    stride, op and response feeds, and harvest.  Returns the events the
+    harvested label census counted."""
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    _observed_cell(scheme).execute_metered(registry=registry)
+    family = registry.to_dict()["families"]["sim_events_by_label_total"]
+    return int(sum(child["value"] for child in family["children"]))
+
+
+def spanned_attribution_kernel(scheme: str = "rolo-e") -> int:
+    """One span-recorded replay plus ``attribute_events`` over its
+    records: span recording, rid linkage, power hooks and attribution.
+    Returns the requests attributed."""
+    from repro.experiments.runner import run_cell_observed
+    from repro.obs import attribute_events
+
+    run = run_cell_observed(_observed_cell(scheme), spans=True)
+    return len(attribute_events(run.tracer.sorted_events()))
+
+
 # ----------------------------------------------------------------------
 # pytest-benchmark wrappers
 # ----------------------------------------------------------------------
@@ -231,3 +262,15 @@ def test_layout_mapping_throughput(benchmark):
 def test_logspace_append_reclaim_throughput(benchmark):
     # Every write fits: two epochs' writes are ~1/8 of the region.
     assert benchmark(logspace_kernel) == (8 * 400, 0)
+
+
+def test_metered_cell_throughput(benchmark):
+    events = benchmark.pedantic(metered_cell_kernel, rounds=3, iterations=1)
+    assert events > 10_000
+
+
+def test_spanned_attribution_throughput(benchmark):
+    attributed = benchmark.pedantic(
+        spanned_attribution_kernel, rounds=3, iterations=1
+    )
+    assert attributed == 2_369

@@ -522,9 +522,10 @@ class TraceDriver:
         self._dispatched = 0
         self._arrivals_done = False
         self.completed_at: float = -1.0
-        #: Request ids for tracing: sequential dispatch numbers, so traces
-        #: are comparable across runs (unlike ``id()``).
-        self._rids: Dict[IORequest, int] = {}
+        # Each arrival event dispatches one request: the driver's census.
+        # Under a tracer, the dispatch number is the request's trace id
+        # (``IORequest.rid``), so traces are comparable across runs.
+        sim.add_tally(lambda: ("arrival", self._dispatched))
 
     def start(self) -> None:
         self._schedule_next()
@@ -549,9 +550,14 @@ class TraceDriver:
         self.sim.at(record.timestamp, self._arrive, record, label="arrival")
 
     def _arrive_compiled(self, i: int) -> None:
-        kind = _KIND_BY_CODE[self._kinds[i]]
-        offset = self._offsets[i]
-        nbytes = self._sizes[i]
+        self._admit(
+            _KIND_BY_CODE[self._kinds[i]], self._offsets[i], self._sizes[i]
+        )
+
+    def _arrive(self, record) -> None:
+        self._admit(record.kind, record.offset, record.nbytes)
+
+    def _admit(self, kind: RequestKind, offset: int, nbytes: int) -> None:
         # Slab-pooled: _request_done releases the request after recording
         # its response, so replay allocates no per-request objects.
         request = acquire_request(
@@ -564,37 +570,10 @@ class TraceDriver:
         self._outstanding += 1
         tracer = self.controller.tracer
         if tracer is not None:
-            rid = self._dispatched
-            self._rids[request] = rid
+            request.rid = rid = self._dispatched
             tracer.request_arrived(
                 rid, kind.value, offset, nbytes, self.sim.now
             )
-            tracer.request_admitted(rid, request)
-        self._dispatched += 1
-        self.controller.submit(request)
-        self._schedule_next()
-
-    def _arrive(self, record) -> None:
-        request = acquire_request(
-            record.kind,
-            record.offset,
-            record.nbytes,
-            arrival_time=self.sim._now,
-            on_complete=self._request_done,
-        )
-        self._outstanding += 1
-        tracer = self.controller.tracer
-        if tracer is not None:
-            rid = self._dispatched
-            self._rids[request] = rid
-            tracer.request_arrived(
-                rid,
-                record.kind.value,
-                record.offset,
-                record.nbytes,
-                self.sim.now,
-            )
-            tracer.request_admitted(rid, request)
         self._dispatched += 1
         self.controller.submit(request)
         self._schedule_next()
@@ -604,10 +583,8 @@ class TraceDriver:
             request.is_write, request.response_time
         )
         tracer = self.controller.tracer
-        if tracer is not None:
-            rid = self._rids.pop(request, None)
-            if rid is not None:
-                tracer.request_completed(rid, self.sim.now)
+        if tracer is not None and request.rid is not None:
+            tracer.request_completed(request.rid, self.sim.now)
         release_request(request)
         self._outstanding -= 1
         self._check_done()

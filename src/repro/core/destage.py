@@ -790,10 +790,8 @@ class DestageProcess:
         return True
 
     def _unobserved(self) -> bool:
-        """No per-event observer, tracer or op observer watches the chain's
-        disks, and they are distinct."""
-        if self.sim._event_hook is not None:
-            return False
+        """No tracer or op observer watches the chain's disks, and they
+        are distinct."""
         disks = self._gate_disks
         for disk in disks:
             if disk._tracer is not None or disk._op_observer is not None:

@@ -148,6 +148,10 @@ class Raid5Controller:
     def dirty_units_total(self) -> int:
         return 0  # parity is maintained synchronously
 
+    def log_regions(self) -> List:
+        """No log space (RoLo-5 logs parity deltas in memory)."""
+        return []
+
     def assert_consistent(self) -> None:
         if self.dirty_units_total():
             raise AssertionError("stale parity rows remain")

@@ -110,22 +110,24 @@ class RoloEController(Controller):
     def _set_standby_timers(self) -> None:
         """Make each disk's sleep timer its standby timer (re-armed each
         time the disk drains to quiet) while it may send the disk back to
-        STANDBY: never on duty, nor while destaging.
+        STANDBY: never on duty, nor outside LOGGING.  While SPINNING the
+        destage waits for the whole array to be up, so a disk that woke
+        early must not go back down before the last one arrives.
 
-        Call after every change of the mode's DESTAGING-ness, the duty
-        pair or a disk.  Clearing a disk's timer leaves a pending expiry
-        to :meth:`_sleep_timer_fired`'s own check.
+        Call after every change of the mode, the duty pair or a disk.
+        Clearing a disk's timer leaves a pending expiry to
+        :meth:`_sleep_timer_fired`'s own check.
         """
-        destaging = self._mode is _Mode.DESTAGING
+        logging = self._mode is _Mode.LOGGING
         for disk in self.primaries + self.mirrors:
             disk.standby_timer = (
-                None
-                if destaging or self._is_on_duty(disk)
-                else self._sleep_timers[disk]
+                self._sleep_timers[disk]
+                if logging and not self._is_on_duty(disk)
+                else None
             )
 
     def _sleep_timer_fired(self, disk: Disk) -> None:
-        if self._mode is _Mode.DESTAGING or self._is_on_duty(disk):
+        if self._mode is not _Mode.LOGGING or self._is_on_duty(disk):
             return
         disk.request_spin_down()
 
@@ -345,6 +347,7 @@ class RoloEController(Controller):
         if self._mode is not _Mode.LOGGING:
             return
         self._mode = _Mode.SPINNING
+        self._set_standby_timers()
         now = self.sim.now
         self._trace_instant(
             "destage", "centralized-begin", duty_pair=self._duty_pair
@@ -355,22 +358,21 @@ class RoloEController(Controller):
             self._sleep_timers[disk].cancel()
             self._cancel_sleep(disk)
             disk.request_spin_up()
-        self._poll_spun_up()
+        # Wait until the whole array is spinning, then snapshot + destage.
+        # Logging continues into the headroom above the destage threshold
+        # during this window, so the snapshot also covers writes that
+        # arrived while the array was waking.
+        self.sim.poll(
+            0.5, self._spun_up, self._start_destage_processes,
+            label="rolo-e:poll",
+        )
 
-    def _poll_spun_up(self) -> None:
-        """Wait until the whole array is spinning, then snapshot + destage.
-
-        Logging continues into the headroom above the destage threshold
-        during this window, so the snapshot taken below also covers writes
-        that arrived while the array was waking."""
-        if not all(
+    def _spun_up(self) -> bool:
+        return all(
             d.state.spun_up
             for d in self.primaries + self.mirrors
             if not d.failed
-        ):
-            self.sim.schedule(0.5, self._poll_spun_up, label="rolo-e:poll")
-            return
-        self._start_destage_processes()
+        )
 
     def _start_destage_processes(self) -> None:
         self._mode = _Mode.DESTAGING
@@ -518,7 +520,7 @@ class RoloEController(Controller):
             and self.dirty_units_total()
         ):
             self._begin_destage()
-        elif not self._is_on_duty(new) and self._mode is not _Mode.DESTAGING:
+        elif not self._is_on_duty(new) and self._mode is _Mode.LOGGING:
             self._sleep_when_quiet(new)
 
     def drain(self) -> None:

@@ -36,11 +36,6 @@ class Priority(enum.IntEnum):
     BACKGROUND = 1
 
 
-#: Trace-record spellings of power states, looked up by member so the
-#: traced path skips the enum descriptor per transition.
-_STATE_NAMES = {state: state.value for state in PowerState}
-
-
 class Scheduler(enum.Enum):
     """Queue service order within a priority class.
 
@@ -238,6 +233,7 @@ class Disk:
         # ``_select_complete``), so the unobserved path carries no guards.
         self._tracer = None
         self._op_observer = None
+        self._complete = self._complete_fast
         self.tracer = tracer
         self._queues: List[Deque[DiskOp]] = [
             collections.deque() for _ in Priority
@@ -266,6 +262,8 @@ class Disk:
         # scheduler test and mechanical-model lookups are likewise bound at
         # construction (scheduler choice is construction-time only).
         self._io_label = f"{name}:io"
+        self._up_label = f"{name}:up"
+        self._down_label = f"{name}:down"
         self._fcfs = scheduler is Scheduler.FCFS
         self._service_time = self.mechanics.service_time
         self._end_sector = self.mechanics.end_sector
@@ -287,13 +285,8 @@ class Disk:
         #: and the next op starting), the §II Fig. 3 raw material.
         self.idle_gap_histogram = Histogram.exponential(0.01, 2.0, 24)
         self._idle_since: float = sim.now if initial_state.spun_up else -1.0
-
-    def _trace_power(
-        self, now: float, old: PowerState, new: PowerState
-    ) -> None:
-        self._tracer.power_state(
-            self.name, _STATE_NAMES[old], _STATE_NAMES[new], now
-        )
+        # Each completion event completes one op: the disk's event census.
+        sim.add_tally(lambda: (self._io_label, self.ops_completed))
 
     # ------------------------------------------------------------------
     # Observation attach points (completion-path specialization)
@@ -319,18 +312,16 @@ class Disk:
 
     @tracer.setter
     def tracer(self, tracer) -> None:
-        # Symmetric attach/detach: a new tracer is seeded with the current
-        # power state and hooked to the accountant; None unhooks it.
+        # Symmetric attach/detach: a new tracer hands the accountant its
+        # transition hook (seeded with the current power state); None
+        # unhooks it.
         tracer = tracer if tracer else None
-        if tracer is not None and tracer is not self._tracer:
-            tracer.power_state(
-                self.name, None, _STATE_NAMES[self.power._state], self.sim.now
+        if tracer is not self._tracer:
+            self._tracer = tracer
+            self.power.on_transition = (
+                None if tracer is None else tracer.power_hook(self)
             )
-        self._tracer = tracer
-        self.power.on_transition = (
-            None if tracer is None else self._trace_power
-        )
-        self._select_complete()
+            self._select_complete()
 
     @property
     def op_observer(self):
@@ -680,9 +671,8 @@ class Disk:
         self._idle_since = -1.0
         self.power.transition(self.sim.now, PowerState.SPINNING_DOWN)
         self.sim.schedule(
-            self.spec.spin_down_time,
-            self._spin_down_done,
-            label=f"{self.name}:down",
+            self.spec.spin_down_time, self._spin_down_done,
+            label=self._down_label,
         )
         return True
 
@@ -691,12 +681,11 @@ class Disk:
             return
         self.power.transition(self.sim.now, PowerState.SPINNING_UP)
         self.sim.schedule(
-            self.spec.spin_up_time,
-            self._spin_up_done,
-            label=f"{self.name}:up",
+            self.spec.spin_up_time, self._spin_up_done, label=self._up_label
         )
 
     def _spin_up_done(self) -> None:
+        self.sim.fired[self._up_label] += 1
         if self.failed:  # failed mid-transition; stay failed
             return
         self.power.transition(self.sim.now, PowerState.IDLE)
@@ -706,6 +695,7 @@ class Disk:
             self._go_idle(self.sim.now)
 
     def _spin_down_done(self) -> None:
+        self.sim.fired[self._down_label] += 1
         if self.failed:
             return
         self.power.transition(self.sim.now, PowerState.STANDBY)

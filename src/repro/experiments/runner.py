@@ -32,7 +32,7 @@ from repro.core import ArrayConfig, build_controller, run_trace
 from repro.core.metrics import RunMetrics
 from repro.experiments.cache import active_cache, freeze
 from repro.obs.metrics import MetricsRegistry, RunInstrumentation
-from repro.obs.profiler import CellProfile, LabelCounter
+from repro.obs.profiler import CellProfile
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import RecordingTracer
@@ -356,6 +356,7 @@ def _run_cell(
     trace: Optional[AnyTrace] = None,
     tracer: Optional[Any] = None,
     probes: Iterable[Any] = (),
+    count_labels: bool = False,
 ) -> ObservedRun:
     """Run one cell outside every cache layer: the single execution body.
 
@@ -364,6 +365,9 @@ def _run_cell(
     without mutating, so the metrics are byte-identical whichever are
     attached.  The timed window starts after the trace is built (or
     attached), so serial and pool runs time the same work.
+    ``count_labels`` fills the profile's per-label event counts from the
+    engine's label census (events no source counted are
+    ``"(unlabeled)"``).
     """
     if trace is None:
         trace = cell.build_trace()
@@ -379,6 +383,11 @@ def _run_cell(
         events=sim.events_processed,
         sim_time_s=sim.now,
     )
+    if count_labels:
+        profile.label_counts = {
+            label or "(unlabeled)": count
+            for label, count in sorted(sim.label_census().items())
+        }
     return ObservedRun(metrics, profile, tracer)
 
 
@@ -410,13 +419,10 @@ def run_cell_observed(
     sampler = None
     if sample_interval is not None:
         sampler = TimeSeriesSampler(sample_interval)
-    counter = LabelCounter() if profile else None
-    probes = [p for p in (sampler, counter) if p is not None]
+    probes = [sampler] if sampler is not None else []
     probes += _meters(registry)
-    run = _run_cell(cell, tracer=tracer, probes=probes)
+    run = _run_cell(cell, tracer=tracer, probes=probes, count_labels=profile)
     run.sampler = sampler
-    if counter is not None:
-        run.profile.label_counts = counter.counts
     return run
 
 

@@ -100,6 +100,7 @@ class FaultInjector:
     # Disk failure + rebuild
     # ------------------------------------------------------------------
     def _fail(self, event: DiskFailure) -> None:
+        self.sim.fired["fault:fail"] += 1
         disk = self._find_disk(event.disk)
 
         def quiet() -> bool:
@@ -145,6 +146,7 @@ class FaultInjector:
     # Transient slowdowns
     # ------------------------------------------------------------------
     def _slow_start(self, event: Slowdown) -> None:
+        self.sim.fired["fault:slow"] += 1
         disk = self._find_disk(event.disk)
         disk.slowdown_factor = event.factor
         self.events.append(
@@ -166,6 +168,7 @@ class FaultInjector:
     def _slow_end(self, event: Slowdown, disk: Disk) -> None:
         # Restore on the original object: correct even if the disk failed
         # or was replaced meanwhile (then it is simply inert).
+        self.sim.fired["fault:slow-end"] += 1
         disk.slowdown_factor = 1.0
         self.events.append(
             {"kind": "slowdown-end", "disk": event.disk, "t": self.sim.now}
@@ -175,6 +178,7 @@ class FaultInjector:
     # Latent sector errors
     # ------------------------------------------------------------------
     def _plant_lse(self, event: LatentSectorError) -> None:
+        self.sim.fired["fault:lse"] += 1
         disk = self._find_disk(event.disk)
         if disk.failed:
             self.events.append(
@@ -221,6 +225,7 @@ class FaultInjector:
         )
 
     def _scrub(self, disk: Disk, sector: int, n_sectors: int) -> None:
+        self.sim.fired["fault:scrub"] += 1
         if disk.failed:
             return
         disk.submit(

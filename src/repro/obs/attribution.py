@@ -25,10 +25,11 @@ latency exactly (within float rounding), which is what the acceptance
 tests assert.  Requests that completed without issuing any disk op (e.g.
 fully cache-served reads) attribute everything to ``queue``.
 
-Cost: each disk's spin-up and background spans are indexed once per
-call (stable sort by start plus a running max of ends), so a request's
-wait window costs two bisections plus the slice they bound:
-O((R + B) log B + overlaps) for R requests and B background spans.
+Cost: the records are read once, in any order (no global sort); each
+disk's spin-up and background spans are indexed once per call (a stable
+sort of that disk's spans by start plus a running max of ends), so a
+request's wait window costs two bisections plus the slice they bound:
+O(R + B log B + overlaps) for R requests and B background spans.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import dataclasses
 import math
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.tracer import VALUES_AT, TraceEvent, records_of
@@ -100,14 +101,15 @@ _Interval = Tuple[float, float, Optional[str]]
 class _IntervalIndex:
     """One disk's ``(start, end, label)`` intervals, queryable by window.
 
-    Intervals are stably sorted by start (for ts-ordered input, as
-    produced by ``sorted_events``, that is their original order) and
-    paired with a running maximum of their ends.  For a window ``[lo,
-    hi]`` every interval before the first running max above ``lo`` ends
-    at or before ``lo``, and every interval from the first start at or
-    after ``hi`` starts at or after ``hi``: both overlap by ``<= 0``.  Two
-    bisections therefore bound the contiguous slice that can overlap,
-    even when intervals nest or overlap each other.
+    Intervals are stably sorted by start (one disk's spans start at
+    distinct times in any recorded run, so every input order gives the
+    same index) and paired with a running maximum of their ends.  For a
+    window ``[lo, hi]`` every interval before the first running max
+    above ``lo`` ends at or before ``lo``, and every interval from the
+    first start at or after ``hi`` starts at or after ``hi``: both
+    overlap by ``<= 0``.  Two bisections therefore bound the
+    contiguous slice that can overlap, even when intervals nest or
+    overlap each other.
     """
 
     __slots__ = ("starts", "ends", "labels", "reach")
@@ -139,11 +141,19 @@ class _IntervalIndex:
         return total, culprit
 
 
-_NO_INTERVALS = _IntervalIndex([])
+#: Span attrs an attribution reads, in the order of a shape's layout.
+_LAYOUT_KEYS = ("rid", "proc", "queued_s", "seek_s", "rot_s", "transfer_s")
 
 
-def _end_then_start(record: tuple) -> Tuple[float, float]:
-    return record[0] + record[4], record[0]
+def _layout(kind: str, keys: Tuple[str, ...]) -> Optional[Tuple[int, ...]]:
+    """Where a span shape keeps each of :data:`_LAYOUT_KEYS`: its record
+    index, or 0 when the shape lacks it; ``None`` for other kinds."""
+    if kind != "span":
+        return None
+    return tuple(
+        VALUES_AT + keys.index(key) if key in keys else 0
+        for key in _LAYOUT_KEYS
+    )
 
 
 def attribute_events(
@@ -154,47 +164,61 @@ def attribute_events(
     ``events`` must come from a span-traced run (disk-op spans carrying
     ``seek_s``/``rot_s``/``transfer_s`` and ``rid``/``proc`` attrs); a
     plain-traced stream yields all-queue attributions, which is honest
-    but useless.  A recorder's
-    :meth:`~repro.obs.tracer.RecordingTracer.sorted_events` view is read
-    record by record; any other iterable is converted to records first.
+    but useless.  Any iterable of :class:`TraceEvent` in any order gives
+    the same result (see ``critical`` below for the one tie rule); a
+    recorder's :meth:`~repro.obs.tracer.RecordingTracer.sorted_events`
+    view is read record by record and never sorted, and any other
+    iterable is converted to records first.
     """
     records, shapes = records_of(events)
-    # Shape id -> {attr key: record index} for spans, None for the rest.
-    span_attrs = [
-        {key: VALUES_AT + i for i, key in enumerate(keys)}
-        if kind == "span"
-        else None
-        for kind, keys in shapes.table
-    ]
+    layouts = [_layout(kind, keys) for kind, keys in shapes.table]
     requests: List[tuple] = []
-    ops_by_rid: Dict[int, List[tuple]] = {}
+    # rid -> the op that completed the request (its critical op): the
+    # latest end, then the latest start, then the smallest (track, name).
+    # That is the first maximum of (end, start) in (ts, track, category,
+    # name) order, made a rule so that any record order picks the same op.
+    critical: Dict[Any, tuple] = {}
     spinup_by_disk: Dict[str, List[_Interval]] = {}
     background_by_disk: Dict[str, List[_Interval]] = {}
     # Records are (ts, track, category, name, dur, shape, *attr values).
     for record in records:
-        at = span_attrs[record[5]]
-        if at is None:
+        layout = layouts[record[5]]
+        if layout is None:
             continue
         category = record[2]
-        if category == "request":
-            requests.append(record)
-        elif category == "disk_op":
-            i = at.get("rid")
-            if i is not None and record[i] is not None:
-                ops_by_rid.setdefault(record[i], []).append(record)
+        if category == "disk_op":
+            i = layout[0]
+            if i:
+                rid = record[i]
+                if rid is not None:
+                    best = critical.get(rid)
+                    if best is None:
+                        critical[rid] = record
+                    else:
+                        end = record[0] + record[4]
+                        best_end = best[0] + best[4]
+                        if end > best_end or end == best_end and (
+                            record[0] > best[0]
+                            or record[0] == best[0]
+                            and (record[1], record[3]) < (best[1], best[3])
+                        ):
+                            critical[rid] = record
             if record[3].endswith(":background"):
-                i = at.get("proc")
+                i = layout[1]
                 background_by_disk.setdefault(record[1], []).append(
                     (
                         record[0],
                         record[0] + record[4],
-                        "background" if i is None else str(record[i]),
+                        str(record[i]) if i else "background",
                     )
                 )
-        elif category == "power" and record[3] == "spinning_up":
-            spinup_by_disk.setdefault(record[1], []).append(
-                (record[0], record[0] + record[4], None)
-            )
+        elif category == "power":
+            if record[3] == "spinning_up":
+                spinup_by_disk.setdefault(record[1], []).append(
+                    (record[0], record[0] + record[4], None)
+                )
+        elif category == "request":
+            requests.append(record)
     spinup_index = {
         disk: _IntervalIndex(spans) for disk, spans in spinup_by_disk.items()
     }
@@ -205,55 +229,60 @@ def attribute_events(
 
     out: List[RequestAttribution] = []
     for req in requests:
-        i = span_attrs[req[5]].get("rid")
-        rid = None if i is None else req[i]
+        i = layouts[req[5]][0]
+        rid = req[i] if i else None
         measured = req[4]
-        phases = {phase: 0.0 for phase in PHASES}
         disk: Optional[str] = None
         culprit: Optional[str] = None
-        ops = ops_by_rid.get(rid)
-        if ops:
-            critical = max(ops, key=_end_then_start)
-            disk = critical[1]
-            attrs = shapes.attrs(critical)
-            seek = float(attrs.get("seek_s", 0.0))
-            rot = float(attrs.get("rot_s", 0.0))
-            transfer = float(attrs.get("transfer_s", critical[4]))
-            start = critical[0]
-            submit = start - float(attrs.get("queued_s", 0.0))
-            spinup, _ = spinup_index.get(disk, _NO_INTERVALS).overlap(
-                submit, start
-            )
-            interference, worst_proc = background_index.get(
-                disk, _NO_INTERVALS
-            ).overlap(submit, start)
-            phases["seek"] = seek
-            phases["rotation"] = rot
-            phases["transfer"] = transfer
-            phases["spinup"] = spinup
-            phases["interference"] = interference
+        op = critical.get(rid)
+        if op is not None:
+            disk = op[1]
+            _, _, queued_i, seek_i, rot_i, transfer_i = layouts[op[5]]
+            seek = float(op[seek_i]) if seek_i else 0.0
+            rot = float(op[rot_i]) if rot_i else 0.0
+            transfer = float(op[transfer_i if transfer_i else 4])
+            start = op[0]
+            submit = start - (float(op[queued_i]) if queued_i else 0.0)
+            index = spinup_index.get(disk)
+            spinup = 0.0 if index is None else index.overlap(submit, start)[0]
+            index = background_index.get(disk)
+            if index is None:
+                interference, worst_proc = 0.0, None
+            else:
+                interference, worst_proc = index.overlap(submit, start)
             if spinup > 0 and spinup >= interference:
                 culprit = f"spin-up:{disk}"
             elif worst_proc is not None:
                 culprit = worst_proc
+        else:
+            seek = rot = transfer = spinup = interference = 0.0
         # Residual: controller-side delay + foreground queueing.  By
         # construction it is non-negative (up to float rounding) and
         # makes the six phases sum to the measured latency exactly.
-        phases["queue"] = measured - sum(
-            phases[p] for p in PHASES if p != "queue"
-        )
         out.append(
             RequestAttribution(
-                rid=rid if rid is not None else -1,
-                kind=req[3],
-                arrival=req[0],
-                measured=measured,
-                phases=phases,
-                disk=disk,
-                culprit=culprit,
+                rid if rid is not None else -1,
+                req[3],
+                req[0],
+                measured,
+                {
+                    # ``sum`` as ever: Python 3.12 compensates float sums.
+                    "queue": measured - sum(
+                        (spinup, interference, seek, rot, transfer)
+                    ),
+                    "spinup": spinup,
+                    "interference": interference,
+                    "seek": seek,
+                    "rotation": rot,
+                    "transfer": transfer,
+                },
+                disk,
+                culprit,
             )
         )
-    out.sort(key=lambda a: a.rid)
+    # Request ids are unique in a recorded run; arrival then kind order
+    # id-less hand-built requests as the (ts, ..., name) record order.
+    out.sort(key=attrgetter("rid", "arrival", "kind"))
     return out
 
 
@@ -289,10 +318,11 @@ def attribution_summary(
         return {"count": 0, "mean": None, "quantiles": {}}
     ranked = sorted(attributions, key=lambda a: a.measured)
     n = len(ranked)
+    phases = [a.phases for a in ranked]
     mean_phases = {
-        phase: sum(a.phases[phase] for a in ranked) / n for phase in PHASES
+        phase: sum(map(itemgetter(phase), phases)) / n for phase in PHASES
     }
-    mean_latency = sum(a.measured for a in ranked) / n
+    mean_latency = sum(map(attrgetter("measured"), ranked)) / n
     mean_fractions = (
         {p: v / mean_latency for p, v in mean_phases.items()}
         if mean_latency > 0

@@ -741,8 +741,8 @@ def _split_label_pairs(blob: str) -> List[str]:
 # ----------------------------------------------------------------------
 # Run instrumentation
 # ----------------------------------------------------------------------
-#: Event-hook sampling stride for the heap census / power histogram /
-#: destage-depth gauges (every Nth dispatched event).
+#: Engine stride of the heap census / power histogram / dirty and
+#: occupancy peaks (every Nth dispatched event).
 _SAMPLE_EVERY = 256
 
 #: Canonical counter names emitted by the verification harness
@@ -757,22 +757,22 @@ class RunInstrumentation:
 
     A run probe: :func:`~repro.core.base.run_trace` calls
     :meth:`install` before the first arrival and :meth:`uninstall` after
-    the run.  Installing adds observation-only hooks (the engine event
-    hook, per-disk op observers, the ``RunMetrics`` response observer);
-    uninstalling removes them and harvests end-of-run state (power
-    residency, spin counts, controller counters).  Every hook reads and
-    never writes simulator/controller state, so a metered run's
+    the run.  Installing adds observation-only hooks (an engine stride
+    that samples every :data:`_SAMPLE_EVERY` events, per-disk op
+    observers feeding the service-time histograms, the ``RunMetrics``
+    response observer); uninstalling removes them and harvests what the
+    run counted itself: the engine's label census, disk op counts, power
+    residency, spin counts and controller counters.  Every hook reads
+    and never writes simulator/controller state, so a metered run's
     :class:`RunMetrics` stays byte-identical to an unmetered one.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._events_by_label: Dict[str, int] = {}
         self._heap_peak = 0
         self._power_peak = 0.0
         self._dirty_peak = 0
         self._occupancy_peak = 0.0
-        self._tick = 0
         self._installed = False
 
     # -- hooks ----------------------------------------------------------
@@ -785,15 +785,19 @@ class RunInstrumentation:
         registry = self.registry
         self._power_hist = registry.histogram(
             "array_power_watts",
-            "instantaneous array power draw, sampled on event dispatch",
+            "instantaneous array power draw, sampled every "
+            f"{_SAMPLE_EVERY} dispatched events",
             buckets=DEFAULT_POWER_BUCKETS,
             scheme=scheme,
         )
         self._started = time.perf_counter()
-        # Register through the engine's fused-hook builder so layered
-        # observers (the invariant checker, profilers) compose in fixed
-        # order and teardown re-selects the no-hook specialized loop.
-        sim.add_event_observer(self._on_event)
+        sim.add_stride(_SAMPLE_EVERY, self._sample)
+        # What the run counts itself, at the start of the metered window.
+        self._census = sim.label_census()
+        self._disks = disks = controller.all_disks()
+        self._disk_ops = [
+            (disk.foreground_ops, disk.background_ops) for disk in disks
+        ]
         latency = {
             False: registry.histogram(
                 "request_latency_seconds",
@@ -813,54 +817,32 @@ class RunInstrumentation:
             latency[is_write].observe(seconds)
 
         controller.metrics.on_response = _on_response
-        service = {
-            0: registry.histogram(
+        observe = tuple(
+            registry.histogram(
                 "disk_service_time_seconds",
                 "in-service time of one disk operation",
-                priority="foreground",
+                priority=priority,
                 scheme=scheme,
-            ),
-            1: registry.histogram(
-                "disk_service_time_seconds",
-                "in-service time of one disk operation",
-                priority="background",
-                scheme=scheme,
-            ),
-        }
-        ops = {
-            0: registry.counter(
+            ).observe
+            for priority in ("foreground", "background")
+        )
+        self._ops = tuple(
+            registry.counter(
                 "disk_ops_total",
                 "completed disk operations",
-                priority="foreground",
+                priority=priority,
                 scheme=scheme,
-            ),
-            1: registry.counter(
-                "disk_ops_total",
-                "completed disk operations",
-                priority="background",
-                scheme=scheme,
-            ),
-        }
+            )
+            for priority in ("foreground", "background")
+        )
 
         def _on_op(disk, op) -> None:
-            index = int(op.priority)
-            service[index].observe(op.finish_time - op.start_time)
-            ops[index].inc()
+            observe[op.priority](op.finish_time - op.start_time)
 
-        for disk in controller.all_disks():
+        for disk in disks:
             disk.op_observer = _on_op
         self._op_observer = _on_op
         self._installed = True
-
-    def _on_event(self, event) -> None:
-        # Count by full label; harvest folds labels to their suffixes.
-        counts = self._events_by_label
-        label = event.label
-        counts[label] = counts.get(label, 0) + 1
-        tick = self._tick + 1
-        self._tick = tick
-        if tick % _SAMPLE_EVERY == 0:
-            self._sample()
 
     def _sample(self) -> None:
         sim = self.sim
@@ -876,7 +858,8 @@ class RunInstrumentation:
         dirty = controller.dirty_units_total()
         if dirty > self._dirty_peak:
             self._dirty_peak = dirty
-        for region in controller.log_regions():
+        regions = controller.log_regions  # a plain list on RoLo-5
+        for region in regions() if callable(regions) else regions:
             occupancy = region.occupancy
             if occupancy > self._occupancy_peak:
                 self._occupancy_peak = occupancy
@@ -886,9 +869,9 @@ class RunInstrumentation:
         """Remove every hook, then :meth:`harvest` the run once."""
         if not self._installed:
             return
-        self.sim.remove_event_observer(self._on_event)
+        self.sim.remove_stride(self._sample)
         self.controller.metrics.on_response = None
-        for disk in self.controller.all_disks():
+        for disk in self._disks:
             if disk.op_observer is self._op_observer:
                 disk.op_observer = None
         self._installed = False
@@ -906,10 +889,20 @@ class RunInstrumentation:
             "sim_events_total", "events dispatched by the engine",
             scheme=scheme,
         ).inc(sim.events_processed)
+        # The events of the metered window by label (folded to suffixes),
+        # and the disk ops the op observers saw, by priority.
+        before = self._census
         by_suffix: Dict[str, int] = {}
-        for label, count in self._events_by_label.items():
-            suffix = label.rpartition(":")[2] or label
-            by_suffix[suffix] = by_suffix.get(suffix, 0) + count
+        for label, count in sim.label_census().items():
+            count -= before.get(label, 0)
+            if count:
+                suffix = label.rpartition(":")[2] or label
+                by_suffix[suffix] = by_suffix.get(suffix, 0) + count
+        for disk, (foreground, background) in zip(
+            self._disks, self._disk_ops
+        ):
+            self._ops[0].inc(disk.foreground_ops - foreground)
+            self._ops[1].inc(disk.background_ops - background)
         for suffix in sorted(by_suffix):
             registry.counter(
                 "sim_events_by_label_total",

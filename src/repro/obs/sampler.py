@@ -73,6 +73,7 @@ class TimeSeriesSampler:
         """Nothing to detach: the tick chain ends with the run."""
 
     def _tick(self) -> None:
+        self.sim.fired["sampler"] += 1
         if self.sim.peek() is None:
             # This tick is the last event in the queue: the run is over,
             # so record nothing and let the queue drain.  (The clock still

@@ -12,11 +12,12 @@ fill — as a ``proc`` attr).
 
 Owner resolution is zero-cost on the simulation side: controllers hand
 disks either a bound method (whose ``__self__`` *is* the owner) or a
-closure tagged with ``_span_owner`` at creation time; the recorder walks
-that linkage only at completion, so span-traced runs stay byte-identical
-to plain runs (any tracer binds ``Disk._complete_observed`` at setup
-time; nothing is tested per-op when tracing is off, and plain tracers do
-no phase arithmetic).
+closure tagged with ``_span_owner`` at creation time, and a traced
+replay stamps each request's trace id into its ``rid`` slot when it
+arrives; the recorder walks that linkage only at completion, so
+span-traced runs stay byte-identical to plain runs (any tracer binds
+``Disk._complete_observed`` at setup time; nothing is tested per-op when
+tracing is off, and plain tracers do no phase arithmetic).
 
 Each span is one flat record like every other
 :class:`~repro.obs.tracer.RecordingTracer` record, so the JSONL / Chrome
@@ -26,18 +27,17 @@ consume the stream unchanged.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any
 
 from repro.obs.tracer import (
     OP_NAMES,
     OWNED_BY_PROC,
     OWNED_BY_RID,
     PHASED_OP,
+    WRITE,
     RecordingTracer,
 )
-
-#: Owner key -> shape of a span carrying that owner attr last.
-_OWNED = {"rid": OWNED_BY_RID, "proc": OWNED_BY_PROC}
+from repro.raid.request import IORequest
 
 
 class SpanRecorder(RecordingTracer):
@@ -62,57 +62,9 @@ class SpanRecorder(RecordingTracer):
         to its interference culprit.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        #: id(request) -> rid for requests currently in flight.  Pooled
-        #: request objects recycle ids, so entries live only from admit to
-        #: completion (the reverse map makes cleanup O(1)).
-        self._rid_by_obj: Dict[int, int] = {}
-        self._obj_by_rid: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Request linkage
-    # ------------------------------------------------------------------
-    def request_admitted(self, rid: int, request: object) -> None:
-        key = id(request)
-        self._rid_by_obj[key] = rid
-        self._obj_by_rid[rid] = key
-
-    def request_completed(self, rid: int, ts: float) -> None:
-        super().request_completed(rid, ts)
-        key = self._obj_by_rid.pop(rid, None)
-        if key is not None and self._rid_by_obj.get(key) == rid:
-            del self._rid_by_obj[key]
-
     # ------------------------------------------------------------------
     # Phase-decomposed disk ops
     # ------------------------------------------------------------------
-    def _resolve_owner(self, op: Any) -> Optional[Tuple[str, Any]]:
-        """Map a completing op to ``("rid", n)`` or ``("proc", name)``.
-
-        The op's completion callback is either a bound method (request
-        fan-in, destage/pump step) whose ``__self__`` is the owner, or a
-        closure tagged ``_span_owner`` at creation.  Raw fire-and-forget
-        ops (RoLo-E cache fills) carry a string ``tag`` instead.
-        """
-        callback = op.on_complete
-        owner: Any = None
-        if callback is not None:
-            owner = getattr(callback, "__self__", None)
-            if owner is None:
-                owner = getattr(callback, "_span_owner", None)
-        if owner is not None:
-            rid = self._rid_by_obj.get(id(owner))
-            if rid is not None:
-                return "rid", rid
-            name = getattr(owner, "name", None)
-            if name is not None:
-                return "proc", name
-        tag = op.tag
-        if isinstance(tag, str):
-            return "proc", tag
-        return None
-
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
         # The same seek_rotation call, slowdown scaling and operand order
         # that cost the op, so the phases match its service time exactly.
@@ -125,20 +77,41 @@ class SpanRecorder(RecordingTracer):
                 rot *= disk.slowdown_factor
         start = op.start_time
         dur = op.finish_time - start
-        name = OP_NAMES[op.kind][op.priority]
+        name = OP_NAMES[op.kind is WRITE][op.priority]
         queued = start - op.submit_time
         # Transfer is the residual so seek + rot + transfer equals the
         # realized service interval exactly, slowdown included.
         transfer = dur - seek - rot
-        owner = self._resolve_owner(op)
+        # The owner: the completion callback is either a bound method
+        # (request fan-in, destage/pump step) whose ``__self__`` is the
+        # owner, or a closure tagged ``_span_owner`` at creation; a request
+        # replayed under a tracer carries its trace id.  Raw
+        # fire-and-forget ops (RoLo-E cache fills) carry a string ``tag``.
+        shape = PHASED_OP
+        owner = None
+        callback = op.on_complete
+        if callback is not None:
+            holder = getattr(callback, "__self__", None)
+            if holder is None:
+                holder = getattr(callback, "_span_owner", None)
+            if holder is not None:
+                if isinstance(holder, IORequest) and holder.rid is not None:
+                    shape = OWNED_BY_RID
+                    owner = holder.rid
+                else:
+                    owner = getattr(holder, "name", None)
+                    if owner is not None:
+                        shape = OWNED_BY_PROC
+        if owner is None and isinstance(op.tag, str):
+            shape = OWNED_BY_PROC
+            owner = op.tag
         if owner is None:
             self._append(
-                (start, disk.name, "disk_op", name, dur, PHASED_OP,
+                (start, disk.name, "disk_op", name, dur, shape,
                  op.sector, op.nbytes, queued, seek, rot, transfer)
             )
         else:
-            key, value = owner
             self._append(
-                (start, disk.name, "disk_op", name, dur, _OWNED[key],
-                 op.sector, op.nbytes, queued, seek, rot, transfer, value)
+                (start, disk.name, "disk_op", name, dur, shape,
+                 op.sector, op.nbytes, queued, seek, rot, transfer, owner)
             )

@@ -13,10 +13,11 @@ The tracing contract has three parts:
   is one flat tuple of atoms (see :class:`Shapes`), not an object with an
   attrs dict, so a recorded run holds no per-record garbage for the
   cyclic GC to scan.  :meth:`RecordingTracer.sorted_events` returns an
-  :class:`EventView` that builds :class:`TraceEvent` objects only when
-  iterated: the exporters in :mod:`repro.obs.export` turn them into JSONL
-  or Chrome trace-event JSON, while
-  :func:`~repro.obs.attribution.attribute_events` reads the records.
+  :class:`EventView` that sorts the records when first read in order and
+  builds :class:`TraceEvent` objects only when iterated: the exporters in
+  :mod:`repro.obs.export` turn them into JSONL or Chrome trace-event
+  JSON, while :func:`~repro.obs.attribution.attribute_events` reads the
+  records unsorted.
 
 Tracers observe only: no hook may schedule simulator events or mutate
 controller/disk state, which is what keeps a traced run's
@@ -28,7 +29,9 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from repro.disk.disk import OpKind, Priority
 
@@ -36,15 +39,14 @@ from repro.disk.disk import OpKind, Priority
 #: array; individual disks each get their own track).
 REQUEST_TRACK = "requests"
 
-#: Disk-op span names (``"write:background"``) by op kind, then priority,
-#: looked up by member so the recorders skip the enum descriptors per op.
-OP_NAMES = {
-    kind: {
-        priority: f"{kind.value}:{priority.name.lower()}"
-        for priority in Priority
-    }
-    for kind in OpKind
-}
+#: Disk-op span names (``"write:background"``), read as
+#: ``OP_NAMES[op.kind is WRITE][op.priority]``: an identity test and two
+#: tuple indexes, so the recorders hash no enum per op.
+OP_NAMES = tuple(
+    tuple(f"{kind.value}:{priority.name.lower()}" for priority in Priority)
+    for kind in (OpKind.READ, OpKind.WRITE)
+)
+WRITE = OpKind.WRITE
 
 
 @dataclasses.dataclass
@@ -106,13 +108,6 @@ class Tracer:
     ) -> None:
         """An array-level request entered the controller."""
 
-    def request_admitted(self, rid: int, request: object) -> None:
-        """The controller admitted ``request`` (the live
-        :class:`~repro.raid.request.IORequest` object) under id ``rid``.
-
-        Span-aware tracers use this to link later disk-op completions back
-        to the owning request; plain recorders ignore it."""
-
     def request_completed(self, rid: int, ts: float) -> None:
         """The request's last constituent disk operation finished."""
 
@@ -132,6 +127,22 @@ class Tracer:
     ) -> None:
         """A disk changed power state (``old is None`` seeds the initial
         state at construction time)."""
+
+    def power_hook(self, disk: Any) -> Callable[[float, Any, Any], None]:
+        """Seed ``disk``'s current power state and return the callable
+        its accountant calls on every transition, ``hook(now, old,
+        new)`` with :class:`~repro.disk.power.PowerState` members.
+
+        This one routes each transition to :meth:`power_state`; a
+        recorder may return a hook that records directly."""
+        name = disk.name
+        power_state = self.power_state
+        power_state(name, None, disk.power.state.value, disk.sim.now)
+
+        def hook(now: float, old: Any, new: Any) -> None:
+            power_state(name, old.value, new.value, now)
+
+        return hook
 
     # -- controller dynamics ----------------------------------------------
     def instant(
@@ -204,8 +215,8 @@ _ORDER = itemgetter(0, 1, 2, 3)
 OP_KEYS = ("sector", "nbytes", "queued_s")
 PHASE_KEYS = OP_KEYS + ("seek_s", "rot_s", "transfer_s")
 
-#: The shapes the recorders emit per request, op and power span, with
-#: ids ``0..5`` in every :class:`Shapes`.
+#: The shapes the recorders emit per request, op and power span and
+#: attr-free counter, with ids ``0..6`` in every :class:`Shapes`.
 _FIXED_SHAPES = (
     ("span", ("rid", "offset", "nbytes")),
     ("span", OP_KEYS),
@@ -213,10 +224,11 @@ _FIXED_SHAPES = (
     ("span", PHASE_KEYS),
     ("span", PHASE_KEYS + ("rid",)),
     ("span", PHASE_KEYS + ("proc",)),
+    ("counter", ("value",)),
 )
-REQUEST, OP, POWER, PHASED_OP, OWNED_BY_RID, OWNED_BY_PROC = range(
-    len(_FIXED_SHAPES)
-)
+(
+    REQUEST, OP, POWER, PHASED_OP, OWNED_BY_RID, OWNED_BY_PROC, COUNTER
+) = range(len(_FIXED_SHAPES))
 
 
 class Shapes:
@@ -261,26 +273,36 @@ class Shapes:
 class EventView:
     """Records in ``(ts, track, category, name)`` order, read as events.
 
-    Iterating builds each :class:`TraceEvent` on demand, and the view can
-    be iterated any number of times; ``len`` and
-    :func:`~repro.obs.attribution.attribute_events` read the records and
-    build none.  The sort is stable, so equal keys keep emission order.
+    The view sorts its records on first iteration or :attr:`records`
+    access, once; iterating builds each :class:`TraceEvent` on demand,
+    any number of times.  ``len`` and
+    :func:`~repro.obs.attribution.attribute_events` read the records as
+    given and neither sorts nor builds events.  The sort is stable, so
+    equal keys keep emission order.
     """
 
-    __slots__ = ("records", "shapes")
+    __slots__ = ("_records", "_sorted", "shapes")
 
-    def __init__(self, records: Iterable[tuple], shapes: Shapes) -> None:
-        self.records: List[tuple] = sorted(records, key=_ORDER)
+    def __init__(self, records: List[tuple], shapes: Shapes) -> None:
+        self._records = records
+        self._sorted: Optional[List[tuple]] = None
         self.shapes = shapes
 
     @classmethod
     def of(cls, events: Iterable[TraceEvent]) -> "EventView":
         """The view of hand-built or file-read events."""
         shapes = Shapes()
-        return cls(map(shapes.record, events), shapes)
+        return cls(list(map(shapes.record, events)), shapes)
+
+    @property
+    def records(self) -> List[tuple]:
+        """The records, sorted."""
+        if self._sorted is None:
+            self._sorted = sorted(self._records, key=_ORDER)
+        return self._sorted
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return map(self.shapes.event, self.records)
@@ -289,10 +311,10 @@ class EventView:
 def records_of(
     events: Iterable[TraceEvent],
 ) -> Tuple[List[tuple], Shapes]:
-    """The records behind ``events`` and their shapes: a view's own
-    (already sorted), or one converted per event in the order given."""
+    """The records behind ``events`` and their shapes: a view's own, in
+    no particular order, or one converted per event in the order given."""
     if isinstance(events, EventView):
-        return events.records, events.shapes
+        return events._records, events.shapes
     shapes = Shapes()
     return [shapes.record(event) for event in events], shapes
 
@@ -309,8 +331,9 @@ class RecordingTracer(Tracer):
         self.records: List[tuple] = []
         self.shapes = Shapes()
         self._append = self.records.append
-        #: disk -> (state name, span start)
-        self._open_power: Dict[str, Tuple[str, float]] = {}
+        #: disk -> [state name, span start]; the state is None while no
+        #: span is open.  Each disk's power hook updates its entry in place.
+        self._open_power: Dict[str, list] = {}
         #: rid -> (kind, offset, nbytes, arrival ts)
         self._open_requests: Dict[int, Tuple[str, int, int, float]] = {}
         self._finished = False
@@ -344,7 +367,8 @@ class RecordingTracer(Tracer):
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
         start = op.start_time
         self._append(
-            (start, disk.name, "disk_op", OP_NAMES[op.kind][op.priority],
+            (start, disk.name, "disk_op",
+             OP_NAMES[op.kind is WRITE][op.priority],
              op.finish_time - start, OP,
              op.sector, op.nbytes, start - op.submit_time)
         )
@@ -353,10 +377,32 @@ class RecordingTracer(Tracer):
         self, disk: str, old: Optional[str], new: str, ts: float
     ) -> None:
         opened = self._open_power.get(disk)
-        if opened is not None:
-            state, since = opened
+        if opened is None:
+            self._open_power[disk] = [new, ts]
+            return
+        state, since = opened
+        if state is not None:
             self._append((since, disk, "power", state, ts - since, POWER))
-        self._open_power[disk] = (new, ts)
+        opened[0] = new
+        opened[1] = ts
+
+    def power_hook(self, disk: Any) -> Callable[[float, Any, Any], None]:
+        """A hook that appends the closed power span itself: one call per
+        transition, on the disk's own entry of the open-span table."""
+        name = disk.name
+        self.power_state(name, None, disk.power.state.value, disk.sim.now)
+        opened = self._open_power[name]
+        append = self._append
+
+        def hook(now: float, old: Any, new: Any) -> None:
+            state = opened[0]
+            if state is not None:
+                since = opened[1]
+                append((since, name, "power", state, now - since, POWER))
+            opened[0] = new._value_  # ``new.value``, without the descriptor
+            opened[1] = now
+
+        return hook
 
     def instant(
         self, category: str, name: str, track: str, ts: float, **attrs: Any
@@ -383,6 +429,9 @@ class RecordingTracer(Tracer):
     def counter(
         self, name: str, track: str, ts: float, value: float, **attrs: Any
     ) -> None:
+        if not attrs:
+            self._append((ts, track, "counter", name, 0.0, COUNTER, value))
+            return
         self._append(
             (ts, track, "counter", name, 0.0,
              self.shapes.id("counter", ("value", *attrs)),
@@ -394,13 +443,16 @@ class RecordingTracer(Tracer):
             return
         self._finished = True
         for disk in sorted(self._open_power):
-            state, since = self._open_power[disk]
-            self._append((since, disk, "power", state, ts - since, POWER))
-        self._open_power.clear()
+            opened = self._open_power[disk]
+            state, since = opened
+            if state is not None:
+                self._append((since, disk, "power", state, ts - since, POWER))
+                opened[0] = None
 
     # ------------------------------------------------------------------
     def sorted_events(self) -> EventView:
         """The records in (ts, track, category, name) order — stable
         across runs because virtual time and emission order are both
-        deterministic."""
-        return EventView(self.records, self.shapes)
+        deterministic.  The view holds a copy of the record list, sorted
+        when first read in order."""
+        return EventView(list(self.records), self.shapes)

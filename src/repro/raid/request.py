@@ -36,6 +36,7 @@ class IORequest:
         "_outstanding",
         "_sealed",
         "_pooled",
+        "rid",
     )
 
     def __init__(
@@ -57,6 +58,9 @@ class IORequest:
         self._outstanding = 0
         self._sealed = False
         self._pooled = False
+        #: Trace id, set by a replay under a tracer (span recorders link
+        #: the request's disk ops through it); ``None`` otherwise.
+        self.rid: Optional[int] = None
 
     @property
     def is_write(self) -> bool:
@@ -154,6 +158,7 @@ def acquire_request(
         request._outstanding = 0
         request._sealed = False
         request._pooled = True
+        request.rid = None
         _REQUEST_POOL_STATS[0] += 1
         return request
     request = IORequest(

@@ -16,24 +16,23 @@ Hot-path design (every simulated disk op passes through here twice):
   a census of them and compacts the heap in place once they exceed half of
   a non-trivial heap, so pathological ``Timer`` re-arm patterns cannot grow
   the heap without bound.
-* Per-event observers are specialized away at setup time: installing or
-  removing an observer (``add_event_observer`` / ``remove_event_observer``)
-  selects one of several monomorphic run loops, so the no-hook loop carries
-  zero hook branches and the hooked loop calls a single pre-fused closure
-  (:func:`fuse_observers`) chaining all observers in registration order.
-* A sampled observer that acts only every n-th event installs a *stride*
-  (:meth:`Simulator.set_stride`) instead: the strided loop keeps the
-  countdown inline and calls the callback only when it hits zero, and code
-  that dispatches events virtually (a fast-forwarded copy chain, see
-  :mod:`repro.core.destage`) advances the same countdown, so the callback
-  lands on the same event indices either way.
+* Nothing observes events one by one.  A sampled observer that acts
+  only every n-th event installs a *stride* (:meth:`Simulator.add_stride`):
+  the strided loop keeps one countdown inline and calls back only when it
+  hits zero, and code that dispatches events virtually (a fast-forwarded
+  copy chain, see :mod:`repro.core.destage`) advances the same countdown,
+  so callbacks land on the same event indices either way.  Several
+  strides share the countdown (see :meth:`Simulator._restride`).
+* Events are counted by label without per-event work: each event source
+  tallies its own fires (see :meth:`Simulator.label_census`).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: Recycled Event objects kept for reuse; bounds idle memory while still
 #: covering any realistic in-flight event population.
@@ -46,37 +45,6 @@ _COMPACT_MIN_HEAP = 1024
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
-
-
-def fuse_observers(*observers: Optional[Callable]) -> Optional[Callable]:
-    """Fuse per-event observers into one closure, in fixed (given) order.
-
-    ``None`` entries are dropped.  Returns ``None`` for an empty chain and
-    the observer itself for a single-element chain, so identity checks on
-    :attr:`Simulator.event_hook` keep working for lone observers.  Layered
-    instrumentation (tracing, metrics, invariant checking) must register
-    through this builder — via :meth:`Simulator.add_event_observer` — so
-    the run loop only ever calls one pre-fused callable per event.
-    """
-    chain = tuple(obs for obs in observers if obs is not None)
-    if not chain:
-        return None
-    if len(chain) == 1:
-        return chain[0]
-    if len(chain) == 2:
-        first, second = chain
-
-        def fused_pair(event, _first=first, _second=second):
-            _first(event)
-            _second(event)
-
-        return fused_pair
-
-    def fused(event, _chain=chain):
-        for obs in _chain:
-            obs(event)
-
-    return fused
 
 
 class Event:
@@ -150,10 +118,7 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.events_processed = 0
-        self._event_hook: Optional[Callable[[Event], None]] = None
-        #: Registered per-event observers, fused into ``_event_hook``.
-        self._event_observers: List[Callable[[Event], None]] = []
-        #: The monomorphic run loop selected at hook-(un)install time.
+        #: The monomorphic run loop selected when the strides change.
         self._run_loop: Callable[[Optional[float]], None] = self._run_nohook
         #: Recycled Event objects awaiting reuse.
         self._free: List[Event] = []
@@ -163,95 +128,119 @@ class Simulator:
         self._cancelled = 0
         #: How many automatic/explicit compactions have run (introspection).
         self.compactions = 0
-        #: Stride countdown (see :meth:`set_stride`): ``_stride_fn`` runs
+        #: Stride countdown (see :meth:`add_stride`): ``_stride_fn`` runs
         #: before every ``_stride_every``-th event, ``_stride_left`` events
-        #: from now.
+        #: from now.  ``_strides`` holds each stride as ``[every,
+        #: callback, events to its next call]``, the last counted from the
+        #: countdown's latest reset, which set it to ``_stride_span``.
         self._stride_fn: Optional[Callable[[], None]] = None
         self._stride_every = 0
         self._stride_left = 0
+        self._stride_span = 0
+        self._strides: List[list] = []
+        #: Fires of the rarely scheduled event sources (timers, spin-ups,
+        #: polls, faults, samplers), by label; each counts its own.
+        self.fired: Counter = Counter()
+        #: ``tally() -> (label, count)`` of the sources that already count
+        #: their fires (a disk's completions, the trace driver's arrivals).
+        self._tallies: List[Callable[[], Tuple[str, int]]] = []
         #: The ``until`` of the :meth:`run` in progress (``inf`` for none);
         #: ``-inf`` outside :meth:`run`, so nothing is dispatched virtually
         #: under :meth:`step` or between runs.
         self._until = -math.inf
 
-    def add_event_observer(self, observer: Callable[[Event], None]) -> None:
-        """Append ``observer`` to the per-event chain and re-fuse the hook.
-
-        Observers fire in registration order through one fused closure
-        (:func:`fuse_observers`); the run loop never walks a list per
-        event.  This is the registration point for every layered observer
-        (metrics instrumentation, invariant checker, profiler).
-        """
-        if observer is None:
-            raise SimulationError("event observer must not be None")
-        self._event_observers.append(observer)
-        self._refuse_hook()
-
-    def remove_event_observer(self, observer: Callable[[Event], None]) -> None:
-        """Remove one registration of ``observer`` and re-fuse the hook.
-
-        Removing the last observer restores the no-hook specialized loop
-        (``event_hook`` reads ``None`` again).  Unknown observers are
-        ignored so teardown stays idempotent.
-        """
-        try:
-            self._event_observers.remove(observer)
-        except ValueError:
-            return
-        self._refuse_hook()
-
-    def set_stride(self, every: int, callback: Callable[[], None]) -> None:
+    def add_stride(self, every: int, callback: Callable[[], None]) -> None:
         """Run ``callback()`` before every ``every``-th event from now on.
 
         The callback sees the clock at the event's time, before the event's
-        own callback runs, exactly like a per-event observer that acts on
-        every ``every``-th call, but events in between cost no call.  One
-        stride at a time; :meth:`clear_stride` removes it.
+        own callback runs; events in between cost no call.  Strides added
+        together fire in the order added when they fall on one event;
+        :meth:`remove_stride` removes one.
         """
         if every <= 0:
             raise SimulationError(f"non-positive stride {every!r}")
-        if self._stride_fn is not None:
-            raise SimulationError("a stride is already installed")
-        self._stride_fn = callback
-        self._stride_every = self._stride_left = every
-        self._refuse_hook()
+        self._strides = self._pending_strides()
+        self._strides.append([every, callback, every])
+        self._restride()
 
-    def clear_stride(self) -> None:
-        """Remove the stride installed by :meth:`set_stride` (idempotent)."""
-        self._stride_fn = None
-        self._refuse_hook()
+    def remove_stride(self, callback: Callable[[], None]) -> None:
+        """Remove the stride of ``callback`` (a no-op if there is none)."""
+        strides = self._pending_strides()
+        self._strides = [s for s in strides if s[1] != callback]
+        self._restride()
 
-    def _stride_tick(self, _event: Optional[Event] = None) -> None:
-        """Count one dispatched event against the stride countdown."""
-        left = self._stride_left - 1
-        if left:
-            self._stride_left = left
+    def _pending_strides(self) -> List[list]:
+        """The strides with the events each still waits, as of now."""
+        strides = self._strides
+        if len(strides) == 1:
+            # A lone stride is the countdown itself (see _restride).
+            strides[0][2] = self._stride_left
         else:
-            self._stride_left = self._stride_every
-            self._stride_fn()
+            counted = self._stride_span - self._stride_left
+            for stride in strides:
+                stride[2] -= counted
+        return strides
 
-    def _refuse_hook(self) -> None:
-        """Rebuild the fused hook + loop selection from the observer list.
+    def _restride(self) -> None:
+        """Set the shared countdown and the run loop for ``_strides``.
 
-        With per-event observers installed, a stride rides at the end of
-        their fused chain; alone, it selects the strided loop.
+        One stride is the countdown itself.  Several share a countdown at
+        the gcd of their periods and of the gaps between their next
+        calls, which every call point of each is a multiple of, and
+        :meth:`_stride_fire` calls each on its own points.
         """
-        hook = None
-        if self._event_observers:
-            stride = self._stride_tick if self._stride_fn is not None else None
-            hook = fuse_observers(*self._event_observers, stride)
-        self._event_hook = hook
-        if hook is not None:
-            self._run_loop = self._run_hooked
-        elif self._stride_fn is not None:
-            self._run_loop = self._run_strided
-        else:
+        strides = self._strides
+        if not strides:
+            self._stride_fn = None
             self._run_loop = self._run_nohook
+            return
+        if len(strides) == 1:
+            every, callback, left = strides[0]
+            self._stride_fn = callback
+        else:
+            first = strides[0][2]
+            every = 0
+            for period, _, left in strides:
+                every = math.gcd(every, period, left - first)
+            left = (first - 1) % every + 1
+            self._stride_fn = self._stride_fire
+        self._stride_every = every
+        self._stride_left = self._stride_span = left
+        self._run_loop = self._run_strided
 
-    @property
-    def event_hook(self) -> Optional[Callable[["Event"], None]]:
-        """The fused per-event observer chain (``None`` when empty)."""
-        return self._event_hook
+    def _stride_fire(self) -> None:
+        """The shared countdown hit zero: call the strides due now."""
+        counted = self._stride_span
+        self._stride_span = self._stride_every
+        for stride in self._strides:
+            left = stride[2] - counted
+            if left:
+                stride[2] = left
+            else:
+                stride[2] = stride[0]
+                stride[1]()
+
+    def add_tally(self, tally: Callable[[], Tuple[str, int]]) -> None:
+        """Register an event source that counts its own fires:
+        ``tally()`` returns ``(label, fires so far)``."""
+        self._tallies.append(tally)
+
+    def label_census(self) -> Dict[str, int]:
+        """Events dispatched so far, by label, at no per-event cost.
+
+        The rare sources' :attr:`fired` counts plus every registered
+        tally; dispatched events that no source counted (a callback
+        scheduled by foreign code) appear under the empty label.
+        """
+        census = dict(self.fired)
+        for tally in self._tallies:
+            label, count = tally()
+            if count:
+                census[label] = census.get(label, 0) + count
+        residual = self.events_processed - sum(census.values())
+        if residual:
+            census[""] = census.get("", 0) + residual
+        return census
 
     @property
     def now(self) -> float:
@@ -397,6 +386,7 @@ class Simulator:
             return
 
         def _recheck() -> None:
+            self.fired[label] += 1
             if predicate():
                 action()
             else:
@@ -460,10 +450,11 @@ class Simulator:
                 continue
             self._now = time
             self.events_processed += 1
-            if self._event_hook is not None:
-                self._event_hook(event)
-            elif self._stride_fn is not None:
-                self._stride_tick()
+            if self._stride_fn is not None:
+                self._stride_left -= 1
+                if not self._stride_left:
+                    self._stride_left = self._stride_every
+                    self._stride_fn()
             event.callback(*event.args)
             self._recycle(event)
             return True
@@ -476,8 +467,8 @@ class Simulator:
         advanced to exactly ``until`` even if the last event fired earlier,
         so time-weighted statistics close cleanly.
 
-        Dispatches to the monomorphic loop selected when the event hook was
-        last (un)installed, so the common no-hook path never tests for
+        Dispatches to the monomorphic loop selected when the strides last
+        changed, so the common unobserved path never tests for
         instrumentation — not even once per run.
         """
         if self._running:
@@ -495,17 +486,16 @@ class Simulator:
         return self._now
 
     # The loops below are the simulation's profile-dominating code.  Each
-    # is monomorphic: selected once at add/remove_event_observer or
-    # set/clear_stride time (and, for the ``until`` split, once per run
-    # call), with zero
-    # feature tests per event.  They inline peek()+step() so each event
+    # is monomorphic: selected once at add/remove_stride time (and, for
+    # the ``until`` split, once per run call), with zero feature tests
+    # per event.  They inline peek()+step() so each event
     # costs exactly one heap pop (cancelled events are skipped in place),
     # with the heap, heappop and free list bound to locals.  compact()
     # mutates the heap and free lists in place, so those local bindings
     # survive a compaction from inside a callback.
 
     def _run_nohook(self, until: Optional[float]) -> None:
-        """Fast loop: no hook branches at all (the disabled-cost path)."""
+        """Fast loop: no stride countdown (the disabled-cost path)."""
         heap = self._heap
         heappop = heapq.heappop
         free = self._free
@@ -560,7 +550,7 @@ class Simulator:
             self.events_processed += processed
 
     def _run_strided(self, until: Optional[float]) -> None:
-        """The no-hook loop plus the inline stride countdown."""
+        """The unobserved loop plus the inline stride countdown."""
         heap = self._heap
         heappop = heapq.heappop
         free = self._free
@@ -591,38 +581,6 @@ class Simulator:
                 else:
                     self._stride_left = self._stride_every
                     self._stride_fn()
-                event.callback(*event.args)
-                event.callback = None
-                event.args = None
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(event)
-        finally:
-            self.events_processed += processed
-
-    def _run_hooked(self, until: Optional[float]) -> None:
-        """Instrumented loop: calls the single pre-fused observer chain."""
-        heap = self._heap
-        heappop = heapq.heappop
-        hook = self._event_hook
-        free = self._free
-        processed = 0
-        try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    self._recycle(event)
-                    continue
-                time = entry[0]
-                if until is not None and time > until:
-                    break
-                heappop(heap)
-                self._now = time
-                processed += 1
-                hook(event)
                 event.callback(*event.args)
                 event.callback = None
                 event.args = None
@@ -665,4 +623,5 @@ class Timer:
 
     def _fire(self) -> None:
         self._event = None
+        self._sim.fired["timer"] += 1
         self._callback()

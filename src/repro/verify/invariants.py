@@ -1,6 +1,6 @@
 """Runtime invariant checker: observe-only structural checks per run.
 
-The checker installs an engine stride (:meth:`Simulator.set_stride`), so
+The checker installs an engine stride (:meth:`Simulator.add_stride`), so
 it samples the controller before every ``sample_every``-th event, plus
 once at uninstall, without a call on the events in between.  It records
 violations of five invariant families without perturbing the run — like
@@ -65,8 +65,9 @@ class InvariantChecker:
 
         The stride counts every dispatched event, fast-forwarded copy
         batches included, so sweeps land on the same event indices as a
-        per-event observer's would; per-event observers installed
-        alongside (metrics instrumentation, profilers) fire first.
+        per-event observer's would; it shares the engine's countdown with
+        any other stride (the metrics meter's samples), and a stride
+        added before it fires first on an event both fall on.
         """
         if self._installed:
             raise RuntimeError("invariant checker already installed")
@@ -78,18 +79,18 @@ class InvariantChecker:
         self._failed_count = sum(
             1 for d in controller.all_disks() if d.failed
         )
-        sim.set_stride(self.sample_every, self._check_now)
+        sim.add_stride(self.sample_every, self._check_now)
 
     def uninstall(self) -> None:
         """Run a final sweep and remove the stride.
 
-        That restores the engine's no-hook specialized run loop when no
-        other observer is installed.
+        That restores the engine's unobserved run loop when no other
+        stride is installed.
         """
         if not self._installed:
             return
         self._check_now()
-        self.sim.clear_stride()
+        self.sim.remove_stride(self._check_now)
         self._installed = False
 
     # ------------------------------------------------------------------

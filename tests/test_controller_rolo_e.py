@@ -169,6 +169,22 @@ class TestCentralizedDestage:
         assert controller.primaries[1].background_ops >= 1
         assert controller.mirrors[1].background_ops >= 1
 
+    def test_early_woken_disk_stays_up_until_destage_starts(self, sim):
+        """A read wakes a pair-1 disk; the log fills while it spins up, so
+        the destage also waits for pair 1's other disk, which arrives more
+        than ``standby_return_s`` after the early one drained to quiet.
+        Sending the early disk back to STANDBY meanwhile left the destage
+        polling for a fully spun-up array forever."""
+        controller = build(sim, free_space_bytes=1 * MB)
+        spec = [(0.0, "r", 64 * KB, 64 * KB)]
+        spec += [(8.0 + i * 0.001, "w", 0, 64 * KB) for i in range(12)]
+        sim.at(120.0, sim.stop)
+        run_trace_base(controller, make_trace(spec), drain=False)
+        assert controller.metrics.destage_cycles == 1
+        assert controller._duty_pair == 1
+        assert controller.primaries[1].power.spin_down_count == 0
+        assert controller.mirrors[1].power.spin_down_count == 0
+
     def test_spin_counts_high(self, sim):
         """The Table I effect: every cycle spins the whole array."""
         controller = build(sim)

@@ -390,7 +390,7 @@ class TestFastForwardHorizon:
             sim = Simulator()
             process, disks = _copy_chain(sim, observe, runs=_long_chain())
             log = []
-            sim.set_stride(
+            sim.add_stride(
                 every, lambda: log.append(_copy_state(sim, process, disks))
             )
             process.start()
@@ -536,7 +536,7 @@ class TestFastForwardHorizon:
             def set_timer():
                 disks[0].standby_timer = timer
 
-            sim.set_stride(every, set_timer)
+            sim.add_stride(every, set_timer)
             process.start()
             sim.run()
             end = (_copy_state(sim, process, disks), sim.events_processed)

@@ -29,12 +29,12 @@ CELL_DIGESTS = {
         "6db3308468a7df74315f146b66b7e3e6"
     ),
     ("rolo-e", "trace"): (
-        "82ff2d76386a6af5b80860720133d8ab"
-        "2f05e267aa442b52c90e1a5360ff819e"
+        "9340820b3bad9f398c852ae3c04c293f"
+        "523be348fb7c50c6e8d8859700adf85f"
     ),
     ("rolo-e", "spans"): (
-        "8814b0e6d2b1a687c0e6e468c1a608b2"
-        "90e68713634259847e6c94e709e0b1ed"
+        "8f3ecbfc5ecd6342ff537629d56ca2e4"
+        "1b980fe29a1b9adea86c46f2a186da48"
     ),
 }
 

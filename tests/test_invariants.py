@@ -298,25 +298,41 @@ class TestRuntimeInvariantChecker:
             plain.metrics.to_dict(), sort_keys=True
         ) == json.dumps(checked.metrics.to_dict(), sort_keys=True)
 
-    def test_checker_restores_previous_event_hook(self, sim):
+    def test_checker_leaves_another_stride_in_place(self):
         from repro.core import build_controller
+        from repro.sim import Simulator
         from repro.verify import InvariantChecker
 
         from tests.conftest import small_config
 
-        controller = build_controller("rolo-p", sim, small_config())
-        seen = []
-        hook = seen.append
-        sim.add_event_observer(hook)
-        checker = InvariantChecker()
-        checker.install(sim, controller)
-        sim.schedule(0.0, lambda: None, label="tick")
-        sim.run()
-        checker.uninstall()
-        assert sim.event_hook is hook
-        assert seen  # the previously registered observer kept firing
-        sim.remove_event_observer(hook)
-        assert sim.event_hook is None
+        def run(checked):
+            sim = Simulator()
+            controller = build_controller("rolo-p", sim, small_config())
+            seen = []
+
+            def other():
+                seen.append(sim.now)
+
+            sim.add_stride(2, other)
+            checker = InvariantChecker(sample_every=3)
+            if checked:
+                checker.install(sim, controller)
+            for i in range(12):
+                sim.schedule(float(i), lambda: None, label="tick")
+            sim.run()
+            if checked:
+                checker.uninstall()
+            assert sim._stride_fn is other
+            assert sim._run_loop.__func__ is Simulator._run_strided
+            sim.remove_stride(other)
+            assert sim._run_loop.__func__ is Simulator._run_nohook
+            return seen, checker.checks_run, sim.events_processed
+
+        alone, _, events = run(checked=False)
+        # The strides shared one countdown, each firing on its own points;
+        # the checker's uninstall adds the final sweep.
+        assert len(alone) == events // 2
+        assert run(checked=True) == (alone, events // 3 + 1, events)
 
     def test_checker_rejects_double_install(self, sim):
         from repro.core import build_controller

@@ -37,8 +37,8 @@ from repro.obs import (
     RunInstrumentation,
     SpanRecorder,
     TimeSeriesSampler,
+    Tracer,
 )
-from repro.obs.profiler import LabelCounter
 from repro.raid.request import (
     RequestKind,
     acquire_request,
@@ -46,7 +46,8 @@ from repro.raid.request import (
     request_pool_stats,
 )
 from repro.sim import Simulator
-from repro.sim.engine import Timer, fuse_observers
+from repro.obs.metrics import _SAMPLE_EVERY
+from repro.sim.engine import Timer
 from repro.sim.stats import Histogram
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from repro.verify.invariants import InvariantChecker
@@ -74,53 +75,70 @@ def _small_cell():
 
 
 # ----------------------------------------------------------------------
-# Fused observer chain + run-loop selection
+# Sampled observers fused into one engine stride + run-loop selection
 # ----------------------------------------------------------------------
 class TestFusedObservers:
     def test_empty_chain_is_none(self):
-        assert fuse_observers() is None
+        sim = Simulator()
+        sim.add_stride(4, _noop)
+        sim.remove_stride(_noop)
+        assert sim._stride_fn is None
+        assert sim._strides == []
 
     def test_single_observer_is_returned_identically(self):
-        def hook(event):
-            pass
-
-        assert fuse_observers(hook) is hook
+        # A lone stride is the countdown itself: no dispatcher call.
+        sim = Simulator()
+        sim.add_stride(64, _noop)
+        assert sim._stride_fn is _noop
+        assert sim._stride_every == sim._stride_left == 64
 
     def test_chain_preserves_registration_order(self):
+        sim = Simulator()
         seen = []
-        fused = fuse_observers(
-            lambda e: seen.append("a"),
-            lambda e: seen.append("b"),
-            lambda e: seen.append("c"),
-        )
-        fused(object())
-        assert seen == ["a", "b", "c"]
+        sim.add_stride(2, lambda: seen.append("a"))
+        sim.add_stride(4, lambda: seen.append("b"))
+        sim.add_stride(2, lambda: seen.append("c"))
+        for _ in range(4):
+            sim.schedule(1.0, _noop)
+        sim.run()
+        assert seen == ["a", "c", "a", "b", "c"]
 
     def test_fresh_simulator_selects_nohook_loop(self):
         sim = Simulator()
-        assert sim.event_hook is None
+        assert not hasattr(sim, "event_hook")
         assert sim._run_loop.__func__ is Simulator._run_nohook
 
     def test_observer_registration_swaps_loops(self):
         sim = Simulator()
-
-        def hook(event):
-            pass
-
-        sim.add_event_observer(hook)
-        assert sim.event_hook is hook
-        assert sim._run_loop.__func__ is Simulator._run_hooked
-        sim.remove_event_observer(hook)
-        assert sim.event_hook is None
+        sim.add_stride(256, _noop)
+        assert sim._run_loop.__func__ is Simulator._run_strided
+        sim.remove_stride(_noop)
         assert sim._run_loop.__func__ is Simulator._run_nohook
 
-    def test_hooked_loop_fires_chain_per_event(self):
-        sim = Simulator()
-        labels = []
-        sim.add_event_observer(lambda e: labels.append(e.label))
-        sim.schedule(1.0, lambda: None, label="tick")
-        sim.run()
-        assert labels == ["tick"]
+    def test_shared_stride_fires_each_on_its_own_multiples(self):
+        """The meter's 256-event samples and the checker's 64-event sweeps
+        share one countdown at 64 and land where each alone would."""
+
+        def run(periods):
+            sim = Simulator()
+            seen = []
+            for period in periods:
+                sim.add_stride(
+                    period, lambda p=period: seen.append((p, sim.now))
+                )
+            for i in range(1000):
+                sim.at(float(i), _noop)
+            sim.run()
+            return seen
+
+        shared = run((256, 64))
+        assert [s for s in shared if s[0] == 256] == run((256,))
+        assert [s for s in shared if s[0] == 64] == run((64,))
+        assert len(shared) == 1000 // 256 + 1000 // 64
+
+
+def _noop():
+    pass
 
 
 # ----------------------------------------------------------------------
@@ -152,15 +170,15 @@ class TestFullHookStack:
             trace,
             probes=[RunInstrumentation(registry), checker, loops_probe],
         )
-        # Both event observers were on the hook while the run went.
-        assert loops == [Simulator._run_hooked]
+        # The meter's samples and the checker's sweeps shared the stride.
+        assert loops == [Simulator._run_strided]
 
         # Byte-identical RunMetrics despite tracer + metrics + checker.
         assert json.dumps(stacked.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
-        # All layers detached: the no-hook specialized loop is re-selected.
-        assert sim.event_hook is None
+        # All layers detached: the unobserved loop is re-selected.
+        assert sim._stride_fn is None
         assert sim._run_loop.__func__ is Simulator._run_nohook
         # Every layer actually observed the run.
         assert tracer.events
@@ -183,7 +201,6 @@ class TestFullHookStack:
         meter = RunInstrumentation(MetricsRegistry())
         probes = [
             TimeSeriesSampler(0.5),
-            LabelCounter(),
             meter,
             InvariantChecker(sample_every=16),
         ]
@@ -195,7 +212,7 @@ class TestFullHookStack:
         with pytest.raises(ValueError, match="callback failed mid-run"):
             run_trace(controller, trace, probes=probes)
         assert 0.9 < sim.now < 1.1
-        assert sim.event_hook is None
+        assert sim._stride_fn is None
         assert sim._run_loop.__func__ is Simulator._run_nohook
         for disk in controller.all_disks():
             assert disk._complete.__func__ is Disk._complete_fast
@@ -443,6 +460,107 @@ def test_detached_instrumentation_leaves_call_counts_unchanged(scheme):
     assert disabled == plain
     # Negative control: the comparison sees a leaked observer.
     assert _call_counts(scheme, config, trace, attach=_leak_meter) != plain
+
+
+def _profiled(run):
+    """``run()`` under cProfile: ``(filename, function name) -> calls``,
+    summed over same-named functions of one file."""
+    profile = cProfile.Profile()
+    profile.enable()
+    run()
+    profile.disable()
+    calls = {}
+    for (filename, _, name), stats in pstats.Stats(profile).stats.items():
+        key = (filename.replace("\\", "/"), name)
+        calls[key] = calls.get(key, 0) + stats[1]
+    return calls
+
+
+def _calls_in(calls, suffix):
+    """``function name -> calls`` of the functions in files ending in
+    ``suffix``."""
+    return {
+        name: n for (filename, name), n in calls.items()
+        if filename.endswith(suffix)
+    }
+
+
+def test_metered_run_samples_on_the_engine_stride():
+    """A metered run has no per-event hook: it runs the strided loop, and
+    besides set-up and harvest the meter only samples every
+    ``_SAMPLE_EVERY`` events and feeds the per-op service-time and
+    per-request latency histograms.  Set-up and harvest cost the same
+    for a trace twice as long."""
+
+    def run(duration_s):
+        config, _ = _small_cell()
+        trace = generate_compiled(
+            SyntheticTraceConfig(
+                duration_s=duration_s, iops=60.0, write_ratio=0.6,
+                avg_request_bytes=32 * KB, size_sigma=0.5,
+                footprint_bytes=8 * MB, seed=11, name="overhead-test",
+            )
+        )
+        sim = Simulator()
+        controller = build_controller("rolo-r", sim, config)
+        loops = []
+        loops_probe = types.SimpleNamespace(
+            install=lambda sim, _: loops.append(sim._run_loop.__func__),
+            uninstall=lambda: None,
+        )
+        meter = RunInstrumentation(MetricsRegistry())
+        calls = _calls_in(
+            _profiled(
+                lambda: run_trace(
+                    controller, trace, probes=[meter, loops_probe]
+                )
+            ),
+            "obs/metrics.py",
+        )
+        assert loops == [Simulator._run_strided]
+        assert not hasattr(sim, "event_hook")
+        samples = sim.events_processed // _SAMPLE_EVERY
+        ops = sum(disk.ops_completed for disk in controller.all_disks())
+        requests = controller.metrics.requests
+        assert calls.pop("_sample") == samples
+        assert calls.pop("_on_op") == ops
+        assert calls.pop("_on_response") == requests
+        assert calls.pop("observe") == samples + ops + requests
+        return calls, sim.events_processed
+
+    short, short_events = run(5.0)
+    long, long_events = run(10.0)
+    assert long_events > short_events + 1000
+    assert long == short
+
+
+def test_span_recorder_calls_once_per_power_transition():
+    """A span-recorded run makes one recorder call per power transition
+    (the disk's power hook appends the span itself) and links ops to
+    requests through ``IORequest.rid``: against an untraced run it pops
+    one dict entry per request, the recorder's pairing of arrival and
+    completion, and links with none."""
+    config, trace = _small_cell()
+
+    def run(tracer):
+        sim = Simulator()
+        controller = build_controller("rolo-e", sim, config, tracer=tracer)
+        calls = _profiled(lambda: run_trace(controller, trace))
+        return controller, calls
+
+    _, plain = run(None)
+    tracer = SpanRecorder()
+    controller, spanned = run(tracer)
+    recorder = _calls_in(spanned, "obs/tracer.py")
+    n_disks = len(controller.all_disks())
+    # Every transition closes one power span; finish closes one per disk.
+    transitions = tracer.counts["power"] - n_disks
+    assert transitions > 0
+    assert recorder["hook"] == transitions
+    assert "power_state" not in recorder  # seeded at construction
+    pop = ("~", "<method 'pop' of 'dict' objects>")
+    assert spanned.get(pop, 0) - plain.get(pop, 0) == tracer.counts["request"]
+    assert not hasattr(Tracer, "request_admitted")
 
 
 def _code_key(func):

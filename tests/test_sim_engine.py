@@ -333,21 +333,21 @@ class TestHeapHygiene:
 
 
 class TestStride:
-    """``set_stride``: a callback before every n-th event, no call between."""
+    """``add_stride``: a callback before every n-th event, no call between."""
 
     @staticmethod
     def _ticks(sim, n_events=10):
         seen = []
         for i in range(n_events):
             sim.at(float(i), lambda i=i: seen.append(("event", i)))
-        sim.set_stride(3, lambda: seen.append(("tick", sim.now)))
+        sim.add_stride(3, lambda: seen.append(("tick", sim.now)))
         return seen
 
     def test_fires_before_every_nth_event_in_the_strided_loop(self):
         sim = Simulator()
         seen = self._ticks(sim)
         assert sim._run_loop.__func__ is Simulator._run_strided
-        assert sim.event_hook is None
+        assert not hasattr(sim, "event_hook")
         sim.run(until=7.5)
         sim.run()
         assert [s for s in seen if s[0] == "tick"] == [
@@ -356,15 +356,21 @@ class TestStride:
         assert seen.index(("tick", 2.0)) == seen.index(("event", 2)) - 1
 
     def test_same_ticks_under_observers_and_step(self):
+        """A second stride, even one added mid-run out of phase, leaves
+        the first one's ticks where they were, as does stepping."""
+        other = []
+
         def run(drive):
             sim = Simulator()
             seen = self._ticks(sim)
             drive(sim)
             return seen
 
-        def hooked(sim):
-            sim.add_event_observer(lambda event: None)
-            assert sim._run_loop.__func__ is Simulator._run_hooked
+        def shared(sim):
+            sim.add_stride(4, lambda: other.append(sim.now))
+            sim.run(until=4.5)
+            assert sim._stride_fn == sim._stride_fire
+            sim.add_stride(5, lambda: other.append(-sim.now))
             sim.run()
 
         def stepped(sim):
@@ -372,15 +378,27 @@ class TestStride:
                 pass
 
         plain = run(Simulator.run)
-        assert run(hooked) == plain
+        assert run(shared) == plain
+        assert other == [3.0, 7.0, -9.0]
         assert run(stepped) == plain
 
     def test_clear_restores_the_nohook_loop(self):
         sim = Simulator()
-        sim.set_stride(2, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.set_stride(2, lambda: None)
-        sim.clear_stride()
+
+        def first():
+            pass
+
+        def second():
+            pass
+
+        sim.add_stride(2, first)
+        sim.add_stride(2, second)
+        assert sim._stride_fn == sim._stride_fire
+        sim.remove_stride(first)
+        assert sim._stride_fn is second
+        sim.remove_stride(first)  # no longer there: a no-op
+        sim.remove_stride(second)
+        assert sim._stride_fn is None
         assert sim._run_loop.__func__ is Simulator._run_nohook
         with pytest.raises(SimulationError):
-            sim.set_stride(0, lambda: None)
+            sim.add_stride(0, first)

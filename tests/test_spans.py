@@ -9,6 +9,7 @@ their culprit.
 """
 
 import json
+import random
 import types
 
 import pytest
@@ -495,6 +496,84 @@ class TestRecordView:
             counts[event.category] = counts.get(event.category, 0) + 1
         assert recorder.counts == counts
         assert list(recorder.counts) == list(counts)  # first-seen order
+
+
+# ----------------------------------------------------------------------
+# Attribution reads records in any order
+# ----------------------------------------------------------------------
+def _attributed(events):
+    return [a.to_dict() for a in attribute_events(events)]
+
+
+class TestAttributionOrder:
+    """The sorted view, the recorder's emission order, a shuffle and a
+    JSONL round trip attribute alike: the critical op is the latest end,
+    then the latest start, then the smallest ``(track, name)``."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_any_record_order_attributes_alike(self, scheme, tmp_path):
+        cell = workload_cell(scheme, "src2_2", scale=0.004, n_pairs=4)
+        tracer = run_cell_observed(cell, spans=True).tracer
+        view = tracer.sorted_events()
+        expected = _attributed(view)
+        assert expected == _attributed(list(view))
+        emitted = tracer.events
+        shuffled = list(emitted)
+        random.Random(7).shuffle(shuffled)
+        path = str(tmp_path / "spans.jsonl")
+        write_jsonl(emitted, path)
+        for events in (
+            emitted,
+            shuffled,
+            EventView.of(shuffled),
+            list(read_events(path)),
+        ):
+            assert _attributed(events) == expected
+
+    @staticmethod
+    def _mirrored_write(first, second, ends=(2.0, 2.0), starts=(1.0, 1.0)):
+        """One write request fanned out to ``first`` then ``second``."""
+        events = [
+            TraceEvent(
+                ts=0.5, kind="span", category="request", name="write",
+                track=REQUEST_TRACK, dur=max(ends) - 0.5,
+                attrs={"rid": 0, "offset": 0, "nbytes": 4096},
+            )
+        ]
+        for disk, start, end in zip((first, second), starts, ends):
+            events.append(
+                TraceEvent(
+                    ts=start, kind="span", category="disk_op",
+                    name="write:foreground", track=disk, dur=end - start,
+                    attrs={
+                        "sector": 0, "nbytes": 4096, "queued_s": start - 0.5,
+                        "seek_s": 0.0, "rot_s": 0.0,
+                        "transfer_s": end - start, "rid": 0,
+                    },
+                )
+            )
+        return events
+
+    def test_mirrored_write_tie_names_the_smaller_track(self):
+        for first, second in (("P0", "M0"), ("M0", "P0")):
+            (attributed,) = attribute_events(
+                self._mirrored_write(first, second)
+            )
+            assert attributed.disk == "M0"
+
+    def test_mirrored_write_later_end_then_later_start_wins(self):
+        (attributed,) = attribute_events(
+            self._mirrored_write("M0", "P0", ends=(2.0, 2.5))
+        )
+        assert attributed.disk == "P0"
+        for first, second, starts in (
+            ("M0", "P0", (1.0, 1.5)),
+            ("P0", "M0", (1.5, 1.0)),
+        ):
+            (attributed,) = attribute_events(
+                self._mirrored_write(first, second, starts=starts)
+            )
+            assert attributed.disk == "P0"
 
 
 # ----------------------------------------------------------------------
