@@ -56,6 +56,16 @@ RAID5_SCHEMES = {
 }
 
 
+def default_config(
+    scheme: str, n_pairs: int, scale: float
+) -> ArrayConfig | Raid5Config:
+    """The array a workload run uses: ``n_pairs`` mirrored pairs, or as
+    many disks in one RAID5 array for a parity scheme, time-scaled."""
+    if scheme in RAID5_SCHEMES:
+        return Raid5Config(n_disks=2 * n_pairs).scaled(scale)
+    return ArrayConfig(n_pairs=n_pairs).scaled(scale)
+
+
 def build_controller(
     scheme: str,
     sim: Simulator,
@@ -95,6 +105,7 @@ __all__ = [
     "TraceDriver",
     "run_trace",
     "build_controller",
+    "default_config",
     "SCHEMES",
     "Raid10Controller",
     "GraidController",

@@ -17,13 +17,13 @@ Either way the batch in flight runs at :class:`~repro.disk.disk.Priority`
 BACKGROUND, so queued foreground requests always pass it.
 
 A centralized chain (every rebuild, too) *fast-forwards* while nothing
-else can interleave with it: it completes and starts its own ops inline,
-without pooled ops, heap events or ``Disk.submit``, and hands back to
-the event path the moment anything else could run first; a
-single-target chain copies whole batches at a time in local variables,
-pushing each disk's standby timer once per block instead of once per
-idle.  The outputs are exactly those of the event path (see
-:meth:`DestageProcess._stretch` and :meth:`DestageProcess._steady`).
+else can interleave with it: when one of its reads completes, a
+single-target chain copies whole batches inline, in local variables,
+without pooled ops, heap events or ``Disk.submit``, pushing each disk's
+standby timer once per block instead of once per idle, and leaves its
+one pending completion to the event path at its reserved ``(time,
+seq)``.  Whatever it refuses runs on the event path.  The outputs are
+exactly those of the event path (see :meth:`DestageProcess._steady`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.disk.disk import (
     OpKind,
     Priority,
     acquire_op,
-    release_op,
 )
 from repro.disk.power import PowerState
 from repro.sim.engine import Simulator, Timer
@@ -135,19 +134,11 @@ class DestageProcess:
         self.aborted = False
         self.on_complete = on_complete
         self.bytes_moved = 0
-        #: Batches whose read was issued inside a fast-forward stretch,
-        #: each skipping that read's ``Disk.submit``.  The writes skip
-        #: ``len(targets)`` submits per batch whose read *completed* in a
-        #: stretch, a count that differs from this one by the stretches
-        #: begun at a read issued on the event path (+1 each), less the
-        #: reads issued in a stretch that completed on the event path
-        #: (-1 each).  A chain fast-forwarded in one stretch up to its
-        #: last batch balances the two; a chain that stretches twice can
-        #: be one batch off (the RoLo-E ``fail@1.5:M1`` rebuild).
+        #: Batches whose write completed inside a steady-state block (see
+        #: :meth:`_steady`).  Each skipped two ``Disk.submit`` calls, its
+        #: write's and the next batch's read; a block cut by a stride point
+        #: between a read and its write skipped that write's submit too.
         self.inline_batches = 0
-        #: Virtual completions in flight during a stretch, as
-        #: ``(time, seq, disk)``.
-        self._pending: List[Tuple[float, int, Disk]] = []
         self.started_at = sim.now
         self.finished_at: float = -1.0
         self._gate_disks = [source] + self.targets
@@ -263,7 +254,7 @@ class DestageProcess:
         )
         if event is not None and not self.idle_gated:
             # The read went straight into service: take its completion
-            # event, so a stretch can start from it at top level.
+            # event, so the steady-state loop can start from it.
             event.callback = self._read_event
 
     def _read_done(self, op: DiskOp) -> None:
@@ -298,253 +289,85 @@ class DestageProcess:
     # Fast-forward: the chain's own ops, completed without events.
     # ------------------------------------------------------------------
     def _read_event(self, op: DiskOp) -> None:
-        """Completion event of a read that went straight into service."""
-        if not self._stretch(op):
+        """Completion event of a read that went straight into service:
+        the steady-state loop takes it, or the event path does."""
+        if not self._steady(op):
             self.source._complete(op)
 
-    def _stretch(self, op: DiskOp) -> bool:
-        """Run the chain inline from the read ``op`` completing now.
+    def _steady(self, op: DiskOp) -> int:
+        """Copy whole batches inline from the read ``op``, completing now.
 
-        Returns ``False``, having changed nothing, when the read's batch
-        cannot run inline; the caller then completes it on the event path.
+        The run loop has just dispatched ``op``'s completion.  While the
+        chain alone can run, every batch is the same two head-contiguous
+        transfers, so the loop holds both disks' counters, power
+        integration and idle-gap buckets in locals and does only the event
+        path's float operations, in its order: the completion clock ``time
+        + service`` with the same ``nbytes / _transfer_rate`` (×
+        ``slowdown_factor``) service, each disk's busy time, ``energy_joules
+        += watts * elapsed`` and ``state_durations`` adds, and the bucket
+        ``Histogram.add`` would pick (cached: steady gaps repeat).  Integer
+        counters, seqs, ``events_processed`` and the stride countdown
+        advance in bulk when the block ends; no foreign code runs inside
+        it.  Its one pending completion then becomes a real event at its
+        reserved ``(time, seq)``: a read comes back here, a write goes to
+        the target's ``_complete``.  A disk's standby timer re-arms at each
+        of its idles: each virtual idle takes one seq after the op it
+        starts, and the last arm's expiry is pushed once, at write-back.
 
-        Inside a stretch every op of the chain is *virtual*: ``op`` itself
-        stands in service on its disk, and each completion keeps the
-        ``(time, seq)`` its event would have had.  The loop below is the
-        event path with the events taken out, step for step and in the
-        same float order: ``Disk._complete_fast``'s bookkeeping, the
-        chain's callback, ``Disk._start`` for the ops that callback
-        starts, and a call to ``Disk._go_idle`` as the completing disk's
-        tail, its standby timer and real idle listeners included (no
-        tracer or op observer is attached, so no other hook runs).  The
-        next completion is then dispatched in heap order as the run loop
-        would: clock, ``events_processed``, stride countdown.  Before each
-        dispatch the heap, ``stop()`` and an abort are checked again,
-        because listeners may schedule, stop or abort; when anything else
-        could run first, the pending completions become real events at
-        their reserved ``(time, seq)`` (:meth:`_hand_back`).
-
-        A read completes inline only when its batch's writes are sure to
-        finish before anything else and within ``run(until=)`` too, so a
-        stretch hands back between batches unless a listener intervenes;
-        and never the last batch's read, so ``on_complete`` runs on the
-        event path.
-
-        This per-completion body takes what the steady-state loop
-        (:meth:`_steady`, tried at every batch boundary of a
-        single-target chain) cannot: the first batch, seeks, size
-        changes, the last batch, several targets, idle listeners, stride
-        points and horizon ties.
-        """
-        sim = self.sim
-        heap = sim._heap
-        time = sim._now
-        head = sim._head() if heap else None
-        if (
-            self.aborted
-            or not self._batch_fits(op, time, head)
-            or not self._unobserved()
-        ):
-            return False
-        op._pooled = False  # recycled when the stretch ends
-        source = self.source
-        targets = self.targets
-        n_targets = len(targets)
-        batches = self._batches
-        pending = self._pending
-        active = PowerState.ACTIVE
-        idle = PowerState.IDLE
-        disk = source  # the read whose event the run loop just popped
-        nbytes = op.nbytes
-        end = source._end_sector(op.sector, nbytes)  # same for every disk
-        # The run loop's event count and stride countdown, kept locally
-        # while the stretch runs (nothing reads them before it returns).
-        dispatched = 0
-        stride = sim._stride_fn
-        left = sim._stride_left
-        try:
-            while True:
-                # ``disk`` completes ``op`` at ``time``: _complete_fast ...
-                disk._head_sector = end
-                disk._in_service = None
-                disk.ops_completed += 1
-                disk.bytes_transferred += nbytes
-                disk.busy_time += time - op.start_time
-                disk.background_ops += 1
-                # ... its callback: _read_done / _write_done ...
-                starting: Sequence[Disk] = ()
-                if disk is source:
-                    if not self.aborted:
-                        self._writes_outstanding = n_targets
-                        op.kind = OpKind.WRITE
-                        op.on_complete = self._write_done
-                        starting = targets
-                else:
-                    self._writes_outstanding -= 1
-                    if not (self.aborted or self._writes_outstanding):
-                        self.bytes_moved += nbytes
-                        self._in_flight = False
-                        state = source.power._state
-                        queues = source._queues
-                        if source._in_service is None and not (
-                            queues[0] or queues[1]
-                        ) and (state is idle or state is active):
-                            # _issue_next (never the last batch's _finish).
-                            offset, nbytes = batches[self._next_batch]
-                            self._next_batch += 1
-                            self._in_flight = True
-                            self.inline_batches += 1
-                            op.kind = OpKind.READ
-                            op.sector = sector = offset // 512
-                            op.nbytes = nbytes
-                            op.on_complete = self._read_done
-                            end = source._end_sector(sector, nbytes)
-                            starting = (source,)
-                        else:
-                            self._issue_next()  # a real read: stretch over
-                # ... which starts ops, each like Disk._start minus the event ...
-                for starter in starting:
-                    seq = sim._seq
-                    sim._seq = seq + 1
-                    starter._in_service = op
-                    op.start_time = time
-                    since = starter._idle_since
-                    if since >= 0:
-                        gap = time - since
-                        if gap > 0:
-                            starter.idle_gap_histogram.add(gap)
-                        starter._idle_since = -1.0
-                    power = starter.power
-                    state = power._state
-                    if state is not active:
-                        elapsed = time - power._last_time
-                        if elapsed:
-                            power.energy_joules += power._watts * elapsed
-                            power.state_durations[state] += elapsed
-                        power._last_time = time
-                        power._state = active
-                        power._watts = starter._active_watts
-                    sector = op.sector
-                    head_sector = starter._head_sector
-                    if sector == head_sector:
-                        service = nbytes / starter._transfer_rate
-                    else:
-                        service = starter._service_time(
-                            head_sector, sector, nbytes
-                        )
-                    if starter.slowdown_factor != 1.0:
-                        service *= starter.slowdown_factor
-                    pending.append((time + service, seq, starter))
-                # ... and the completing disk's tail.
-                if disk._queues[0] or disk._queues[1]:
-                    disk._try_start()
-                elif disk._in_service is None:
-                    disk._go_idle(time)
-                # At a batch boundary of a single-target chain (the write
-                # just completed and the next read started), whole batches
-                # may run in the steady-state loop; without a stride its
-                # budget is more completions than the chain has.
-                if n_targets == 1 and disk is not source and pending:
-                    done = self._steady(
-                        op, 2 * len(batches) if stride is None else left - 1
-                    )
-                    if done:
-                        dispatched += done
-                        if stride is not None:
-                            left -= done
-                        end = source._end_sector(op.sector, nbytes)
-                # The next virtual completion, if nothing else can run first
-                # (``_batch_fits`` keeps ``run(until=)``: nothing in a batch
-                # completes after its writes).
-                if not pending:
-                    break
-                if n_targets > 1:
-                    pending.sort()  # writes to several targets
-                time, seq, disk = pending[0]
-                head = None
-                if heap:
-                    head = heap[0]
-                    if head[2].cancelled:
-                        head = sim._head()
-                if (
-                    sim._stopped
-                    or self.aborted
-                    or (
-                        head is not None
-                        and (
-                            head[0] < time
-                            or (head[0] == time and head[1] < seq)
-                        )
-                    )
-                    or (disk is source and not self._batch_fits(op, time, head))
-                ):
-                    self._hand_back(op)
-                    return True
-                del pending[0]
-                sim._now = time
-                dispatched += 1
-                if stride is not None:
-                    left -= 1
-                    if not left:
-                        left = sim._stride_every
-                        stride()
-        finally:
-            sim.events_processed += dispatched
-            if stride is not None:
-                sim._stride_left = left
-        release_op(op)  # the chain went back to submitting real ops
-        return True
-
-    def _steady(self, op: DiskOp, budget: int) -> int:
-        """Copy whole batches of a single-target chain in local variables.
-
-        :meth:`_stretch` calls this at a batch boundary: the write has just
-        completed inline and the read ``op`` is the one pending completion.
-        While the chain alone can run, every batch is the same two
-        head-contiguous transfers, so the loop holds both disks' counters,
-        power integration and idle-gap buckets in locals and does only the
-        event path's float operations, in its order: the completion clock
-        ``time + service`` with the same ``nbytes / _transfer_rate``
-        (× ``slowdown_factor``) service, each disk's busy time,
-        ``energy_joules += watts * elapsed`` and ``state_durations`` adds,
-        and the bucket ``Histogram.add`` would pick (cached: steady gaps
-        repeat).  Integer counters, seqs and the event count advance in
-        bulk when the block ends, and everything is written back before
-        anything else can observe it; no foreign code runs inside a block.
-
-        A disk's standby timer re-arms each time the disk goes idle: each
-        such virtual idle takes one seq after the op it starts, as on the
-        event path, and the timer's pending expiry is pushed once, at
-        write-back, where its last arm would have put it.
-
-        A batch is taken only while neither disk has an idle listener, the
-        source has no latent errors, its read is not the last batch's and
-        the next batch continues it with the same size.  The block ends
-        before a batch whose write would not complete strictly before the
-        heap's next live entry other than the two standby timers' (ties go
-        to :meth:`_stretch`, which compares seqs) or would complete past
-        ``run(until=)``, before a completion not strictly earlier than a
-        standby timer's pending expiry (so no timer fires inside a block:
-        a batch period shorter than the interval), and before the
-        completion that would bring the stride countdown to zero, so its
-        callback sees the state it sees on the event path.  Returns the
-        completions dispatched, at most ``budget``, with the next one left
-        in ``self._pending``; 0 when it takes none, having changed nothing.
+        Entry: ``op`` is one target's read and stands where the previous
+        batch's write left it.  The source has nothing queued and no latent
+        errors; neither disk has an idle listener, a tracer or an op
+        observer, and the two are distinct; the target is IDLE with nothing
+        in service or queued and its head on ``op``'s sector; and neither
+        disk was touched since the read started.  A batch is taken only
+        while its read is not the last batch's and the next batch continues
+        it with the same size.  The block ends before a batch whose write
+        would not complete strictly before the heap's next live entry but
+        the standby timers' (a tie goes to that entry: its seq is older) or
+        would complete past ``run(until=)``, before a completion not
+        strictly earlier than a standby timer's pending expiry, and before
+        the completion that would bring the stride countdown to zero.
+        Returns the completions it took, ``op``'s included; 0, having
+        changed nothing, when it takes none.
         """
         sim = self.sim
         source = self.source
         target = self.targets[0]
         sector = op.sector
+        started = op.start_time  # the read's start
+        s_power = source.power
+        t_power = target.power
         if (
-            budget < 1
+            len(self.targets) != 1
             or sim._stopped
             or self.aborted
+            or source._queues[0]
+            or source._queues[1]
+            or source._latent_errors
             or source._idle_listeners
             or target._idle_listeners
-            or source._latent_errors
+            or target._in_service is not None
+            or target._queues[0]
+            or target._queues[1]
+            or t_power._state is not PowerState.IDLE
             or target._head_sector != sector
+            or target._idle_since != started
+            or t_power._last_time != started
+            or s_power._last_time != started
+            or source is target
+            or source._tracer is not None
+            or source._op_observer is not None
+            or target._tracer is not None
+            or target._op_observer is not None
         ):
             return 0
+        batches = self._batches
+        index = self._next_batch
+        n_batches = len(batches)
+        # Budget: the completions up to the stride point, this read's
+        # included; without a stride, more than the chain has.
+        stride = sim._stride_fn
+        budget = 2 * n_batches if stride is None else sim._stride_left
         # Standby timers: a disk's pending expiry, then the one each of its
         # idles re-arms (``math.inf`` without a timer).
         s_timer = source.standby_timer
@@ -568,8 +391,7 @@ class DestageProcess:
             head = sim._head_except(own)
             if head is not None and head[0] < limit:
                 limit = head[0]
-        pending = self._pending
-        t_read = pending[0][0]
+        t_read = sim._now
         nbytes = op.nbytes
         read_s = nbytes / source._transfer_rate
         if source.slowdown_factor != 1.0:
@@ -580,14 +402,8 @@ class DestageProcess:
         # Disk end sectors are start + whole sectors, so this is the
         # sector step between contiguous batches.
         step = source._end_sector(sector, nbytes) - sector
-        batches = self._batches
-        n_batches = len(batches)
-        index = self._next_batch
-        started = op.start_time  # the pending read's start
         active = PowerState.ACTIVE
         idle = PowerState.IDLE
-        s_power = source.power
-        t_power = target.power
         s_durations = s_power.state_durations
         t_durations = t_power.state_durations
         s_energy = s_power.energy_joules
@@ -669,7 +485,10 @@ class DestageProcess:
             return 0
         writes = done // 2  # a block starts with a read
         reads = done - writes
-        # Write-back.
+        # Write-back; the run loop already counted this read's completion.
+        sim.events_processed += done - 1
+        if stride is not None:
+            sim._stride_left -= done - 1
         s_power.energy_joules = s_energy
         t_power.energy_joules = t_energy
         s_durations[active] = s_active
@@ -700,13 +519,25 @@ class DestageProcess:
         if reads == writes:
             last_read -= read_seqs + write_seqs
         last_write = base + writes * read_seqs + (writes - 1) * write_seqs
+        # Each timer's arms but the last were cancelled by the next: push
+        # the last one's expiry, once.
+        if s_timer is not None:
+            s_timer.cancel()
+            s_timer._event = sim._push(
+                s_expiry, s_timer._fire, (), "timer", last_read + 1
+            )
+        if t_timer is not None and writes:
+            t_timer.cancel()
+            t_timer._event = sim._push(
+                t_expiry, t_timer._fire, (), "timer", last_write + 1
+            )
         op.sector = sector
         if reads > writes:
             # Ends before the write completes: the target serves it.
             sim._now = t_read
             op.kind = OpKind.WRITE
             op.on_complete = self._write_done
-            op.start_time = t_read
+            op.submit_time = op.start_time = t_read
             self._writes_outstanding = 1
             source._in_service = None
             source._head_sector = sector + step
@@ -720,110 +551,23 @@ class DestageProcess:
             t_power._state = active
             t_power._watts = t_active_w
             t_power._last_time = t_read
-            pending[0] = (t_write, last_read, target)
+            sim._push(
+                t_write, target._complete, (op,), target._io_label, last_read
+            )
         else:
             # Ends before the next read completes: as on entry, with the
             # read one or more batches on.
             sim._now = started
-            op.start_time = started
+            op.submit_time = op.start_time = started
             source._head_sector = sector
             s_power._last_time = started
             target._head_sector = sector
             target._idle_since = started
             t_power._last_time = started
-            pending[0] = (t_read, last_write, source)
-        # Each timer's arms but the last were cancelled by the next: push
-        # the last one's expiry, once.
-        if s_timer is not None:
-            s_timer.cancel()
-            s_timer._event = sim._push(
-                s_expiry, s_timer._fire, (), "timer", last_read + 1
-            )
-        if t_timer is not None and writes:
-            t_timer.cancel()
-            t_timer._event = sim._push(
-                t_expiry, t_timer._fire, (), "timer", last_write + 1
+            sim._push(
+                t_read, self._read_event, (op,), source._io_label, last_write
             )
         return done
-
-    def _batch_fits(
-        self, op: DiskOp, time: float, head: Optional[Tuple[float, int, Any]]
-    ) -> bool:
-        """May the read ``op`` complete inline at ``time``, batch and all?
-
-        Yes when it is not the last batch's read, the source serves nothing
-        else and has no latent errors to surface, and every target could
-        take its write at once and finish it before ``head``, the heap's
-        next entry, and within ``run(until=)``.  Write times are bounded
-        from above (a full-stroke seek unless head-contiguous), so the
-        seek model isn't called.
-        """
-        source = self.source
-        if (
-            self._next_batch >= len(self._batches)
-            or source._queues[0]
-            or source._queues[1]
-            or source._latent_errors
-        ):
-            return False
-        until = self.sim._until
-        nbytes = op.nbytes
-        sector = op.sector
-        for target in self.targets:
-            queues = target._queues
-            state = target.power._state
-            if (
-                target._in_service is not None
-                or queues[0]
-                or queues[1]
-                or not (state is PowerState.IDLE or state is PowerState.ACTIVE)
-            ):
-                return False
-            bound = nbytes / target._transfer_rate
-            if sector != target._head_sector:
-                bound += target._max_positioning
-            if target.slowdown_factor != 1.0:
-                bound *= target.slowdown_factor
-            done = time + bound
-            if done > until or (head is not None and done >= head[0]):
-                return False
-        return True
-
-    def _unobserved(self) -> bool:
-        """No tracer or op observer watches the chain's disks, and they
-        are distinct."""
-        disks = self._gate_disks
-        for disk in disks:
-            if disk._tracer is not None or disk._op_observer is not None:
-                return False
-        return len(set(disks)) == len(disks)
-
-    def _hand_back(self, op: DiskOp) -> None:
-        """Turn the stretch's pending completions into real events.
-
-        Each keeps its reserved ``(time, seq)``; ``op`` becomes the first
-        one's real pooled op, and further writes get their own.  A pending
-        read keeps :meth:`_read_event`, so the chain may resume inline.
-        """
-        sim = self.sim
-        pending = self._pending
-        op._pooled = True
-        op.submit_time = op.start_time
-        op.finish_time = -1.0
-        for index, (time, seq, disk) in enumerate(pending):
-            real = op
-            if index:
-                real = acquire_op(
-                    op.kind, op.sector, op.nbytes, Priority.BACKGROUND,
-                    op.on_complete,
-                )
-                real.submit_time = real.start_time = op.start_time
-                disk._in_service = real
-            callback = (
-                self._read_event if disk is self.source else disk._complete
-            )
-            sim._push(time, callback, (real,), disk._io_label, seq)
-        pending.clear()
 
     def _finish(self) -> None:
         if self.done:

@@ -174,7 +174,7 @@ class Rolo5Controller(Raid5Controller):
         tracer: object = None,
     ) -> None:
         super().__init__(sim, config, tracer=tracer)
-        self.log_regions: List[LogRegion] = [
+        self._regions: List[LogRegion] = [
             LogRegion(
                 f"D{i}-log",
                 config.log_region_offset,
@@ -192,7 +192,7 @@ class Rolo5Controller(Raid5Controller):
         self._policy = RotationPolicy(
             config.n_disks,
             config.rotate_threshold,
-            lambda i: self.log_regions[i].occupancy,
+            lambda i: self._regions[i].occupancy,
         )
 
     # ------------------------------------------------------------------
@@ -202,9 +202,12 @@ class Rolo5Controller(Raid5Controller):
             total += self._pump.remaining
         return total
 
+    def log_regions(self) -> List[LogRegion]:
+        return list(self._regions)
+
     @property
     def on_duty_log(self) -> LogRegion:
-        return self.log_regions[self._on_duty]
+        return self._regions[self._on_duty]
 
     # ------------------------------------------------------------------
     def submit(self, request: IORequest) -> None:
@@ -349,7 +352,7 @@ class Rolo5Controller(Raid5Controller):
             self._try_reactivate()
 
     def _reclaim(self, epoch_limit: int) -> None:
-        for region in self.log_regions:
+        for region in self._regions:
             region.reclaim(0, epoch_limit)
 
     def _try_reactivate(self) -> None:

@@ -268,10 +268,6 @@ class Disk:
         self._service_time = self.mechanics.service_time
         self._end_sector = self.mechanics.end_sector
         self._transfer_rate = spec.sustained_transfer_rate
-        #: Bounds any seek plus rotational latency from above.
-        self._max_positioning = (
-            spec.full_stroke_seek_time + spec.avg_rotational_latency
-        )
         self._push = sim._push
         self._active_watts = self.power._draw[PowerState.ACTIVE]
         self._idle_watts = self.power._draw[PowerState.IDLE]
@@ -474,8 +470,9 @@ class Disk:
 
     def _start(self, op: DiskOp, state: PowerState) -> Event:
         """Put ``op`` in service on a spun-up disk in power ``state``;
-        returns its completion event.  ``DestageProcess._stretch`` mirrors
-        this body for the copy ops it runs without events."""
+        returns its completion event.  ``DestageProcess._steady`` does
+        this body's float operations for the copy ops it runs without
+        events."""
         now = self.sim._now
         self._in_service = op
         op.start_time = now

@@ -28,7 +28,13 @@ import dataclasses
 import time
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple
 
-from repro.core import ArrayConfig, build_controller, run_trace
+from repro.core import (
+    ArrayConfig,
+    Raid5Config,
+    build_controller,
+    default_config,
+    run_trace,
+)
 from repro.core.metrics import RunMetrics
 from repro.experiments.cache import active_cache, freeze
 from repro.obs.metrics import MetricsRegistry, RunInstrumentation
@@ -160,14 +166,14 @@ class Cell:
             self.workload, scale=self.scale, seed=self.seed, compiled=True
         )
 
-    def resolve_config(self) -> ArrayConfig:
+    def resolve_config(self) -> ArrayConfig | Raid5Config:
         """This cell's fully-resolved array configuration."""
         if self.kind == "synthetic":
             assert self.config is not None
             return self.config
         config = self.config
         if config is None:
-            config = ArrayConfig(n_pairs=self.n_pairs).scaled(self.scale)
+            config = default_config(self.scheme, self.n_pairs, self.scale)
         if self.config_overrides:
             config = dataclasses.replace(
                 config, **dict(self.config_overrides)

@@ -858,8 +858,7 @@ class RunInstrumentation:
         dirty = controller.dirty_units_total()
         if dirty > self._dirty_peak:
             self._dirty_peak = dirty
-        regions = controller.log_regions  # a plain list on RoLo-5
-        for region in regions() if callable(regions) else regions:
+        for region in controller.log_regions():
             occupancy = region.occupancy
             if occupancy > self._occupancy_peak:
                 self._occupancy_peak = occupancy

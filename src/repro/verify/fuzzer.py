@@ -34,9 +34,8 @@ import random
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
-from repro.core import ArrayConfig, RAID5_SCHEMES
+from repro.core import ArrayConfig, RAID5_SCHEMES, default_config
 from repro.core.metrics import RunMetrics
-from repro.core.raid5 import Raid5Config
 from repro.experiments import runner
 from repro.faults.injector import run_faulted
 from repro.faults.schedule import FaultSchedule
@@ -130,9 +129,7 @@ class Scenario:
         return FaultSchedule.parse(self.fault_spec)
 
     def resolve_config(self):
-        if self.scheme in RAID5_SCHEMES:
-            return Raid5Config(n_disks=2 * self.n_pairs).scaled(self.scale)
-        return ArrayConfig(n_pairs=self.n_pairs).scaled(self.scale)
+        return default_config(self.scheme, self.n_pairs, self.scale)
 
     def build_trace(self) -> CompiledTrace:
         return _full_trace(self.workload, self.scale, self.seed)

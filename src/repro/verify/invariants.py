@@ -138,12 +138,7 @@ class InvariantChecker:
         self._check_energy()
 
     def _check_log_space(self) -> None:
-        regions = getattr(self.controller, "log_regions", None)
-        if regions is None:  # plain RAID5 has no logging space
-            return
-        # RoLo-5 shadows the base method with a plain list attribute.
-        regions = regions() if callable(regions) else regions
-        for region in regions:
+        for region in self.controller.log_regions():
             try:
                 region.check_invariants()
             except AssertionError as exc:

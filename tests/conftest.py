@@ -48,10 +48,10 @@ def event_path(monkeypatch):
 def observe_every_disk(monkeypatch) -> None:
     """Give every disk built from now on a no-op op observer.
 
-    Rebuild replacements included: a watched disk never takes part in a
-    fast-forward stretch (``DestageProcess._stretch``), so this forces
-    every copy chain onto the event path, and the observer changes no
-    output.
+    Rebuild replacements included: the steady-state copy loop
+    (``DestageProcess._steady``) refuses a chain with a watched disk, so
+    this forces every copy chain onto the event path, and the observer
+    changes no output.
     """
     from repro.disk.disk import Disk
 
@@ -67,10 +67,10 @@ def observe_every_disk(monkeypatch) -> None:
 def listen_on_every_disk(monkeypatch) -> None:
     """Give every disk built from now on a no-op idle listener.
 
-    Rebuild replacements included: a listened-to disk still takes part
-    in fast-forward stretches, but never in their steady-state loop
-    (``DestageProcess._steady``), so copy chains run inline through the
-    per-completion body, and the listener changes no output.
+    Rebuild replacements included: the steady-state copy loop
+    (``DestageProcess._steady``) refuses a chain with a listened-to disk
+    too, so copy chains stay on the event path and also call the
+    listener, which changes no output.
     """
     from repro.disk.disk import Disk
 

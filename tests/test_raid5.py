@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
+from repro.experiments.runner import run_cell_observed, workload_cell
 from repro.raid.raid5 import Raid5Layout, Raid5Segment
 from repro.sim import Simulator
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -203,9 +204,20 @@ class TestRolo5Controller:
     def test_log_space_reclaimed_after_round(self, sim):
         controller = build_controller("rolo-5", sim, small_raid5())
         run_trace(controller, write_burst(60, gap=0.05))
-        for region in controller.log_regions:
+        for region in controller.log_regions():
             region.check_invariants()
             assert region.live_bytes(0) == 0
+
+    def test_sampled_workload_run_records_log_occupancy(self):
+        """A sampled RoLo-5 workload cell (``rolo simulate rolo-5 ...
+        --sample-interval``) runs on a RAID5 array, and the sampler reads
+        its log regions through the same ``log_regions()`` call as every
+        other scheme's."""
+        cell = workload_cell("rolo-5", "web_1", scale=0.02, n_pairs=2)
+        run = run_cell_observed(cell, sample_interval=1.0)
+        samples = run.sampler.samples
+        assert len(samples) > 100
+        assert max(s.log_occupancy_max for s in samples) > 0
 
     def test_full_stripe_write_bypasses_log(self, sim):
         controller = build_controller("rolo-5", sim, small_raid5())
