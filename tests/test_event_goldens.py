@@ -38,6 +38,20 @@ CELL_DIGESTS = {
     ),
 }
 
+#: recorder -> digest of RoLo-5 on proj_0 at scale 0.01, 2 pairs: 11
+#: ``rotation`` and 11 ``destage`` records (the parity-update rounds,
+#: drain included) beside the disk and request streams.
+ROLO5_DIGESTS = {
+    "trace": (
+        "93c2ec2610d262447f510e70d8013663"
+        "9c171a3932eacf174b312b676b28c95c"
+    ),
+    "spans": (
+        "0b866f4a534ea8e3777ae58e3328412d"
+        "fd22e5627eacbc0eedcaec6b6c4d7319"
+    ),
+}
+
 #: The ``slow@`` + ``fail@`` span-recorded RoLo-R run: the slowdown
 #: factor scales seek and rotation, so this pins that arithmetic too.
 FAULTED_SPANS_DIGEST = (
@@ -61,6 +75,19 @@ def test_cell_event_stream_digest(scheme, recorder):
     else:
         run = run_cell_observed(cell, trace_events=True)
     assert digest(run.tracer) == CELL_DIGESTS[(scheme, recorder)]
+
+
+@pytest.mark.parametrize("recorder", sorted(ROLO5_DIGESTS))
+def test_rolo5_event_stream_digest(recorder):
+    cell = workload_cell("rolo-5", "proj_0", scale=0.01, n_pairs=2)
+    if recorder == "spans":
+        run = run_cell_observed(cell, spans=True)
+    else:
+        run = run_cell_observed(cell, trace_events=True)
+    categories = [event.category for event in run.tracer.sorted_events()]
+    assert categories.count("rotation") == 11
+    assert categories.count("destage") == 11
+    assert digest(run.tracer) == ROLO5_DIGESTS[recorder]
 
 
 def test_faulted_span_stream_digest():

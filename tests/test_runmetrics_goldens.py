@@ -4,8 +4,9 @@
 power transitions all go through ``EnergyAccountant.transition``.  Plain
 runs take the disk's inline ACTIVE/IDLE accounting instead, so these
 digests pin that path: every energy joule, state duration, latency
-quantile and counter of the five Fig. 10 schemes, and of ``fail@`` +
-rebuild runs whose rebuild streams thousands of pooled copy ops.  Each
+quantile and counter of the five Fig. 10 schemes and the two parity
+schemes, and of ``fail@`` + rebuild runs whose rebuild streams thousands
+of pooled copy ops.  Each
 digest is the sha256 of ``json.dumps(x.to_dict(), sort_keys=True)``, so
 floats are compared by their exact ``repr``.
 """
@@ -42,7 +43,23 @@ CELL_DIGESTS = {
         "42a2beb8db2d90c6d5aec79aaa19beb1"
         "bc84fcdb3a1208745298c9748ea9486c"
     ),
+    "raid5": (
+        "4adff443c6bd0c0c58fcb32adc486749"
+        "add17902df589299a9a4226ca92f0fbc"
+    ),
+    "rolo-5": (
+        "fb2ad1bc97753ad8977c6c6c43f61123"
+        "50cfeb93c625345092e52a45d6085383"
+    ),
 }
+
+#: RoLo-5 on proj_0 at scale 0.01, 2 pairs: the src2_2 cell above makes
+#: no parity-update round inside its window, this one makes 9 (and 11
+#: rotations), so it pins the parity pump and the log reclaim.
+ROLO5_PROJ0_DIGEST = (
+    "b81f93e89f697c308fb00f2f1a0daa66"
+    "805a0f4541fca21688389ba6934a20ea"
+)
 
 #: scheme -> digest of ``FaultRunResult.to_dict()`` for the run below.
 FAULTED_DIGESTS = {
@@ -66,6 +83,13 @@ def digest(payload: dict) -> str:
 def test_fig10_cell_metrics_digest(scheme):
     cell = workload_cell(scheme, "src2_2", scale=0.004, n_pairs=2)
     assert digest(cell.execute().to_dict()) == CELL_DIGESTS[scheme]
+
+
+def test_rolo5_parity_rounds_metrics_digest():
+    cell = workload_cell("rolo-5", "proj_0", scale=0.01, n_pairs=2)
+    metrics = cell.execute()
+    assert (metrics.rotations, metrics.destage_cycles) == (11, 9)
+    assert digest(metrics.to_dict()) == ROLO5_PROJ0_DIGEST
 
 
 def faulted_trace():
