@@ -48,9 +48,10 @@ SCHEMES: Dict[str, Type[Controller]] = {
 }
 
 
-#: Parity-based schemes (the §VII future-work study).  These use
-#: :class:`Raid5Config` rather than :class:`ArrayConfig`.
-RAID5_SCHEMES = {
+#: Parity-based schemes (the §VII future-work study).  These are
+#: :class:`Controller` subclasses too, configured by :class:`Raid5Config`
+#: rather than :class:`ArrayConfig`.
+RAID5_SCHEMES: Dict[str, Type[Controller]] = {
     "raid5": Raid5Controller,
     "rolo-5": Rolo5Controller,
 }
@@ -73,11 +74,13 @@ def build_controller(
     tracer: object = None,
     oracle: object = None,
 ) -> Controller:
-    """Construct a controller by scheme name.
+    """Construct any of the seven schemes by name.
 
-    The name is looked up in :data:`SCHEMES` (``config`` is an
-    :class:`ArrayConfig`), then in :data:`RAID5_SCHEMES` (``config`` is a
-    :class:`Raid5Config`).  ``tracer`` is an optional
+    The name is looked up in :data:`SCHEMES` (``raid10``, ``graid``,
+    ``rolo-p``, ``rolo-r``, ``rolo-e``; ``config`` is an
+    :class:`ArrayConfig`), then in :data:`RAID5_SCHEMES` (``raid5``,
+    ``rolo-5``; ``config`` is a :class:`Raid5Config`).  Every class is a
+    :class:`Controller`.  ``tracer`` is an optional
     :class:`repro.obs.Tracer`; the default (or a falsy ``NullTracer``)
     leaves the controller uninstrumented.  ``oracle`` is an optional
     :class:`repro.faults.ConsistencyOracle`; when given it is attached to

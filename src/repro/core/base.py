@@ -45,18 +45,20 @@ class DataLossError(RuntimeError):
 
 
 class Controller(abc.ABC):
-    """Base class of all array controllers (RAID10, GRAID, RoLo-P/R/E).
+    """Base class of all seven array controllers: the mirrored RAID10,
+    GRAID and RoLo-P/R/E, and the parity RAID5 and RoLo-5.
 
     A controller owns its disks, translates logical
     :class:`~repro.raid.request.IORequest` objects into disk operations, and
     implements the scheme's power policy.  Subclasses must implement
     :meth:`submit`, :meth:`_build_disks` and :meth:`disks_by_role`.
 
-    Fault handling is shared: :meth:`fail_disk` injects a fail-stop disk
-    failure and :meth:`begin_rebuild` runs an online rebuild onto a fresh
-    replacement.  Schemes customize through the :meth:`_on_disk_failed` /
-    :meth:`_on_rebuild_complete` hooks rather than by overriding the entry
-    points.
+    Fault handling is shared by the mirrored schemes: :meth:`fail_disk`
+    injects a fail-stop disk failure and :meth:`begin_rebuild` runs an
+    online rebuild onto a fresh replacement.  Schemes customize through
+    the :meth:`_on_disk_failed` / :meth:`_on_rebuild_complete` hooks
+    rather than by overriding the entry points.  The parity schemes have
+    no degraded mode, so their :meth:`fail_disk` refuses.
     """
 
     scheme_name = "abstract"
@@ -89,9 +91,10 @@ class Controller(abc.ABC):
         #: Optional repro.faults ConsistencyOracle; attached post-
         #: construction by ``ConsistencyOracle.attach``.  The oracle only
         #: observes, so runs with it enabled are byte-identical.  The
-        #: property setter binds ``_note_read`` once per attach — a
-        #: module-level no-op when detached — so read paths never test
-        #: for an oracle per segment.
+        #: property setter binds ``_note_read`` and the parity schemes'
+        #: ``_note_parity_write``/``_note_parity_read`` once per attach — a
+        #: module-level no-op when detached — so hot paths never test for
+        #: an oracle per segment.
         self.oracle = None
         #: One service-time model (and seek memo) for every disk built.
         self._mechanics = MechanicalModel(config.disk)
@@ -112,9 +115,14 @@ class Controller(abc.ABC):
         # module-level no-op) exactly once per attach; notes whose
         # arguments are expensive to build (copy-name lists) keep an
         # explicit ``if self.oracle is not None`` guard at the call site.
-        self._note_read = (
-            _noop_note if oracle is None else oracle.note_read
-        )
+        if oracle is None:
+            self._note_read = _noop_note
+            self._note_parity_write = _noop_note
+            self._note_parity_read = _noop_note
+        else:
+            self._note_read = oracle.note_read
+            self._note_parity_write = oracle.note_parity_write
+            self._note_parity_read = oracle.note_parity_read
 
     # ------------------------------------------------------------------
     # Subclass interface
@@ -568,12 +576,8 @@ class TraceDriver:
             on_complete=self._request_done,
         )
         self._outstanding += 1
-        tracer = self.controller.tracer
-        if tracer is not None:
-            request.rid = rid = self._dispatched
-            tracer.request_arrived(
-                rid, kind.value, offset, nbytes, self.sim.now
-            )
+        if self.controller.tracer is not None:
+            request.rid = self._dispatched
         self._dispatched += 1
         self.controller.submit(request)
         self._schedule_next()
@@ -584,7 +588,7 @@ class TraceDriver:
         )
         tracer = self.controller.tracer
         if tracer is not None and request.rid is not None:
-            tracer.request_completed(request.rid, self.sim.now)
+            tracer.request_completed(request, self.sim.now)
         release_request(request)
         self._outstanding -= 1
         self._check_done()

@@ -12,14 +12,11 @@ parity variant of RoLo targets is the *small-write penalty* (see
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Callable, Dict, List
 
-from repro.core.base import _noop_note
-from repro.core.metrics import RunMetrics
-from repro.disk.disk import Disk, DiskOp, OpKind, Priority, Scheduler
-from repro.disk.mechanical import MechanicalModel
+from repro.core.base import Controller
+from repro.disk.disk import Disk, DiskOp, OpKind, Priority
 from repro.disk.models import ULTRASTAR_36Z15, DiskSpec
-from repro.disk.power import PowerState
 from repro.raid.raid5 import Raid5Layout
 from repro.raid.request import IORequest
 from repro.sim.engine import Simulator
@@ -82,7 +79,7 @@ class Raid5Config:
         return dataclasses.replace(self, free_space_bytes=snapped)
 
 
-class Raid5Controller:
+class Raid5Controller(Controller):
     """Plain RAID5 with read-modify-write parity maintenance."""
 
     scheme_name = "RAID5"
@@ -93,80 +90,56 @@ class Raid5Controller:
         config: Raid5Config,
         tracer: object = None,
     ) -> None:
-        self.sim = sim
-        self.config = config
-        self.layout = config.layout()
-        self.metrics = RunMetrics()
-        self._finalized = False
-        # Same contract as Controller: a falsy tracer normalizes to None
-        # so run_trace and the disks guard with one identity check.
-        self.tracer = tracer if tracer else None
-        mechanics = MechanicalModel(config.disk)
-        self.disks: List[Disk] = [
-            Disk(
-                sim,
-                config.disk,
-                f"D{i}",
-                initial_state=PowerState.IDLE,
-                scheduler=Scheduler(config.disk_scheduler),
-                tracer=self.tracer,
-                mechanics=mechanics,
-            )
-            for i in range(config.n_disks)
-        ]
+        super().__init__(sim, config, tracer=tracer)
         #: Parity read-modify-write pairs issued (the small-write penalty).
         self.parity_rmw_count = 0
-        #: Optional consistency oracle (set by ``oracle.attach``); parity
-        #: controllers report data segments via ``note_parity_write`` /
-        #: ``note_parity_read``.  The setter rebinds the ``_note_parity_*``
-        #: fast paths so the no-oracle hot loop never tests for one.
-        self._oracle = None
-        self._note_parity_write = _noop_note
-        self._note_parity_read = _noop_note
 
-    @property
-    def oracle(self):
-        return self._oracle
+    def _build_disks(self) -> None:
+        self.disks: List[Disk] = [
+            self._make_disk(f"D{i}") for i in range(self.config.n_disks)
+        ]
 
-    @oracle.setter
-    def oracle(self, oracle) -> None:
-        self._oracle = oracle
-        if oracle is None:
-            self._note_parity_write = _noop_note
-            self._note_parity_read = _noop_note
-        else:
-            self._note_parity_write = oracle.note_parity_write
-            self._note_parity_read = oracle.note_parity_read
-
-    # ------------------------------------------------------------------
     def disks_by_role(self) -> Dict[str, List[Disk]]:
         return {"data": self.disks}
 
-    def all_disks(self) -> List[Disk]:
-        return list(self.disks)
+    def fail_disk(self, disk: Disk) -> None:
+        """Refuse: a parity array has no degraded mode yet.
 
-    def dirty_units_total(self) -> int:
-        return 0  # parity is maintained synchronously
-
-    def log_regions(self) -> List:
-        """No log space (RoLo-5 logs parity deltas in memory)."""
-        return []
-
-    def assert_consistent(self) -> None:
-        if self.dirty_units_total():
-            raise AssertionError("stale parity rows remain")
-
-    def finalize(self) -> RunMetrics:
-        if not self._finalized:
-            self.metrics.finalize(self.sim.now, self.disks_by_role())
-            self._metrics_snapshot = self.metrics.snapshot()
-            self._finalized = True
-        return self._metrics_snapshot
-
-    def drain(self) -> None:
-        """Nothing deferred in the synchronous baseline."""
+        Serving a failed member needs reconstruct-reads from the row's
+        survivors, degraded writes and a row-reconstruction rebuild, none
+        of which exist, so the refusal comes before any state changes."""
+        raise NotImplementedError(
+            f"{self.scheme_name} cannot fail {disk.name}: RAID5 degraded "
+            "mode (reconstruct-reads, row-reconstruction rebuild) is not "
+            "implemented"
+        )
 
     # ------------------------------------------------------------------
+    def _read_then_write(
+        self,
+        disk: Disk,
+        offset: int,
+        nbytes: int,
+        on_written: Callable[[DiskOp], None],
+        owner: object,
+        priority: Priority = Priority.FOREGROUND,
+    ) -> None:
+        """Read one extent, then write it back (one read-modify-write)."""
+
+        def after_read(_op: DiskOp) -> None:
+            self._issue(
+                disk, OpKind.WRITE, offset, nbytes,
+                priority=priority, on_complete=on_written,
+            )
+
+        # Span linkage: the closure hides ``owner`` from callback
+        # introspection, so tag it explicitly.
+        after_read._span_owner = owner
+        self._issue(
+            disk, OpKind.READ, offset, nbytes,
+            priority=priority, on_complete=after_read,
+        )
+
     def _chain_rmw(
         self,
         disk: Disk,
@@ -176,96 +149,70 @@ class Raid5Controller:
     ) -> None:
         """Read-then-write of one extent on one disk, tied to the request."""
         request.add_waits()
-
-        def after_read(_op: DiskOp) -> None:
-            disk.submit(
-                DiskOp(
-                    OpKind.WRITE,
-                    offset // 512,
-                    nbytes,
-                    priority=Priority.FOREGROUND,
-                    # op.finish_time is sim.now when the completion fires,
-                    # so the bound fan-in equals the former per-op closure.
-                    on_complete=request.op_complete,
-                )
-            )
-
-        # Span linkage: the read's closure hides the owning request from
-        # callback introspection, so tag it explicitly.
-        after_read._span_owner = request
-        disk.submit(
-            DiskOp(
-                OpKind.READ,
-                offset // 512,
-                nbytes,
-                priority=Priority.FOREGROUND,
-                on_complete=after_read,
-            )
+        self._read_then_write(
+            disk, offset, nbytes, request.op_complete, request
         )
 
-    def _write_direct(
-        self, disk: Disk, offset: int, nbytes: int, request: IORequest
-    ) -> None:
-        request.add_waits()
-        disk.submit(
-            DiskOp(
-                OpKind.WRITE,
-                offset // 512,
-                nbytes,
-                priority=Priority.FOREGROUND,
-                on_complete=request.op_complete,
+    def _write_full_row(self, request: IORequest, row: int, segments) -> None:
+        """Full-stripe write: data and fresh parity in place, no reads."""
+        parity_disk, parity_offset = self.layout.parity_offset(row)
+        disks = self.disks
+        for seg in segments:
+            self._note_parity_write(self, seg)
+            self._issue(
+                disks[seg.disk], OpKind.WRITE, seg.disk_offset, seg.nbytes,
+                request,
             )
+        self._issue(
+            disks[parity_disk], OpKind.WRITE, parity_offset,
+            self.layout.stripe_unit, request,
         )
+
+    def _rmw_data(self, request: IORequest, segments) -> None:
+        """Read-modify-write of each data segment of one row."""
+        disks = self.disks
+        for seg in segments:
+            self._note_parity_write(self, seg)
+            self._chain_rmw(
+                disks[seg.disk], seg.disk_offset, seg.nbytes, request
+            )
+
+    def _write_rmw_row(self, request: IORequest, row: int, segments) -> None:
+        """Partial-row write: read-modify-write of the data and parity."""
+        self._rmw_data(request, segments)
+        parity_disk, parity_offset = self.layout.parity_offset(row)
+        self._chain_rmw(
+            self.disks[parity_disk], parity_offset, self.layout.stripe_unit,
+            request,
+        )
+        self.parity_rmw_count += 1
+
+    def _row_writes(self, request: IORequest):
+        """Yield ``(row, row_len, segments, full)`` for each row a write
+        touches."""
+        layout = self.layout
+        row_bytes = layout.data_disks_per_row * layout.stripe_unit
+        for row, row_off, row_len in layout.iter_row_extents(
+            request.offset, request.nbytes
+        ):
+            segments = layout.map_extent(row * row_bytes + row_off, row_len)
+            full = layout.is_full_stripe(request.offset, request.nbytes, row)
+            yield row, row_len, segments, full
 
     def submit(self, request: IORequest) -> None:
         if not request.is_write:
+            disks = self.disks
             for seg in self.layout.map_extent(request.offset, request.nbytes):
-                self._issue_read(seg, request)
+                disk = disks[seg.disk]
+                self._note_parity_read(self, seg, disk.name)
+                self._issue(
+                    disk, OpKind.READ, seg.disk_offset, seg.nbytes, request
+                )
             request.seal(self.sim.now)
             return
-        unit = self.layout.stripe_unit
-        note_parity_write = self._note_parity_write
-        for row, row_off, row_len in self.layout.iter_row_extents(
-            request.offset, request.nbytes
-        ):
-            base = row * self.layout.data_disks_per_row * unit
-            segments = self.layout.map_extent(base + row_off, row_len)
-            parity_disk, parity_offset = self.layout.parity_offset(row)
-            if self.layout.is_full_stripe(
-                request.offset, request.nbytes, row
-            ):
-                for seg in segments:
-                    note_parity_write(self, seg)
-                    self._write_direct(
-                        self.disks[seg.disk], seg.disk_offset, seg.nbytes,
-                        request,
-                    )
-                self._write_direct(
-                    self.disks[parity_disk], parity_offset, unit, request
-                )
+        for row, _row_len, segments, full in self._row_writes(request):
+            if full:
+                self._write_full_row(request, row, segments)
             else:
-                for seg in segments:
-                    note_parity_write(self, seg)
-                    self._chain_rmw(
-                        self.disks[seg.disk], seg.disk_offset, seg.nbytes,
-                        request,
-                    )
-                self._chain_rmw(
-                    self.disks[parity_disk], parity_offset, unit, request
-                )
-                self.parity_rmw_count += 1
+                self._write_rmw_row(request, row, segments)
         request.seal(self.sim.now)
-
-    def _issue_read(self, seg, request: IORequest) -> None:
-        disk = self.disks[seg.disk]
-        self._note_parity_read(self, seg, disk.name)
-        request.add_waits()
-        disk.submit(
-            DiskOp(
-                OpKind.READ,
-                seg.disk_offset // 512,
-                seg.nbytes,
-                priority=Priority.FOREGROUND,
-                on_complete=request.op_complete,
-            )
-        )

@@ -121,30 +121,11 @@ class ParityUpdatePump:
         row = self.rows[self._index]
         self._index += 1
         self._in_flight = True
-        _, offset = self.controller.layout.parity_offset(row)
-        unit = self.controller.layout.stripe_unit
-
-        def after_read(_op: DiskOp) -> None:
-            disk.submit(
-                DiskOp(
-                    OpKind.WRITE,
-                    offset // 512,
-                    unit,
-                    priority=Priority.BACKGROUND,
-                    on_complete=self._row_done,
-                )
-            )
-
-        # Span linkage: closures hide the pump from callback introspection.
-        after_read._span_owner = self
-        disk.submit(
-            DiskOp(
-                OpKind.READ,
-                offset // 512,
-                unit,
-                priority=Priority.BACKGROUND,
-                on_complete=after_read,
-            )
+        layout = self.controller.layout
+        _, offset = layout.parity_offset(row)
+        self.controller._read_then_write(
+            disk, offset, layout.stripe_unit, self._row_done, self,
+            Priority.BACKGROUND,
         )
 
     def _row_done(self, _op: DiskOp) -> None:
@@ -214,65 +195,26 @@ class Rolo5Controller(Raid5Controller):
         if not request.is_write:
             super().submit(request)
             return
-        unit = self.layout.stripe_unit
-        note_parity_write = self._note_parity_write
-        for row, row_off, row_len in self.layout.iter_row_extents(
-            request.offset, request.nbytes
-        ):
-            base = row * self.layout.data_disks_per_row * unit
-            segments = self.layout.map_extent(base + row_off, row_len)
-            if self.layout.is_full_stripe(
-                request.offset, request.nbytes, row
-            ):
+        for row, row_len, segments, full in self._row_writes(request):
+            if full:
                 # Full stripe: write everything in place; parity is fresh.
-                parity_disk, parity_offset = self.layout.parity_offset(row)
-                for seg in segments:
-                    note_parity_write(self, seg)
-                    self._write_direct(
-                        self.disks[seg.disk], seg.disk_offset, seg.nbytes,
-                        request,
-                    )
-                self._write_direct(
-                    self.disks[parity_disk], parity_offset, unit, request
-                )
+                self._write_full_row(request, row, segments)
                 self._dirty_rows.discard(row)
                 continue
             if self._deactivated or not self.on_duty_log.fits(row_len):
                 # Fallback: synchronous parity RMW, as in the baseline.
-                parity_disk, parity_offset = self.layout.parity_offset(row)
-                for seg in segments:
-                    note_parity_write(self, seg)
-                    self._chain_rmw(
-                        self.disks[seg.disk], seg.disk_offset, seg.nbytes,
-                        request,
-                    )
-                self._chain_rmw(
-                    self.disks[parity_disk], parity_offset, unit, request
-                )
-                self.parity_rmw_count += 1
+                self._write_rmw_row(request, row, segments)
                 if self._deactivated:
                     self._try_reactivate()
                 continue
             # Parity-logged small write: read old data + write new data on
             # the data disk(s), append the delta to the on-duty log.
-            for seg in segments:
-                note_parity_write(self, seg)
-                self._chain_rmw(
-                    self.disks[seg.disk], seg.disk_offset, seg.nbytes,
-                    request,
-                )
+            self._rmw_data(request, segments)
             offset = self.on_duty_log.append(row_len, {0: row_len}, self._epoch)
             self.metrics.logged_bytes += row_len
-            request.add_waits()
-            self.disks[self._on_duty].submit(
-                DiskOp(
-                    OpKind.WRITE,
-                    offset // 512,
-                    row_len,
-                    priority=Priority.FOREGROUND,
-                    sequential_hint=True,
-                    on_complete=request.op_complete,
-                )
+            self._issue(
+                self.disks[self._on_duty], OpKind.WRITE, offset, row_len,
+                request, sequential=True,
             )
             self._dirty_rows.add(row)
         request.seal(self.sim.now)
@@ -291,14 +233,7 @@ class Rolo5Controller(Raid5Controller):
         self._epoch += 1
         self.metrics.rotations += 1
         self._on_duty = candidate
-        if self.tracer is not None:
-            self.tracer.instant(
-                "rotation",
-                "hand-off",
-                self.scheme_name,
-                self.sim.now,
-                to_disk=f"D{candidate}",
-            )
+        self._trace_instant("rotation", "hand-off", to_disk=f"D{candidate}")
         self._schedule_parity_round()
 
     def _schedule_parity_round(self) -> None:
@@ -332,15 +267,9 @@ class Rolo5Controller(Raid5Controller):
         self.metrics.destaged_bytes += (
             pump.rows_updated * self.layout.stripe_unit
         )
-        if self.tracer is not None:
-            self.tracer.span(
-                "destage",
-                pump.name,
-                self.scheme_name,
-                pump.started_at,
-                self.sim.now,
-                rows=pump.rows_updated,
-            )
+        self._trace_span(
+            "destage", pump.name, pump.started_at, rows=pump.rows_updated
+        )
         self._reclaim(epoch_limit)
         self._pump = None
         if self._pending_rows or (self._draining and self._dirty_rows):
@@ -371,10 +300,4 @@ class Rolo5Controller(Raid5Controller):
     def drain(self) -> None:
         self._draining = True
         self._epoch += 1
-        if self._pump is not None and not self._pump.done:
-            self._pending_rows |= self._dirty_rows
-            self._dirty_rows = set()
-            return
-        self._pending_rows |= self._dirty_rows
-        self._dirty_rows = set()
-        self._launch_pump()
+        self._schedule_parity_round()

@@ -329,9 +329,10 @@ def run_faulted(
     each observes only, so the metrics are byte-identical whichever are
     attached.  A caller-supplied ``oracle`` (e.g. the verification
     harness's :class:`~repro.verify.ReferenceModel`) replaces the
-    internal :class:`ConsistencyOracle`.  Parity schemes (``raid5``,
-    ``rolo-5``) have no ``fail_disk``, so their schedules must contain
-    only slowdown/LSE events.
+    internal :class:`ConsistencyOracle`.  The parity schemes (``raid5``,
+    ``rolo-5``) have no degraded mode: their ``fail_disk`` raises
+    ``NotImplementedError`` before any disk fails, so their schedules
+    must contain only slowdown/LSE events.
     """
     sim = Simulator()
     if oracle is None:

@@ -984,7 +984,7 @@ class RunInstrumentation:
             ("controller_deactivations_total", metrics.deactivations,
              "disk deactivation decisions"),
             ("controller_degraded_reads_total",
-             getattr(self.controller, "degraded_reads", 0),
+             self.controller.degraded_reads,
              "reads served while the pair was degraded"),
         ):
             if value:

@@ -103,13 +103,13 @@ class Tracer:
     enabled = True
 
     # -- request lifecycle ------------------------------------------------
-    def request_arrived(
-        self, rid: int, kind: str, offset: int, nbytes: int, ts: float
-    ) -> None:
-        """An array-level request entered the controller."""
+    def request_completed(self, request: Any, ts: float) -> None:
+        """The request's last constituent disk operation finished.
 
-    def request_completed(self, rid: int, ts: float) -> None:
-        """The request's last constituent disk operation finished."""
+        ``request`` is the live :class:`~repro.raid.request.IORequest`:
+        its ``rid``, ``kind``, ``offset``, ``nbytes`` and
+        ``arrival_time`` describe the whole span.  Hooks must not retain
+        it: requests are recycled right after this hook returns."""
 
     # -- disk server ------------------------------------------------------
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:
@@ -322,9 +322,10 @@ def records_of(
 class RecordingTracer(Tracer):
     """Collects one record per observation, in emission order.
 
-    Power states and requests arrive as open/close edges; the recorder
-    pairs them into spans.  :meth:`finish` closes whatever is still open
-    (e.g. the final power state of every disk) at the run's end time.
+    Power states arrive as open/close edges, which the recorder pairs
+    into spans; a request is recorded whole when it completes, from the
+    fields it carries.  :meth:`finish` closes whatever is still open
+    (the final power state of every disk) at the run's end time.
     """
 
     def __init__(self) -> None:
@@ -334,8 +335,6 @@ class RecordingTracer(Tracer):
         #: disk -> [state name, span start]; the state is None while no
         #: span is open.  Each disk's power hook updates its entry in place.
         self._open_power: Dict[str, list] = {}
-        #: rid -> (kind, offset, nbytes, arrival ts)
-        self._open_requests: Dict[int, Tuple[str, int, int, float]] = {}
         self._finished = False
 
     @property
@@ -349,19 +348,12 @@ class RecordingTracer(Tracer):
         return dict(Counter(record[2] for record in self.records))
 
     # ------------------------------------------------------------------
-    def request_arrived(
-        self, rid: int, kind: str, offset: int, nbytes: int, ts: float
-    ) -> None:
-        self._open_requests[rid] = (kind, offset, nbytes, ts)
-
-    def request_completed(self, rid: int, ts: float) -> None:
-        opened = self._open_requests.pop(rid, None)
-        if opened is None:
-            return
-        kind, offset, nbytes, start = opened
+    def request_completed(self, request: Any, ts: float) -> None:
+        start = request.arrival_time
         self._append(
-            (start, REQUEST_TRACK, "request", kind, ts - start, REQUEST,
-             rid, offset, nbytes)
+            (start, REQUEST_TRACK, "request", request.kind.value,
+             ts - start, REQUEST, request.rid, request.offset,
+             request.nbytes)
         )
 
     def disk_op(self, disk: Any, op: Any, prev_head: int) -> None:

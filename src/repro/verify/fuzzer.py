@@ -48,8 +48,9 @@ from repro.verify.reference import ReferenceModel
 #: cache folds it into every key, unreachable-stale like the trace format.
 VERIFY_SCHEMA_VERSION = 1
 
-#: Mirrored schemes the fuzzer draws from (parity schemes lack the
-#: fail-stop surface, so they are exercised by the clean parity tests).
+#: Mirrored schemes the fuzzer draws from (parity schemes refuse
+#: fail-stop, having no degraded mode, so the clean parity tests cover
+#: them).
 FUZZ_SCHEMES: Tuple[str, ...] = (
     "raid10", "graid", "rolo-p", "rolo-r", "rolo-e"
 )

@@ -74,7 +74,7 @@ class InvariantChecker:
         self._installed = True
         self.sim = sim
         self.controller = controller
-        self._last_energy = self._energy_now()
+        self._last_energy = controller.total_energy_now()
         self._drain_floor = None
         self._failed_count = sum(
             1 for d in controller.all_disks() if d.failed
@@ -110,16 +110,6 @@ class InvariantChecker:
                 "Invariant violations detected by the verify checker.",
                 check=check,
             ).inc()
-
-    def _energy_now(self) -> float:
-        controller = self.controller
-        fn = getattr(controller, "total_energy_now", None)
-        if fn is not None:
-            return fn()
-        now = self.sim.now
-        return sum(
-            d.power.energy_at(now) for d in controller.all_disks()
-        )
 
     # ------------------------------------------------------------------
     def _check_now(self) -> None:
@@ -220,7 +210,7 @@ class InvariantChecker:
             self._drain_floor = dirty
 
     def _check_energy(self) -> None:
-        energy = self._energy_now()
+        energy = self.controller.total_energy_now()
         if energy < self._last_energy - 1e-9:
             self._violate(
                 "energy-monotonicity",

@@ -32,6 +32,7 @@ from repro.obs import (
 )
 from repro.obs.profiler import CellProfile, ProfileReport
 from repro.obs.sampler import TimeSeriesSampler
+from repro.raid.request import IORequest, RequestKind
 from repro.sim import Simulator
 
 
@@ -52,31 +53,28 @@ class TestNullTracer:
 
     def test_base_hooks_are_noops(self):
         tracer = Tracer()
-        tracer.request_arrived(0, "write", 0, 512, 0.0)
-        tracer.request_completed(0, 1.0)
+        tracer.request_completed(
+            IORequest(RequestKind.WRITE, 0, 512, arrival_time=0.0), 1.0
+        )
         tracer.power_state("P0", None, "idle", 0.0)
         tracer.instant("rotation", "hand-off", "RoLo-P", 1.0)
         tracer.finish(2.0)
 
 
 class TestRecordingTracer:
-    def test_pairs_request_edges_into_spans(self):
+    def test_records_completed_request_as_span(self):
         tracer = RecordingTracer()
-        tracer.request_arrived(7, "write", 4096, 8192, 1.0)
-        tracer.request_completed(7, 1.5)
+        request = IORequest(RequestKind.WRITE, 4096, 8192, arrival_time=1.0)
+        request.rid = 7
+        tracer.request_completed(request, 1.5)
         (event,) = tracer.events
         assert event.kind == "span"
         assert event.category == "request"
+        assert event.name == "write"
         assert event.track == REQUEST_TRACK
         assert event.ts == 1.0
         assert event.dur == 0.5
-        assert event.attrs["rid"] == 7
-        assert event.attrs["nbytes"] == 8192
-
-    def test_unmatched_completion_ignored(self):
-        tracer = RecordingTracer()
-        tracer.request_completed(99, 1.0)
-        assert tracer.events == []
+        assert event.attrs == {"rid": 7, "offset": 4096, "nbytes": 8192}
 
     def test_pairs_power_edges_and_finish_closes(self):
         tracer = RecordingTracer()

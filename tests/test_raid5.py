@@ -5,6 +5,7 @@ import pytest
 from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.experiments.runner import run_cell_observed, workload_cell
+from repro.faults import ConsistencyOracle, FaultSchedule, run_faulted
 from repro.raid.raid5 import Raid5Layout, Raid5Segment
 from repro.sim import Simulator
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -239,3 +240,30 @@ class TestRolo5Controller:
         run_trace(controller, write_burst(60, gap=0.05))
         background = sum(d.background_ops for d in controller.disks)
         assert background >= 2  # parity read+write pairs
+
+
+class TestParityFailStop:
+    """Parity arrays have no degraded mode, so a fail-stop is refused
+    before any disk or routing state changes."""
+
+    @pytest.mark.parametrize("scheme", ["raid5", "rolo-5"])
+    def test_fail_disk_refused(self, sim, scheme):
+        controller = build_controller(scheme, sim, small_raid5())
+        with pytest.raises(NotImplementedError, match="degraded mode"):
+            controller.fail_disk(controller.disks[0])
+        assert not any(d.failed for d in controller.all_disks())
+        assert not controller._degraded_pairs
+
+    @pytest.mark.parametrize("spec", ["fail@5:D0:norebuild", "fail@5:D0"])
+    def test_faulted_run_refuses_fail(self, spec):
+        oracle = ConsistencyOracle()
+        with pytest.raises(NotImplementedError, match="degraded mode"):
+            run_faulted(
+                "raid5",
+                small_raid5(),
+                write_burst(200, gap=0.05),
+                FaultSchedule.parse(spec),
+                oracle=oracle,
+            )
+        assert oracle.controller.sim.now >= 5
+        assert not any(d.failed for d in oracle.controller.all_disks())
