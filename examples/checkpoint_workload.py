@@ -14,9 +14,8 @@ and shows the energy gap.
 """
 
 from repro.core import ArrayConfig, build_controller, run_trace
-from repro.raid.request import RequestKind
 from repro.sim import Simulator
-from repro.traces.record import Trace, TraceRecord
+from repro.traces import CompiledTrace, compiled_from_events
 
 KB = 1024
 MB = 1024 * KB
@@ -28,31 +27,23 @@ def checkpoint_trace(
     snapshot_bytes: int = 96 * MB,
     chunk_bytes: int = 1 * MB,
     dump_rate: float = 30 * MB,  # application-side dump bandwidth
-) -> Trace:
+) -> CompiledTrace:
     """Periodic full-state dumps written as a sequential chunk stream."""
-    records = []
-    for checkpoint in range(n_checkpoints):
-        start = checkpoint * interval_s
-        offset = 0
-        chunk_gap = chunk_bytes / dump_rate
-        for i in range(snapshot_bytes // chunk_bytes):
-            records.append(
-                TraceRecord(
-                    start + i * chunk_gap,
-                    RequestKind.WRITE,
-                    offset,
-                    chunk_bytes,
-                )
-            )
-            offset += chunk_bytes
-    return Trace(records, name="hpc-checkpoint")
+    chunk_gap = chunk_bytes / dump_rate
+    events = [
+        (checkpoint * interval_s + i * chunk_gap, True, i * chunk_bytes,
+         chunk_bytes)
+        for checkpoint in range(n_checkpoints)
+        for i in range(snapshot_bytes // chunk_bytes)
+    ]
+    return compiled_from_events(events, name="hpc-checkpoint")
 
 
 def main() -> None:
     trace = checkpoint_trace()
     print(
         f"checkpoint workload: {len(trace)} writes, "
-        f"{sum(r.nbytes for r in trace) / MB:.0f} MiB total, "
+        f"{sum(trace.sizes) / MB:.0f} MiB total, "
         f"{trace.duration / 60:.0f} minutes\n"
     )
     config = ArrayConfig(n_pairs=20).scaled(0.05)

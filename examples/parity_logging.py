@@ -15,14 +15,14 @@ I/Os of which one is a cheap sequential append.
 from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.sim import Simulator
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 KB = 1024
 MB = 1024 * KB
 
 
 def main() -> None:
-    trace = generate_trace(
+    trace = generate_compiled(
         SyntheticTraceConfig(
             duration_s=300.0,
             iops=40.0,
@@ -35,7 +35,7 @@ def main() -> None:
     )
     print(
         f"workload: {len(trace)} small writes "
-        f"({trace.records[0].nbytes // KB} KB each) over "
+        f"({trace.sizes[0] // KB} KB each) over "
         f"{trace.duration:.0f}s\n"
     )
     config = Raid5Config(n_disks=10).scaled(0.05)

@@ -13,7 +13,7 @@ comparison — the 60-second version of the paper's Figure 10.
 
 from repro.core import ArrayConfig, build_controller, run_trace
 from repro.sim import Simulator
-from repro.traces import SyntheticTraceConfig, generate_trace
+from repro.traces import SyntheticTraceConfig, generate_compiled
 
 KB = 1024
 MB = 1024 * KB
@@ -26,7 +26,7 @@ def main() -> None:
 
     # 40 write IOPS of 64 KB requests, mildly sequential, over a 256 MiB
     # working set - a miniature of the paper's src2_2 trace.
-    trace = generate_trace(
+    trace = generate_compiled(
         SyntheticTraceConfig(
             duration_s=300.0,
             iops=40.0,

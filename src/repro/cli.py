@@ -39,7 +39,12 @@ from typing import List, Optional
 
 from repro.experiments import cache as result_cache
 from repro.experiments import get_experiment, list_experiments, runner
-from repro.experiments.parallel import CellExecution, default_jobs, execute_cells
+from repro.experiments.parallel import (
+    CellExecution,
+    CellExecutionError,
+    default_jobs,
+    execute_cells,
+)
 from repro.experiments.runner import simulate_workload
 from repro.reliability import mttdl_closed_form, mttdl_ctmc
 from repro.reliability.mttdl import HOURS_PER_DAY, HOURS_PER_YEAR
@@ -422,6 +427,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
+    from repro.faults import FaultScheduleError
+
     previous_cache = result_cache.active_cache()
     result_cache.configure(
         directory=args.cache_dir, enabled=not args.no_cache
@@ -430,6 +437,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         if args.faults_command == "inject":
             return _faults_inject(args)
         return _faults_campaign(args)
+    except (FaultScheduleError, NotImplementedError, CellExecutionError) as exc:
+        # A schedule the scheme cannot run (a bad spec, a disk it does not
+        # have, a failure a parity array cannot serve) is a usage error,
+        # whether it surfaced here or in a pool worker.
+        cause = exc.__cause__ if isinstance(exc, CellExecutionError) else exc
+        if not isinstance(cause, (FaultScheduleError, NotImplementedError)):
+            raise
+        print(f"error: {cause}", file=sys.stderr)
+        return 2
     finally:
         result_cache.configure(
             directory=previous_cache.directory if previous_cache else None,

@@ -24,8 +24,7 @@ from repro.raid.request import (
     release_request,
 )
 from repro.sim.engine import Simulator
-from repro.traces.compiled import AnyTrace, CompiledTrace
-from repro.traces.record import Trace
+from repro.traces.compiled import CompiledTrace
 
 if TYPE_CHECKING:
     from repro.core.recovery import RecoveryProcess  # import cycle
@@ -497,35 +496,29 @@ class TraceDriver:
 
     Arrivals are streamed: only the *next* arrival (plus whatever
     completions are outstanding) lives in the event heap at any instant, so
-    peak heap size is O(in-flight), independent of trace length.  A
-    :class:`~repro.traces.compiled.CompiledTrace` replays through a
-    columnar fast path that reads arrival/offset/size/kind by index and
-    never materializes ``TraceRecord`` objects; both paths schedule exactly
-    one arrival event per trace record, so ``events_processed`` is
-    identical between them (the arrival-streaming delta is zero).
+    peak heap size is O(in-flight), independent of trace length.  The
+    driver reads arrival/offset/size/kind from the trace's columns by
+    index, one arrival event per request, and never materializes a
+    ``TraceRecord``.
     """
 
     def __init__(
         self,
         sim: Simulator,
         controller: Controller,
-        trace: AnyTrace,
+        trace: CompiledTrace,
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         self.sim = sim
         self.controller = controller
         self.trace = trace
         self.on_complete = on_complete
-        self._compiled = isinstance(trace, CompiledTrace)
-        if self._compiled:
-            self._arrivals = trace.arrivals
-            self._offsets = trace.offsets
-            self._sizes = trace.sizes
-            self._kinds = trace.kinds
-            self._n = len(trace.arrivals)
-            self._index = 0
-        else:
-            self._iter = iter(trace)
+        self._arrivals = trace.arrivals
+        self._offsets = trace.offsets
+        self._sizes = trace.sizes
+        self._kinds = trace.kinds
+        self._n = len(trace.arrivals)
+        self._index = 0
         self._outstanding = 0
         self._dispatched = 0
         self._arrivals_done = False
@@ -539,39 +532,21 @@ class TraceDriver:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        if self._compiled:
-            i = self._index
-            if i >= self._n:
-                self._arrivals_done = True
-                self._check_done()
-                return
-            self._index = i + 1
-            self.sim.at(
-                self._arrivals[i], self._arrive_compiled, i, label="arrival"
-            )
-            return
-        record = next(self._iter, None)
-        if record is None:
+        i = self._index
+        if i >= self._n:
             self._arrivals_done = True
             self._check_done()
             return
-        self.sim.at(record.timestamp, self._arrive, record, label="arrival")
+        self._index = i + 1
+        self.sim.at(self._arrivals[i], self._arrive, i, label="arrival")
 
-    def _arrive_compiled(self, i: int) -> None:
-        self._admit(
-            _KIND_BY_CODE[self._kinds[i]], self._offsets[i], self._sizes[i]
-        )
-
-    def _arrive(self, record) -> None:
-        self._admit(record.kind, record.offset, record.nbytes)
-
-    def _admit(self, kind: RequestKind, offset: int, nbytes: int) -> None:
+    def _arrive(self, i: int) -> None:
         # Slab-pooled: _request_done releases the request after recording
         # its response, so replay allocates no per-request objects.
         request = acquire_request(
-            kind,
-            offset,
-            nbytes,
+            _KIND_BY_CODE[self._kinds[i]],
+            self._offsets[i],
+            self._sizes[i],
             arrival_time=self.sim._now,
             on_complete=self._request_done,
         )
@@ -603,18 +578,15 @@ class TraceDriver:
 
 def run_trace(
     controller: Controller,
-    trace: AnyTrace,
+    trace: CompiledTrace,
     drain: bool = True,
     probes: Sequence[Any] = (),
 ) -> RunMetrics:
     """Replay ``trace`` against ``controller`` and return its metrics.
 
-    ``trace`` may be a legacy :class:`Trace` or a columnar
-    :class:`~repro.traces.compiled.CompiledTrace`; both produce
-    byte-identical metrics.  The measurement window closes when the last
-    request completes; the post-trace flush (``drain=True``) brings mirrors
-    consistent *outside* the window so schemes are compared over identical
-    horizons.
+    The measurement window closes when the last request completes; the
+    post-trace flush (``drain=True``) brings mirrors consistent *outside*
+    the window so schemes are compared over identical horizons.
 
     ``probes`` are run-scoped observers: objects with
     ``install(sim, controller)`` and ``uninstall()``.  They install in the

@@ -18,7 +18,7 @@ from repro.experiments.fig2 import _workload
 from repro.experiments.registry import register
 from repro.experiments.report import Report, Table
 from repro.sim import Simulator
-from repro.traces.synthetic import generate_trace
+from repro.traces.synthetic import generate_compiled
 
 KB = 1024
 MB = 1024 * KB
@@ -69,7 +69,7 @@ def run(
     for iops in iops_levels:
         sim = Simulator()
         controller = build_controller("graid", sim, config)
-        trace = generate_trace(
+        trace = generate_compiled(
             _workload(iops, duration_s, capacity * 2, seed)
         )
         run_trace_base(controller, trace, drain=False)

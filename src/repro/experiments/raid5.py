@@ -16,7 +16,7 @@ from repro.core.base import run_trace
 from repro.experiments.registry import register
 from repro.experiments.report import Report, Series, Table
 from repro.sim import Simulator
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 KB = 1024
 MB = 1024 * KB
@@ -70,7 +70,7 @@ def run(
                 seed=seed,
                 name=f"raid5-{iops}-{req_kb}",
             )
-            trace = generate_trace(workload)
+            trace = generate_compiled(workload)
             results = {}
             for scheme in ("raid5", "rolo-5"):
                 sim = Simulator()

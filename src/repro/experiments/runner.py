@@ -44,7 +44,7 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.tracer import RecordingTracer
 from repro.sim import Simulator
 from repro.traces import build_workload_trace
-from repro.traces.compiled import AnyTrace
+from repro.traces.compiled import CompiledTrace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 #: Default trace time-scales for the named workloads (chosen so main
@@ -157,14 +157,12 @@ class Cell:
             return ("synthetic", freeze(self.trace_config))
         return ("workload", self.workload, self.scale, self.seed)
 
-    def build_trace(self) -> AnyTrace:
-        """Generate this cell's trace in compiled (columnar) form."""
+    def build_trace(self) -> CompiledTrace:
+        """Generate this cell's trace."""
         if self.kind == "synthetic":
             assert self.trace_config is not None
             return generate_compiled(self.trace_config)
-        return build_workload_trace(
-            self.workload, scale=self.scale, seed=self.seed, compiled=True
-        )
+        return build_workload_trace(self.workload, self.scale, self.seed)
 
     def resolve_config(self) -> ArrayConfig | Raid5Config:
         """This cell's fully-resolved array configuration."""
@@ -180,7 +178,7 @@ class Cell:
             )
         return config
 
-    def execute(self, trace: Optional[AnyTrace] = None) -> RunMetrics:
+    def execute(self, trace: Optional[CompiledTrace] = None) -> RunMetrics:
         """Run the simulation, bypassing every cache layer.
 
         ``trace`` lets the parallel executor substitute a shared-memory
@@ -191,7 +189,7 @@ class Cell:
 
     def compute(
         self,
-        trace: Optional[AnyTrace] = None,
+        trace: Optional[CompiledTrace] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> Dict[str, Any]:
         """Run uncached; return the serialized result and run profile."""
@@ -203,7 +201,7 @@ class Cell:
 
     def execute_metered(
         self,
-        trace: Optional[AnyTrace] = None,
+        trace: Optional[CompiledTrace] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> Tuple[RunMetrics, MetricsRegistry]:
         """Run uncached with the metrics registry instrumented in.
@@ -359,7 +357,7 @@ def _meters(registry: Optional[MetricsRegistry]) -> Tuple[Any, ...]:
 
 def _run_cell(
     cell: Cell,
-    trace: Optional[AnyTrace] = None,
+    trace: Optional[CompiledTrace] = None,
     tracer: Optional[Any] = None,
     probes: Iterable[Any] = (),
     count_labels: bool = False,

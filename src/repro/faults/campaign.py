@@ -25,7 +25,7 @@ from repro.experiments import runner
 from repro.faults.injector import FaultRunResult, run_faulted
 from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
-from repro.traces.compiled import AnyTrace
+from repro.traces.compiled import CompiledTrace
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -52,11 +52,11 @@ class FaultCell:
         """Trace identity (faults never perturb the arrival stream)."""
         return self.base.trace_key()
 
-    def build_trace(self) -> AnyTrace:
+    def build_trace(self) -> CompiledTrace:
         return self.base.build_trace()
 
     def execute(
-        self, trace: Optional[AnyTrace] = None, registry=None
+        self, trace: Optional[CompiledTrace] = None, registry=None
     ) -> FaultRunResult:
         """Run the faulted simulation, bypassing every cache layer.
 
@@ -74,7 +74,7 @@ class FaultCell:
         )
 
     def compute(
-        self, trace: Optional[AnyTrace] = None, registry=None
+        self, trace: Optional[CompiledTrace] = None, registry=None
     ) -> Dict[str, Any]:
         """Run uncached; return ``{"result": FaultRunResult.to_dict()}``."""
         return {"result": self.execute(trace, registry).to_dict()}

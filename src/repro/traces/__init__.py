@@ -11,12 +11,10 @@ the seven traces the evaluation uses (:mod:`repro.traces.workloads`).
 from repro.traces.analysis import TraceStats, characterize
 from repro.traces.compiled import (
     TRACE_COMPILER_VERSION,
-    AnyTrace,
     CompiledTrace,
-    compile_trace,
     compiled_from_events,
 )
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.record import TraceRecord
 from repro.traces.shm import (
     SharedCompiledTrace,
     SharedTraceStore,
@@ -26,7 +24,6 @@ from repro.traces.synthetic import (
     Burstiness,
     SyntheticTraceConfig,
     generate_compiled,
-    generate_trace,
 )
 from repro.traces.workloads import (
     PAPER_WORKLOADS,
@@ -35,21 +32,17 @@ from repro.traces.workloads import (
 )
 
 __all__ = [
-    "Trace",
     "TraceRecord",
     "TraceStats",
     "characterize",
-    "AnyTrace",
     "CompiledTrace",
     "TRACE_COMPILER_VERSION",
-    "compile_trace",
     "compiled_from_events",
     "SharedCompiledTrace",
     "SharedTraceStore",
     "TraceRef",
     "Burstiness",
     "SyntheticTraceConfig",
-    "generate_trace",
     "generate_compiled",
     "WorkloadPreset",
     "PAPER_WORKLOADS",

@@ -6,7 +6,7 @@ import dataclasses
 from typing import Optional
 
 from repro.sim.stats import StreamingStat
-from repro.traces.record import Trace
+from repro.traces.compiled import CompiledTrace
 
 KB = 1024
 GB = 1024 * 1024 * KB
@@ -38,7 +38,7 @@ class TraceStats:
         )
 
 
-def burstiness_index(trace: Trace, window_s: float = 1.0) -> float:
+def burstiness_index(trace: CompiledTrace, window_s: float = 1.0) -> float:
     """Index of dispersion of windowed arrival counts (var/mean).
 
     1.0 for a Poisson process; ≫1 for bursty arrivals.  This quantifies
@@ -51,8 +51,8 @@ def burstiness_index(trace: Trace, window_s: float = 1.0) -> float:
     horizon = trace.duration + window_s
     n_windows = max(1, int(horizon / window_s))
     counts = [0] * n_windows
-    for record in trace:
-        index = min(n_windows - 1, int(record.timestamp / window_s))
+    for timestamp in trace.arrivals:
+        index = min(n_windows - 1, int(timestamp / window_s))
         counts[index] += 1
     mean = sum(counts) / n_windows
     if mean == 0:
@@ -74,7 +74,9 @@ def classify_burstiness(index: float) -> str:
     return "Very High"
 
 
-def characterize(trace: Trace, duration_s: Optional[float] = None) -> TraceStats:
+def characterize(
+    trace: CompiledTrace, duration_s: Optional[float] = None
+) -> TraceStats:
     """Compute aggregate statistics of a trace.
 
     ``duration_s`` overrides the horizon used for the IOPS computation

@@ -1,19 +1,20 @@
-"""Columnar compiled traces.
+"""Columnar compiled traces: the one trace container.
 
-A :class:`CompiledTrace` lowers a trace into four parallel stdlib ``array``
-columns — arrival time, byte offset, request size, and kind — instead of one
-``TraceRecord`` object per request.  A 10⁶-request trace costs four flat
-buffers (~25 MB total) rather than a million boxed records, and the replay
-path in :class:`repro.core.base.TraceDriver` reads the columns by index
-without materializing records at all.
+A :class:`CompiledTrace` holds a trace as four parallel stdlib ``array``
+columns — arrival time, byte offset, request size, and kind — instead of
+one object per request.  A 10⁶-request trace costs four flat buffers
+(~25 MB total), and :class:`repro.core.base.TraceDriver` replays the
+columns by index without materializing a record per request.
 
-Compiled traces are a drop-in for :class:`repro.traces.record.Trace`
-everywhere the codebase consumes traces (``len``, iteration, indexing,
-``duration``, ``footprint_bytes``, ``name``); iteration and indexing
-materialize ``TraceRecord`` views on demand for legacy consumers.
+Every trace source builds its columns through :func:`compiled_from_events`:
+the synthetic generator (:func:`repro.traces.synthetic.generate_compiled`),
+the MSR loader (:func:`repro.traces.msr.load_msr_trace`), and hand-written
+traces in tests and examples.  Iteration and indexing yield
+:class:`~repro.traces.record.TraceRecord` row views for consumers that read
+one request at a time.
 
 Each compiled trace carries a sha256 content hash over its columns, which
-the PR 1 result cache folds into cell keys.  Bump
+the result cache folds into cell keys.  Bump
 :data:`TRACE_COMPILER_VERSION` whenever the compiled format or the
 generator lowering changes observable content; the cache stamps it into
 every key, so stale payloads become unreachable instead of silently mixing
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.raid.request import RequestKind
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.record import TraceRecord
 
 #: Version of the trace-compiler output format / lowering semantics.
 TRACE_COMPILER_VERSION = 1
@@ -74,7 +75,7 @@ class CompiledTrace:
         self._footprint = footprint_bytes
         self._hash: Optional[str] = None
 
-    # -- Trace drop-in surface -------------------------------------------
+    # -- row surface -----------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -110,7 +111,7 @@ class CompiledTrace:
         sizes = self.sizes
         return max(offsets[i] + sizes[i] for i in range(len(offsets)))
 
-    # -- compiled-only surface -------------------------------------------
+    # -- column surface --------------------------------------------------
 
     def content_hash(self) -> str:
         """sha256 over the column payloads plus footprint (cached)."""
@@ -135,10 +136,6 @@ class CompiledTrace:
             for col in (self.arrivals, self.offsets, self.sizes, self.kinds)
         )
 
-    def to_trace(self) -> Trace:
-        """Materialize a legacy object-per-record :class:`Trace`."""
-        return Trace(iter(self), name=self.name, footprint_bytes=self._footprint)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CompiledTrace {self.name!r} n={len(self)} "
@@ -146,13 +143,12 @@ class CompiledTrace:
         )
 
 
-#: Anything the replay/experiment layers accept as a trace.
-AnyTrace = Union[Trace, CompiledTrace]
-
-
-def _columns_from_events(
+def compiled_from_events(
     events: Iterable[Tuple[float, bool, int, int]],
-) -> Tuple[array, array, array, array]:
+    name: str = "trace",
+    footprint_bytes: Optional[int] = None,
+) -> CompiledTrace:
+    """Build a compiled trace from ``(time, is_write, offset, size)`` tuples."""
     arrivals = array("d")
     offsets = array("q")
     sizes = array("q")
@@ -166,27 +162,17 @@ def _columns_from_events(
         append_o(offset)
         append_s(size)
         append_k(KIND_WRITE if is_write else KIND_READ)
-    return arrivals, offsets, sizes, kinds
-
-
-def compiled_from_events(
-    events: Iterable[Tuple[float, bool, int, int]],
-    name: str = "trace",
-    footprint_bytes: Optional[int] = None,
-) -> CompiledTrace:
-    """Build a compiled trace from ``(time, is_write, offset, size)`` tuples."""
-    arrivals, offsets, sizes, kinds = _columns_from_events(events)
     return CompiledTrace(
         arrivals, offsets, sizes, kinds, name=name, footprint_bytes=footprint_bytes
     )
 
 
-def truncate_trace(trace, n_requests: Optional[int]) -> CompiledTrace:
+def truncate_trace(
+    trace: CompiledTrace, n_requests: Optional[int]
+) -> CompiledTrace:
     """First ``n_requests`` of a compiled trace as a fresh trace.
 
-    Accepts anything exposing the compiled column surface (including the
-    shared-memory :class:`~repro.traces.shm.SharedCompiledTrace` drop-in);
-    the columns are copied, so the result owns its storage and is safe to
+    The columns are copied, so the result owns its storage and is safe to
     keep past a shared segment's lifetime.  ``n_requests`` of ``None`` (or
     one at least the trace length) returns ``trace`` unchanged.  The
     footprint is left derived: the truncated trace's highest touched
@@ -205,17 +191,3 @@ def truncate_trace(trace, n_requests: Optional[int]) -> CompiledTrace:
         name=f"{trace.name}[:{n}]",
     )
 
-
-def compile_trace(trace: AnyTrace) -> CompiledTrace:
-    """Lower a legacy :class:`Trace` into columns (idempotent)."""
-    if isinstance(trace, CompiledTrace):
-        return trace
-    events = (
-        (r.timestamp, r.kind is RequestKind.WRITE, r.offset, r.nbytes)
-        for r in trace.records
-    )
-    return compiled_from_events(
-        events,
-        name=trace.name,
-        footprint_bytes=trace._footprint,  # preserve explicit-vs-derived
-    )

@@ -16,11 +16,11 @@ The writer exists so synthetic traces can be exported to the same format
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterator, Optional, TextIO, Tuple, Union
 
-from repro.raid.request import RequestKind
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.compiled import CompiledTrace, compiled_from_events
 
 #: Windows FILETIME ticks per second.
 TICKS_PER_SECOND = 10_000_000
@@ -30,12 +30,10 @@ class MsrFormatError(ValueError):
     """Raised on malformed MSR CSV rows."""
 
 
-def _parse_kind(raw: str) -> RequestKind:
+def _parse_is_write(raw: str) -> bool:
     value = raw.strip().lower()
-    if value == "read":
-        return RequestKind.READ
-    if value == "write":
-        return RequestKind.WRITE
+    if value in ("read", "write"):
+        return value == "write"
     raise MsrFormatError(f"unknown request type {raw!r}")
 
 
@@ -44,50 +42,60 @@ def load_msr_trace(
     name: Optional[str] = None,
     disk_number: Optional[int] = None,
     max_records: Optional[int] = None,
-) -> Trace:
+) -> CompiledTrace:
     """Load an MSR Cambridge CSV trace file.
 
     ``disk_number`` filters to one volume of a multi-volume trace;
-    ``max_records`` truncates long traces for quick experiments.
+    ``max_records`` truncates long traces for quick experiments.  A row
+    that cannot be parsed, names a negative offset, or goes back in time
+    raises :class:`MsrFormatError` naming its file and line.
     """
     path = Path(path)
-    records: List[TraceRecord] = []
-    base_ticks: Optional[int] = None
     with path.open(newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if len(row) < 6:
-                raise MsrFormatError(
-                    f"{path}:{line_no}: expected >=6 columns, got {len(row)}"
-                )
-            try:
-                ticks = int(row[0])
-                disk = int(row[2])
-                kind = _parse_kind(row[3])
-                offset = int(row[4])
-                size = int(row[5])
-            except (ValueError, MsrFormatError) as exc:
-                raise MsrFormatError(f"{path}:{line_no}: {exc}") from exc
-            if disk_number is not None and disk != disk_number:
-                continue
-            if size <= 0:
-                continue
-            if base_ticks is None:
-                base_ticks = ticks
-            timestamp = (ticks - base_ticks) / TICKS_PER_SECOND
-            if timestamp < 0:
-                raise MsrFormatError(
-                    f"{path}:{line_no}: timestamps not monotone"
-                )
-            records.append(TraceRecord(timestamp, kind, offset, size))
-            if max_records is not None and len(records) >= max_records:
-                break
-    return Trace(records, name=name or path.stem)
+        rows = islice(_rows(path, fh, disk_number), max_records)
+        return compiled_from_events(rows, name=name or path.stem)
+
+
+def _rows(
+    path: Path, fh: TextIO, disk_number: Optional[int]
+) -> Iterator[Tuple[float, bool, int, int]]:
+    """Yield ``(time, is_write, offset, size)`` for each kept row."""
+    base_ticks: Optional[int] = None
+    last = 0.0
+    for line_no, row in enumerate(csv.reader(fh), start=1):
+        if not row or row[0].startswith("#"):
+            continue
+        if len(row) < 6:
+            raise MsrFormatError(
+                f"{path}:{line_no}: expected >=6 columns, got {len(row)}"
+            )
+        try:
+            ticks = int(row[0])
+            disk = int(row[2])
+            is_write = _parse_is_write(row[3])
+            offset = int(row[4])
+            size = int(row[5])
+        except (ValueError, MsrFormatError) as exc:
+            raise MsrFormatError(f"{path}:{line_no}: {exc}") from exc
+        if disk_number is not None and disk != disk_number:
+            continue
+        if size <= 0:
+            continue
+        if offset < 0:
+            raise MsrFormatError(f"{path}:{line_no}: negative offset {offset}")
+        if base_ticks is None:
+            base_ticks = ticks
+        timestamp = (ticks - base_ticks) / TICKS_PER_SECOND
+        if timestamp < last:
+            raise MsrFormatError(
+                f"{path}:{line_no}: timestamps not monotone"
+            )
+        last = timestamp
+        yield timestamp, is_write, offset, size
 
 
 def save_msr_trace(
-    trace: Trace, path: Union[str, Path], hostname: str = "synthetic"
+    trace: CompiledTrace, path: Union[str, Path], hostname: str = "synthetic"
 ) -> None:
     """Write a trace in MSR Cambridge CSV format."""
     path = Path(path)

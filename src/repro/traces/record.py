@@ -1,8 +1,6 @@
-"""Trace records: the unit of work a controller replays."""
+"""Trace records: the row view of one request in a compiled trace."""
 
 from __future__ import annotations
-
-from typing import Iterable, Iterator, List, Optional
 
 from repro.raid.request import RequestKind
 
@@ -47,42 +45,3 @@ class TraceRecord:
     def __hash__(self) -> int:
         return hash((self.timestamp, self.kind, self.offset, self.nbytes))
 
-
-class Trace:
-    """A time-ordered sequence of records plus identifying metadata."""
-
-    def __init__(
-        self,
-        records: Iterable[TraceRecord],
-        name: str = "trace",
-        footprint_bytes: Optional[int] = None,
-    ) -> None:
-        self.records: List[TraceRecord] = list(records)
-        for a, b in zip(self.records, self.records[1:]):
-            if b.timestamp < a.timestamp:
-                raise ValueError("trace records must be time-ordered")
-        self.name = name
-        self._footprint = footprint_bytes
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, idx: int) -> TraceRecord:
-        return self.records[idx]
-
-    @property
-    def duration(self) -> float:
-        """Seconds from time zero to the last arrival."""
-        return self.records[-1].timestamp if self.records else 0.0
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Highest byte address the trace touches (exclusive)."""
-        if self._footprint is not None:
-            return self._footprint
-        if not self.records:
-            return 0
-        return max(r.offset + r.nbytes for r in self.records)

@@ -17,9 +17,7 @@ import random
 from collections import deque
 from typing import Deque, Iterator, Optional, Tuple
 
-from repro.raid.request import RequestKind
 from repro.traces.compiled import CompiledTrace, compiled_from_events
-from repro.traces.record import Trace, TraceRecord
 
 KB = 1024
 MB = 1024 * KB
@@ -168,9 +166,8 @@ def _iter_events(
 ) -> Iterator[Tuple[float, bool, int, int]]:
     """Yield ``(time, is_write, offset, size)`` for one synthetic trace.
 
-    This is the single source of truth for the generator's RNG stream:
-    :func:`generate_trace` and :func:`generate_compiled` both consume it,
-    so for a given config they produce record-for-record identical traces.
+    The generator's whole RNG stream: every draw is made here, in order,
+    from one ``random.Random(config.seed)``.
     """
     rng = random.Random(config.seed)
     arrivals = _ArrivalProcess(config, rng)
@@ -216,21 +213,8 @@ def _iter_events(
         t = arrivals.next_after(t)
 
 
-def generate_trace(config: SyntheticTraceConfig) -> Trace:
-    """Materialize a synthetic trace as boxed :class:`TraceRecord` objects."""
-    records = [
-        TraceRecord(
-            t, RequestKind.WRITE if is_write else RequestKind.READ, offset, size
-        )
-        for t, is_write, offset, size in _iter_events(config)
-    ]
-    return Trace(
-        records, name=config.name, footprint_bytes=_aligned_footprint(config)
-    )
-
-
 def generate_compiled(config: SyntheticTraceConfig) -> CompiledTrace:
-    """Generate the same trace as :func:`generate_trace`, columnar form.
+    """Generate the synthetic trace ``config`` describes.
 
     No per-request objects are materialized: events stream straight from
     the generator into the compiled columns.

@@ -19,13 +19,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.traces.compiled import AnyTrace
-from repro.traces.record import Trace
+from repro.traces.compiled import CompiledTrace
 from repro.traces.synthetic import (
     Burstiness,
     SyntheticTraceConfig,
     generate_compiled,
-    generate_trace,
 )
 
 KB = 1024
@@ -145,21 +143,12 @@ PAPER_WORKLOADS: Dict[str, WorkloadPreset] = {
 
 
 def build_workload_trace(
-    name: str, scale: float = 1.0, seed: int = 42, compiled: bool = False
-) -> AnyTrace:
-    """Generate the time-scaled replica of a named paper trace.
-
-    With ``compiled=True`` the trace is lowered straight into columnar
-    :class:`~repro.traces.compiled.CompiledTrace` form (record-for-record
-    identical to the legacy object form — both consume the same generator
-    stream).
-    """
+    name: str, scale: float = 1.0, seed: int = 42
+) -> CompiledTrace:
+    """Generate the time-scaled replica of a named paper trace."""
     try:
         preset = PAPER_WORKLOADS[name]
     except KeyError:
         known = ", ".join(sorted(PAPER_WORKLOADS))
         raise KeyError(f"unknown workload {name!r}; known: {known}") from None
-    config = preset.to_config(scale=scale, seed=seed)
-    if compiled:
-        return generate_compiled(config)
-    return generate_trace(config)
+    return generate_compiled(preset.to_config(scale=scale, seed=seed))

@@ -74,9 +74,7 @@ def _full_trace(workload: str, scale: float, seed: int) -> CompiledTrace:
     key = (workload, scale, seed)
     trace = _TRACES.get(key)
     if trace is None:
-        trace = build_workload_trace(
-            workload, scale=scale, seed=seed, compiled=True
-        )
+        trace = build_workload_trace(workload, scale=scale, seed=seed)
         _TRACES[key] = trace
     return trace
 

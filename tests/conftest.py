@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import pytest
 
 from repro.core import ArrayConfig
-from repro.raid.request import RequestKind
 from repro.sim import Simulator
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.compiled import CompiledTrace, compiled_from_events
 
 KB = 1024
 MB = 1024 * KB
@@ -108,19 +107,12 @@ def small_config(**overrides) -> ArrayConfig:
 
 def make_trace(
     spec: Iterable[Tuple[float, str, int, int]], name: str = "test"
-) -> Trace:
+) -> CompiledTrace:
     """Build a trace from (time, 'r'|'w', offset, nbytes) tuples."""
-    records: List[TraceRecord] = []
-    for timestamp, kind, offset, nbytes in spec:
-        records.append(
-            TraceRecord(
-                timestamp,
-                RequestKind.WRITE if kind == "w" else RequestKind.READ,
-                offset,
-                nbytes,
-            )
-        )
-    return Trace(records, name=name)
+    return compiled_from_events(
+        ((t, kind == "w", offset, nbytes) for t, kind, offset, nbytes in spec),
+        name=name,
+    )
 
 
 def write_burst(
@@ -130,7 +122,7 @@ def write_burst(
     gap: float = 0.05,
     stride: Optional[int] = None,
     base: int = 0,
-) -> Trace:
+) -> CompiledTrace:
     """A simple all-write trace: ``count`` writes spaced ``gap`` apart."""
     if stride is None:
         stride = nbytes

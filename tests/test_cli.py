@@ -418,3 +418,45 @@ class TestMetricsCommands:
         text = out_path.read_text(encoding="utf-8")
         assert "p95 ms" in text
         assert "Power-state residency" in text
+
+
+class TestFaultCommands:
+    """A schedule the scheme cannot run is one ``error:`` line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["raid10", "src2_2", "--spec", "bogus@5"],
+                "error: unknown fault spec 'bogus@5'\n",
+            ),
+            (
+                ["raid10", "src2_2", "--spec", "fail@5:Q9"],
+                "error: 'Q9' is not a member disk of RAID10\n",
+            ),
+            (
+                ["raid5", "src2_2", "--spec", "fail@5:D0:norebuild",
+                 "--scale", "0.004", "--pairs", "2"],
+                "error: RAID5 cannot fail D0: RAID5 degraded mode",
+            ),
+        ],
+        ids=["bad-spec", "unknown-disk", "parity-failure"],
+    )
+    def test_inject_reports_schedule_errors(self, capsys, argv, message):
+        assert main(["faults", "inject", *argv, "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_campaign_reports_schedule_errors(self, capsys, jobs):
+        argv = [
+            "faults", "campaign", "--schemes", "rolo-5",
+            "--workloads", "web_1", "--times", "5", "--disks", "D0",
+            "--scale", "0.004", "--pairs", "2", "--jobs", jobs,
+            "--no-cache",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: RoLo-5 cannot fail D0: ")

@@ -1,17 +1,17 @@
-"""Equivalence suite: compiled/streamed replay is bit-identical to legacy.
+"""Equivalence suite: replay depends on a trace's column values only.
 
-The hot-path overhaul (compiled traces, indexed arrival streaming, heap
-hygiene, pooled events) is pure mechanics — it must not change a single
-reported number.  These tests replay the same workload through
-:func:`run_trace` twice, once from a legacy :class:`Trace` and once from
-its :class:`CompiledTrace` counterpart, and require the serialized
-:class:`RunMetrics` to be *byte-identical* (``json.dumps`` of
-``to_dict()``), for every scheme, with tracing attached, and under fault
-injection.
+:class:`~repro.core.base.TraceDriver` reads a trace's columns by index,
+and they come in two storages: the stdlib ``array`` columns of a
+:class:`CompiledTrace` built in process, and the ``memoryview`` columns
+of a :class:`~repro.traces.shm.SharedCompiledTrace` attached from a
+shared-memory segment, which every pooled sweep worker replays.  These
+tests replay the same workload through :func:`run_trace` from each, and
+require the serialized :class:`RunMetrics` to be *byte-identical*
+(``json.dumps`` of ``to_dict()``), for every scheme, with tracing
+attached, and under fault injection.
 
-``events_processed`` is asserted equal as well: both replay paths schedule
-exactly one arrival event per trace record (the driver keeps only the next
-arrival in the heap either way), so the arrival-streaming delta is zero.
+``events_processed`` is asserted equal as well: the driver schedules
+exactly one arrival event per request from either storage.
 """
 
 import json
@@ -26,11 +26,11 @@ from repro.obs.tracer import RecordingTracer
 from repro.sim import Simulator
 from repro.traces import (
     Burstiness,
+    SharedTraceStore,
     SyntheticTraceConfig,
-    compile_trace,
     generate_compiled,
-    generate_trace,
 )
+from repro.traces import shm
 
 MB = 1024 * 1024
 
@@ -73,45 +73,43 @@ def _replay(scheme, trace, *, tracer=None, fault_spec=None):
 
 @pytest.fixture(scope="module")
 def traces():
-    legacy = generate_trace(TRACE_CONFIG)
-    compiled = generate_compiled(TRACE_CONFIG)
-    assert list(compiled) == legacy.records  # precondition for everything below
-    return legacy, compiled
+    owned = generate_compiled(TRACE_CONFIG)
+    with SharedTraceStore() as store:
+        attached = shm.attach(store.publish(owned))
+        try:
+            assert isinstance(attached.arrivals, memoryview)
+            # Precondition for everything below.
+            assert attached.content_hash() == owned.content_hash()
+            yield owned, attached
+        finally:
+            attached.detach()
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_metrics_byte_identical_across_schemes(scheme, traces):
-    legacy, compiled = traces
-    sim_a, _, metrics_a = _replay(scheme, legacy)
-    sim_b, _, metrics_b = _replay(scheme, compiled)
+    owned, attached = traces
+    sim_a, _, metrics_a = _replay(scheme, owned)
+    sim_b, _, metrics_b = _replay(scheme, attached)
     assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
-    # One arrival event per record on both paths: zero streaming delta.
+    # One arrival event per request from either storage.
     assert sim_a.events_processed == sim_b.events_processed
 
 
 def test_metrics_byte_identical_with_tracer(traces):
-    legacy, compiled = traces
+    owned, attached = traces
     tracer_a, tracer_b = RecordingTracer(), RecordingTracer()
-    _, _, metrics_a = _replay("rolo-p", legacy, tracer=tracer_a)
-    _, _, metrics_b = _replay("rolo-p", compiled, tracer=tracer_b)
+    _, _, metrics_a = _replay("rolo-p", owned, tracer=tracer_a)
+    _, _, metrics_b = _replay("rolo-p", attached, tracer=tracer_b)
     assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
-    assert len(tracer_a.events) == len(tracer_b.events) > 0
+    assert tracer_a.events == tracer_b.events
+    assert tracer_a.events
 
 
 def test_metrics_byte_identical_under_fault_injection(traces):
-    legacy, compiled = traces
+    owned, attached = traces
     spec = "fail@10:M1"
-    sim_a, _, metrics_a = _replay("rolo-p", legacy, fault_spec=spec)
-    sim_b, _, metrics_b = _replay("rolo-p", compiled, fault_spec=spec)
+    sim_a, _, metrics_a = _replay("rolo-p", owned, fault_spec=spec)
+    sim_b, _, metrics_b = _replay("rolo-p", attached, fault_spec=spec)
     assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
     assert sim_a.events_processed == sim_b.events_processed
 
-
-def test_compile_trace_of_workload_replays_identically(traces):
-    # compile_trace() on an existing legacy trace (not just the generator
-    # fast path) feeds the indexed driver the same columns.
-    legacy, _ = traces
-    recompiled = compile_trace(legacy)
-    _, _, metrics_a = _replay("raid10", legacy)
-    _, _, metrics_b = _replay("raid10", recompiled)
-    assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)

@@ -6,7 +6,7 @@ from tests.conftest import make_trace, small_config
 from repro.core import SCHEMES, build_controller, run_trace
 from repro.core.base import run_trace as run_trace_base
 from repro.sim import Simulator
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 KB = 1024
 MB = 1024 * KB
@@ -25,7 +25,7 @@ def mixed_trace(seed=3):
         read_locality=0.5,
         seed=seed,
     )
-    return generate_trace(config)
+    return generate_compiled(config)
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ class TestWriteDominantOrderings:
             footprint_bytes=16 * MB,
             seed=11,
         )
-        trace = generate_trace(config)
+        trace = generate_compiled(config)
         out = {}
         for scheme in ALL_SCHEMES:
             sim = Simulator()
@@ -186,7 +186,7 @@ class TestWriteOnlyStress:
             footprint_bytes=12 * MB,
             seed=5,
         )
-        trace = generate_trace(config)
+        trace = generate_compiled(config)
         sim = Simulator()
         controller = build_controller(scheme, sim, small_config())
         metrics = run_trace(controller, trace)

@@ -18,7 +18,7 @@ from repro.sim.stats import StreamingStat
 from repro.traces.synthetic import (
     ALIGNMENT,
     SyntheticTraceConfig,
-    generate_trace,
+    generate_compiled,
 )
 from tests.conftest import small_config
 
@@ -499,7 +499,7 @@ def test_generated_traces_always_wellformed(
         read_locality=locality,
         seed=seed,
     )
-    trace = generate_trace(config)
+    trace = generate_compiled(config)
     prev = 0.0
     for record in trace:
         assert record.timestamp >= prev

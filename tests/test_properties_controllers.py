@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from tests.conftest import small_config
 from repro.core import SCHEMES, build_controller
 from repro.core.base import run_trace
-from repro.raid.request import RequestKind
 from repro.sim import Simulator
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.compiled import compiled_from_events
 
 KB = 1024
 MB = 1024 * KB
@@ -26,7 +25,7 @@ SPACE = 8 * MB
 @st.composite
 def workloads(draw):
     n = draw(st.integers(1, 40))
-    records = []
+    events = []
     t = 0.0
     for _ in range(n):
         t += draw(
@@ -35,15 +34,8 @@ def workloads(draw):
         is_write = draw(st.booleans())
         offset = draw(st.integers(0, (SPACE - 256 * KB) // 512)) * 512
         nbytes = draw(st.integers(1, 512)) * 512
-        records.append(
-            TraceRecord(
-                t,
-                RequestKind.WRITE if is_write else RequestKind.READ,
-                offset,
-                nbytes,
-            )
-        )
-    return Trace(records, name="hypothesis")
+        events.append((t, is_write, offset, nbytes))
+    return compiled_from_events(events, name="hypothesis")
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

@@ -6,9 +6,10 @@ from repro.core import Raid5Config, build_controller
 from repro.core.base import run_trace
 from repro.experiments.runner import run_cell_observed, workload_cell
 from repro.faults import ConsistencyOracle, FaultSchedule, run_faulted
+from repro.obs.tracer import RecordingTracer
 from repro.raid.raid5 import Raid5Layout, Raid5Segment
 from repro.sim import Simulator
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from tests.conftest import make_trace, write_burst
 
 KB = 1024
@@ -121,14 +122,16 @@ class TestRaid5Controller:
         assert controller.parity_rmw_count == 1
 
     def test_full_stripe_write_skips_reads(self, sim):
-        controller = build_controller("raid5", sim, small_raid5())
+        tracer = RecordingTracer()
+        controller = build_controller(
+            "raid5", sim, small_raid5(), tracer=tracer
+        )
         row_bytes = 4 * 64 * KB
         run_trace(controller, make_trace([(0.0, "w", 0, row_bytes)]))
-        reads = sum(
-            1 for d in controller.disks for _ in range(0)
-        )
-        total_ops = sum(d.ops_completed for d in controller.disks)
+        ops = [e.name for e in tracer.events if e.category == "disk_op"]
         # 4 data writes + 1 parity write, no reads.
+        assert ops == ["write:foreground"] * 5
+        total_ops = sum(d.ops_completed for d in controller.disks)
         assert total_ops == 5
         assert controller.parity_rmw_count == 0
 
@@ -172,7 +175,7 @@ class TestRolo5Controller:
         assert controller.metrics.destaged_bytes == 3 * 64 * KB
 
     def test_faster_than_baseline_on_small_writes(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             SyntheticTraceConfig(
                 duration_s=60.0,
                 iops=30.0,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.report import Series
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 KB = 1024
 MB = 1024 * KB
@@ -48,7 +48,7 @@ class TestRenderBars:
 
 class TestHotspots:
     def _trace(self, fraction):
-        return generate_trace(
+        return generate_compiled(
             SyntheticTraceConfig(
                 duration_s=300.0,
                 iops=40.0,

@@ -6,14 +6,13 @@ from tests.conftest import small_config, write_burst
 from repro.core import build_controller, run_trace
 from repro.disk.disk import Disk, DiskOp, OpKind, Scheduler
 from repro.disk.models import ULTRASTAR_36Z15
-from repro.raid.request import RequestKind
 from repro.sim import Simulator
 from repro.traces.analysis import burstiness_index, classify_burstiness
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.compiled import compiled_from_events
 from repro.traces.synthetic import (
     Burstiness,
     SyntheticTraceConfig,
-    generate_trace,
+    generate_compiled,
 )
 
 KB = 1024
@@ -109,7 +108,7 @@ class TestSSTF:
 
 class TestBurstinessIndex:
     def _trace(self, burstiness):
-        return generate_trace(
+        return generate_compiled(
             SyntheticTraceConfig(
                 duration_s=600.0,
                 iops=30.0,
@@ -141,18 +140,17 @@ class TestBurstinessIndex:
         assert indices == sorted(indices)
 
     def test_empty_trace(self):
-        assert burstiness_index(Trace([])) == 0.0
+        assert burstiness_index(compiled_from_events([])) == 0.0
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            burstiness_index(Trace([]), window_s=0)
+            burstiness_index(compiled_from_events([]), window_s=0)
 
     def test_deterministic_trace(self):
-        records = [
-            TraceRecord(float(i), RequestKind.WRITE, 0, 4096)
-            for i in range(100)
-        ]
-        index = burstiness_index(Trace(records))
+        trace = compiled_from_events(
+            (float(i), True, 0, 4096) for i in range(100)
+        )
+        index = burstiness_index(trace)
         assert index < 0.2  # perfectly regular arrivals
 
     def test_classification_bands(self):

@@ -1,19 +1,24 @@
 """Unit tests for the trace substrate."""
 
 import math
+import re
 
 import pytest
 
+from tests.conftest import make_trace, small_config
+from repro.core import build_controller, run_trace
 from repro.raid.request import RequestKind
+from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.traces import (
     Burstiness,
     PAPER_WORKLOADS,
     SyntheticTraceConfig,
-    Trace,
     TraceRecord,
     build_workload_trace,
     characterize,
-    generate_trace,
+    compiled_from_events,
+    generate_compiled,
 )
 from repro.traces.msr import MsrFormatError, load_msr_trace, save_msr_trace
 from repro.traces.synthetic import ALIGNMENT
@@ -46,34 +51,27 @@ class TestTraceRecord:
 
 class TestTrace:
     def test_ordering_enforced(self):
-        records = [
-            TraceRecord(2.0, RequestKind.READ, 0, 1),
-            TraceRecord(1.0, RequestKind.READ, 0, 1),
-        ]
-        with pytest.raises(ValueError):
-            Trace(records)
+        """Replay refuses an arrival earlier than the one before it."""
+        trace = make_trace([(2.0, "r", 0, 512), (1.0, "r", 0, 512)])
+        controller = build_controller("raid10", Simulator(), small_config())
+        with pytest.raises(SimulationError, match="cannot schedule at 1.0"):
+            run_trace(controller, trace)
 
     def test_duration_and_footprint(self):
-        trace = Trace(
-            [
-                TraceRecord(1.0, RequestKind.WRITE, 100, 50),
-                TraceRecord(3.0, RequestKind.READ, 500, 100),
-            ]
-        )
+        trace = make_trace([(1.0, "w", 100, 50), (3.0, "r", 500, 100)])
         assert trace.duration == 3.0
         assert trace.footprint_bytes == 600
         assert len(trace) == 2
         assert trace[0].offset == 100
 
     def test_explicit_footprint_wins(self):
-        trace = Trace(
-            [TraceRecord(0.0, RequestKind.READ, 0, 1)],
-            footprint_bytes=12345,
+        trace = compiled_from_events(
+            [(0.0, False, 0, 1)], footprint_bytes=12345
         )
         assert trace.footprint_bytes == 12345
 
     def test_empty_trace(self):
-        trace = Trace([])
+        trace = compiled_from_events([])
         assert trace.duration == 0.0
         assert trace.footprint_bytes == 0
 
@@ -92,48 +90,48 @@ class TestSyntheticGenerator:
         return SyntheticTraceConfig(**defaults)
 
     def test_deterministic_given_seed(self):
-        a = generate_trace(self.base_config())
-        b = generate_trace(self.base_config())
+        a = generate_compiled(self.base_config())
+        b = generate_compiled(self.base_config())
         assert len(a) == len(b)
         assert all(x == y for x, y in zip(a, b))
 
     def test_different_seed_differs(self):
-        a = generate_trace(self.base_config())
-        b = generate_trace(self.base_config(seed=2))
+        a = generate_compiled(self.base_config())
+        b = generate_compiled(self.base_config(seed=2))
         assert any(x != y for x, y in zip(a, b))
 
     def test_iops_close_to_target(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         measured = len(trace) / 400.0
         assert measured == pytest.approx(50.0, rel=0.1)
 
     def test_write_ratio_close_to_target(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         writes = sum(1 for r in trace if r.is_write)
         assert writes / len(trace) == pytest.approx(0.8, abs=0.05)
 
     def test_offsets_aligned_and_in_footprint(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         for record in trace:
             assert record.offset % ALIGNMENT == 0
             assert record.offset + record.nbytes <= 64 * MB
 
     def test_fixed_size_when_sigma_zero(self):
-        trace = generate_trace(self.base_config(size_sigma=0.0))
+        trace = generate_compiled(self.base_config(size_sigma=0.0))
         assert all(r.nbytes == 16 * KB for r in trace)
 
     def test_lognormal_mean_near_target(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             self.base_config(size_sigma=0.6, duration_s=2000.0)
         )
         mean = sum(r.nbytes for r in trace) / len(trace)
         assert mean == pytest.approx(16 * KB, rel=0.15)
 
     def test_sequential_fraction_produces_runs(self):
-        seq = generate_trace(
+        seq = generate_compiled(
             self.base_config(write_sequential_fraction=0.9, write_ratio=1.0)
         )
-        rnd = generate_trace(
+        rnd = generate_compiled(
             self.base_config(write_sequential_fraction=0.0, write_ratio=1.0)
         )
 
@@ -149,10 +147,10 @@ class TestSyntheticGenerator:
         assert seq_count(seq) > 10 * max(1, seq_count(rnd))
 
     def test_bursty_arrivals_have_higher_variance(self):
-        uniform = generate_trace(
+        uniform = generate_compiled(
             self.base_config(burstiness=Burstiness.NONE, duration_s=1000)
         )
-        bursty = generate_trace(
+        bursty = generate_compiled(
             self.base_config(
                 burstiness=Burstiness.VERY_HIGH,
                 burst_cycle_s=50.0,
@@ -171,7 +169,7 @@ class TestSyntheticGenerator:
         assert per_second_variance(bursty) > 3 * per_second_variance(uniform)
 
     def test_burstiness_preserves_mean_rate(self):
-        bursty = generate_trace(
+        bursty = generate_compiled(
             self.base_config(
                 burstiness=Burstiness.VERY_HIGH,
                 burst_cycle_s=20.0,
@@ -181,7 +179,7 @@ class TestSyntheticGenerator:
         assert len(bursty) / 2000 == pytest.approx(50.0, rel=0.15)
 
     def test_read_sessions_cluster_reads(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             self.base_config(
                 write_ratio=0.9,
                 read_session_fraction=0.2,
@@ -315,6 +313,7 @@ class TestMsrFormat:
         )
         loaded = load_msr_trace(path, max_records=3)
         assert len(loaded) == 3
+        assert len(load_msr_trace(path, max_records=0)) == 0
 
     def test_comments_and_zero_size_skipped(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -325,6 +324,30 @@ class TestMsrFormat:
         )
         loaded = load_msr_trace(path)
         assert len(loaded) == 1
+
+    def test_backwards_timestamp_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "20000000,h,0,Write,0,4096,0\n"
+            "30000000,h,0,Write,0,4096,0\n"
+            "# comment\n"
+            "25000000,h,0,Write,0,4096,0\n"
+        )
+        with pytest.raises(
+            MsrFormatError, match=f"^{re.escape(str(path))}:4: timestamps not monotone$"
+        ):
+            load_msr_trace(path)
+
+    def test_negative_offset_names_file_and_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "0,h,0,Write,0,4096,0\n"
+            "10000000,h,0,Read,-512,4096,0\n"
+        )
+        with pytest.raises(
+            MsrFormatError, match=f"^{re.escape(str(path))}:2: negative offset -512$"
+        ):
+            load_msr_trace(path)
 
     def test_timestamps_normalized_to_zero(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -339,11 +362,11 @@ class TestMsrFormat:
 
 class TestCharacterize:
     def test_counts(self):
-        trace = Trace(
+        trace = make_trace(
             [
-                TraceRecord(0.0, RequestKind.WRITE, 0, 10 * KB),
-                TraceRecord(5.0, RequestKind.READ, 0, 30 * KB),
-                TraceRecord(10.0, RequestKind.WRITE, 50 * KB, 20 * KB),
+                (0.0, "w", 0, 10 * KB),
+                (5.0, "r", 0, 30 * KB),
+                (10.0, "w", 50 * KB, 20 * KB),
             ]
         )
         stats = characterize(trace)
@@ -356,5 +379,5 @@ class TestCharacterize:
         assert stats.footprint_bytes == 70 * KB
 
     def test_row_renders(self):
-        trace = Trace([TraceRecord(0.0, RequestKind.WRITE, 0, KB)])
+        trace = make_trace([(0.0, "w", 0, KB)])
         assert "write" in characterize(trace, duration_s=1.0).row()
