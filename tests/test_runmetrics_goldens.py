@@ -5,8 +5,9 @@ power transitions all go through ``EnergyAccountant.transition``.  Plain
 runs take the disk's inline ACTIVE/IDLE accounting instead, so these
 digests pin that path: every energy joule, state duration, latency
 quantile and counter of the five Fig. 10 schemes and the two parity
-schemes, and of ``fail@`` + rebuild runs whose rebuild streams thousands
-of pooled copy ops.  Each
+schemes, of GRAID and RoLo-E cells whose 20 pairs destage at once, and
+of ``fail@`` + rebuild runs whose rebuild streams thousands of pooled
+copy ops.  Each
 digest is the sha256 of ``json.dumps(x.to_dict(), sort_keys=True)``, so
 floats are compared by their exact ``repr``.
 """
@@ -17,7 +18,7 @@ import json
 import pytest
 
 from tests.conftest import KB, MB, make_trace, small_config
-from repro.experiments.runner import workload_cell
+from repro.experiments.runner import _run_cell, workload_cell
 from repro.faults import FaultSchedule, run_faulted
 
 #: scheme -> digest of ``RunMetrics.to_dict()`` for src2_2 at scale 0.004,
@@ -61,6 +62,37 @@ ROLO5_PROJ0_DIGEST = (
     "805a0f4541fca21688389ba6934a20ea"
 )
 
+#: (scheme, workload, scale) -> (digest of ``RunMetrics.to_dict()``,
+#: events dispatched, end time) at the default 20 pairs.  Every pair
+#: destages at once here (20 centralized copy chains in flight at the
+#: peak), so these pin interleaved chains; the cells above have two.
+INTERLEAVED_CELLS = {
+    ("graid", "src2_2", 0.004): (
+        "7922eafde9b7cc6ef424427ad5009d2f"
+        "eb59e8598acb7c318698619a38716f8f",
+        12307,
+        40.006983779029426,
+    ),
+    ("graid", "proj_0", 0.002): (
+        "de1f10771ce48e298d93b61f9dc68a83"
+        "26bc968eee85e1e43f8274f3b5897f72",
+        23759,
+        191.85892352810876,
+    ),
+    ("rolo-e", "src2_2", 0.004): (
+        "98ef4b1e1714ef348593c02239fdd492"
+        "991ff749c0780c62dab3257dfb23b8d0",
+        12491,
+        67.13997164567425,
+    ),
+    ("rolo-e", "proj_0", 0.002): (
+        "e83938a7f5f40fd67955c8aff6c65822"
+        "115fd751fc868523ac46cbeeab18cb40",
+        25009,
+        212.33335315151515,
+    ),
+}
+
 #: scheme -> digest of ``FaultRunResult.to_dict()`` for the run below.
 FAULTED_DIGESTS = {
     "raid10": (
@@ -90,6 +122,18 @@ def test_rolo5_parity_rounds_metrics_digest():
     metrics = cell.execute()
     assert (metrics.rotations, metrics.destage_cycles) == (11, 9)
     assert digest(metrics.to_dict()) == ROLO5_PROJ0_DIGEST
+
+
+@pytest.mark.parametrize(
+    "scheme, workload, scale", sorted(INTERLEAVED_CELLS)
+)
+def test_interleaved_destage_cell_digest(scheme, workload, scale):
+    run = _run_cell(workload_cell(scheme, workload, scale=scale))
+    assert (
+        digest(run.metrics.to_dict()),
+        run.profile.events,
+        run.profile.sim_time_s,
+    ) == INTERLEAVED_CELLS[(scheme, workload, scale)]
 
 
 def faulted_trace():
