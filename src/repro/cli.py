@@ -496,10 +496,20 @@ def _faults_inject(args: argparse.Namespace) -> int:
 def _faults_campaign(args: argparse.Namespace) -> int:
     import json
 
-    from repro.faults import build_campaign, campaign_summary, run_campaign
+    from repro.faults import (
+        FaultScheduleError,
+        build_campaign,
+        campaign_summary,
+        run_campaign,
+    )
 
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    times = [float(t) for t in args.times.split(",") if t.strip()]
+    try:
+        times = [float(t) for t in args.times.split(",") if t.strip()]
+    except ValueError:
+        raise FaultScheduleError(
+            f"--times takes comma-separated seconds, not {args.times!r}"
+        ) from None
     cells = build_campaign(
         schemes=args.schemes.split(","),
         workloads=args.workloads.split(","),

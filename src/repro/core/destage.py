@@ -16,23 +16,29 @@ the paper:
 Either way the batch in flight runs at :class:`~repro.disk.disk.Priority`
 BACKGROUND, so queued foreground requests always pass it.
 
-A centralized chain (every rebuild, too) *fast-forwards* while nothing
-else can interleave with it: when one of its reads completes, a
-single-target chain copies whole batches inline, in local variables,
-without pooled ops, heap events or ``Disk.submit``, pushing each disk's
-standby timer once per block instead of once per idle, and leaves its
-one pending completion to the event path at its reserved ``(time,
-seq)``.  Whatever it refuses runs on the event path.  The outputs are
-exactly those of the event path (see :meth:`DestageProcess._steady`).
+Centralized chains (every rebuild, too) *fast-forward*.  Their copy ops
+carry a ``dispatch`` hook, so each op's completion event comes to a
+steady-state block (:meth:`DestageProcess._steady`) before the event
+path.  The block completes it inline, then every copy completion the
+heap holds next, of any centralized chain, read or write, with or
+without a seek: the interleaved chains of many pairs destaging at once
+advance together, without pooled-op churn, ``Disk.submit`` or the run
+loop, until a foreign entry comes first.  A lone single-target chain
+runs in a tighter inner loop (:meth:`DestageProcess._solo`) that copies
+whole batches in local variables and leaves its one pending completion
+at its reserved ``(time, seq)``.  Whatever the block refuses runs on the
+event path.  The outputs are exactly those of the event path.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from heapq import heappop
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.disk import (
+    _OP_POOL,
     Disk,
     DiskOp,
     OpKind,
@@ -41,6 +47,14 @@ from repro.disk.disk import (
 )
 from repro.disk.power import PowerState
 from repro.sim.engine import Simulator, Timer
+
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the block reads them per op.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+_IDLE = PowerState.IDLE
+_ACTIVE = PowerState.ACTIVE
+_FAILED = PowerState.FAILED
 
 
 def split_runs(
@@ -99,6 +113,44 @@ def _bucket(bounds: List[float], gap: float) -> Tuple[int, float, float]:
     return index, max(lo, 0.0), hi
 
 
+def _chain_event(disk: Disk, op: DiskOp) -> None:
+    """The completion event of a centralized chain's copy ``op`` on
+    ``disk``: a steady-state block takes it, or the event path does."""
+    if not op.on_complete.__self__._steady(disk, op):
+        disk._complete(op)
+
+
+def _submit(disk: Disk, op: DiskOp, now: float) -> None:
+    """``disk.submit(op)`` at ``now`` for a background copy op inside a
+    block: the disk has not failed, and the caller needs no event."""
+    op.submit_time = now
+    state = disk.power._state
+    queues = disk._queues
+    if disk._in_service is None and not (queues[0] or queues[1]) and (
+        state is _IDLE or state is _ACTIVE
+    ):
+        disk._start(op, state)
+        return
+    queues[1].append(op)
+    if state is PowerState.STANDBY:
+        disk._begin_spin_up()
+    elif state is PowerState.SPINNING_DOWN:
+        disk._wake_after_down = True
+    else:
+        disk._try_start()
+
+
+def _pooled_copy_op() -> DiskOp:
+    """A pooled background copy op for a block's extra write: from the
+    slab pool (outside ``acquire_op``'s census) or new."""
+    op = _OP_POOL.pop() if _OP_POOL else DiskOp(_WRITE, 0, 1)
+    op.priority = Priority.BACKGROUND
+    op.sequential_hint = False
+    op.dispatch = _chain_event
+    op._pooled = True
+    return op
+
+
 class DestageProcess:
     """Copies a fixed list of extents from ``source`` to ``targets``.
 
@@ -134,11 +186,15 @@ class DestageProcess:
         self.aborted = False
         self.on_complete = on_complete
         self.bytes_moved = 0
-        #: Batches whose write completed inside a steady-state block (see
-        #: :meth:`_steady`).  Each skipped two ``Disk.submit`` calls, its
-        #: write's and the next batch's read; a block cut by a stride point
-        #: between a read and its write skipped that write's submit too.
+        #: Batches whose last write completed inside a steady-state block
+        #: (see :meth:`_steady`), issuing the next batch's read there.  When
+        #: every completion but the last batch's runs inline, each skipped
+        #: ``1 + len(targets)`` ``Disk.submit`` calls: its writes' and the
+        #: next batch's read.
         self.inline_batches = 0
+        #: Write ops a block kept from a batch's earlier writes, for the
+        #: next batch's extra targets.
+        self._spare_ops: List[DiskOp] = []
         self.started_at = sim.now
         self.finished_at: float = -1.0
         self._gate_disks = [source] + self.targets
@@ -246,16 +302,14 @@ class DestageProcess:
         self._in_flight = True
         # Copy ops come from the slab pool; the disk recycles each one
         # after its callback, which reads the extent off the op itself.
-        event = self.source.submit(
-            acquire_op(
-                OpKind.READ, offset // 512, nbytes, Priority.BACKGROUND,
-                self._read_done,
-            )
+        op = acquire_op(
+            OpKind.READ, offset // 512, nbytes, Priority.BACKGROUND,
+            self._read_done,
         )
-        if event is not None and not self.idle_gated:
-            # The read went straight into service: take its completion
-            # event, so the steady-state loop can start from it.
-            event.callback = self._read_event
+        if not self.idle_gated:
+            # Its completion, and its writes', come to the block first.
+            op.dispatch = _chain_event
+        self.source.submit(op)
 
     def _read_done(self, op: DiskOp) -> None:
         if self.aborted:
@@ -263,12 +317,12 @@ class DestageProcess:
         sector, nbytes = op.sector, op.nbytes
         self._writes_outstanding = len(self.targets)
         for target in self.targets:
-            target.submit(
-                acquire_op(
-                    OpKind.WRITE, sector, nbytes, Priority.BACKGROUND,
-                    self._write_done,
-                )
+            write = acquire_op(
+                OpKind.WRITE, sector, nbytes, Priority.BACKGROUND,
+                self._write_done,
             )
+            write.dispatch = op.dispatch
+            target.submit(write)
 
     def _write_done(self, op: DiskOp) -> None:
         self._writes_outstanding -= 1
@@ -286,88 +340,220 @@ class DestageProcess:
             self._issue_next()
 
     # ------------------------------------------------------------------
-    # Fast-forward: the chain's own ops, completed without events.
+    # Fast-forward: copy ops completed without the event path.
     # ------------------------------------------------------------------
-    def _read_event(self, op: DiskOp) -> None:
-        """Completion event of a read that went straight into service:
-        the steady-state loop takes it, or the event path does."""
-        if not self._steady(op):
-            self.source._complete(op)
+    def _steady(self, disk: Disk, op: DiskOp) -> int:
+        """Complete ``op`` on ``disk``, and every copy op after it, inline.
 
-    def _steady(self, op: DiskOp) -> int:
+        The run loop has just dispatched ``op``'s completion event.  The
+        block completes it as ``disk._complete`` and this chain's
+        callbacks would, then takes the heap's next entry while that is
+        another centralized chain's copy op completion (any chain's, read
+        or write, seek or not), so interleaved chains advance together.
+        Each completion does the event path's work in its order, without
+        its calls: the disk's bookkeeping, the chain's callback (a read
+        fans out one write per target, the last write of a batch issues
+        the next read, reusing the completed ops), a submit that puts the
+        op in service through ``Disk._start`` or queues it, then the
+        disk's next queued op or ``Disk._go_idle``.  Seqs and standby
+        timer arms are the event path's, since both go through the same
+        pushes; no foreign code runs inside a block.
+
+        The fast case: a single-target chain's read that opens the
+        block, or follows the same chain's previous completion, most
+        likely runs alone, so the block first offers it to :meth:`_solo`,
+        which copies whole batches in local variables until another entry
+        of the heap comes first.
+
+        A completion is taken only if its disk has no tracer, op
+        observer, idle listener or (for a read) latent error and serves
+        FCFS, its chain is not aborted, the disks it submits to have no
+        tracer and have not failed, and it is not the last batch's read
+        or last write (their callbacks finish the chain).  The block ends
+        before a completion it would not take, a foreign entry (a standby
+        timer's expiry among them), one past ``run(until=)``, and the one
+        that would bring the stride countdown to zero; with the countdown
+        at one it takes none.  Returns the completions it took, ``op``'s
+        included; 0, having changed nothing, when it takes none.
+        """
+        sim = self.sim
+        stride = sim._stride_fn
+        budget = -1
+        if stride is not None:
+            # The stride fires before the countdown's last event.
+            budget = sim._stride_left
+            if budget < 2:
+                return 0
+        until = sim._until
+        chain = self
+        last = None
+        done = 0
+        event = None
+        while True:
+            read = op.kind is _READ
+            batches = chain._batches
+            if (
+                disk._tracer is not None
+                or disk._op_observer is not None
+                or disk._idle_listeners
+                or not disk._fcfs
+                or chain.aborted
+            ):
+                break
+            if read:
+                if disk._latent_errors or chain._next_batch >= len(batches):
+                    break
+                fed = chain.targets
+            elif chain._writes_outstanding > 1:
+                fed = ()
+            elif chain._next_batch < len(batches):
+                fed = (chain.source,)
+            else:
+                break
+            for d in fed:
+                if d._tracer is not None or d.power._state is _FAILED:
+                    fed = None
+                    break
+            if fed is None:
+                break
+            if event is not None:
+                # Taken off the heap here, as the run loop would.
+                heappop(sim._heap)
+                sim._now = entry[0]
+                sim._recycle(event)
+            now = sim._now
+            taken = 0
+            if read and len(fed) == 1 and (chain is last or not done):
+                # Running alone, most likely: the fast case.
+                left = budget - done if budget > 0 else 2 * len(batches)
+                taken = chain._solo(op, left)
+            if taken:
+                done += taken
+            else:
+                # The event path's completion, in its order.
+                nbytes = op.nbytes
+                sector = op.sector
+                op.finish_time = now
+                disk._head_sector = disk._end_sector(sector, nbytes)
+                disk._in_service = None
+                disk.ops_completed += 1
+                disk.bytes_transferred += nbytes
+                disk.busy_time += now - op.start_time
+                disk.background_ops += 1
+                if read:
+                    # _read_done: one write per target, the first reusing
+                    # the read's op.
+                    chain._writes_outstanding = len(fed)
+                    spare = chain._spare_ops
+                    for target in fed:
+                        if op is None:
+                            op = spare.pop() if spare else _pooled_copy_op()
+                        op.kind = _WRITE
+                        op.sector = sector
+                        op.nbytes = nbytes
+                        op.on_complete = chain._write_done
+                        _submit(target, op, now)
+                        op = None
+                elif fed:
+                    # _write_done of the batch's last write: _issue_next,
+                    # the write's op becoming the next batch's read.
+                    chain._writes_outstanding = 0
+                    chain.bytes_moved += nbytes
+                    offset, nbytes = batches[chain._next_batch]
+                    chain._next_batch += 1
+                    chain.inline_batches += 1
+                    op.kind = _READ
+                    op.sector = offset // 512
+                    op.nbytes = nbytes
+                    op.on_complete = chain._read_done
+                    _submit(fed[0], op, now)
+                else:
+                    chain._writes_outstanding -= 1
+                    chain._spare_ops.append(op)
+                # The disk's next queued op, else it goes idle.
+                if disk._in_service is None:
+                    queues = disk._queues
+                    if queues[0] or queues[1]:
+                        disk._start((queues[0] or queues[1]).popleft(), _ACTIVE)
+                    else:
+                        disk._go_idle(now)
+                done += 1
+            if done == budget:
+                break
+            last = chain
+            # The heap's next live entry, if it is a copy op's completion.
+            entry = sim._head()
+            if entry is None:
+                break
+            event = entry[2]
+            if event.callback is not _chain_event or entry[0] > until:
+                break
+            disk, op = event.args
+            chain = op.on_complete.__self__
+        if done > 1:
+            # The run loop counted the first completion.
+            sim.events_processed += done - 1
+            if stride is not None:
+                sim._stride_left -= done - 1
+        return done
+
+    def _solo(self, op: DiskOp, budget: int) -> int:
         """Copy whole batches inline from the read ``op``, completing now.
 
-        The run loop has just dispatched ``op``'s completion.  While the
-        chain alone can run, every batch is the same two head-contiguous
-        transfers, so the loop holds both disks' counters, power
-        integration and idle-gap buckets in locals and does only the event
-        path's float operations, in its order: the completion clock ``time
-        + service`` with the same ``nbytes / _transfer_rate`` (×
-        ``slowdown_factor``) service, each disk's busy time, ``energy_joules
-        += watts * elapsed`` and ``state_durations`` adds, and the bucket
-        ``Histogram.add`` would pick (cached: steady gaps repeat).  Integer
-        counters, seqs, ``events_processed`` and the stride countdown
-        advance in bulk when the block ends; no foreign code runs inside
-        it.  Its one pending completion then becomes a real event at its
-        reserved ``(time, seq)``: a read comes back here, a write goes to
-        the target's ``_complete``.  A disk's standby timer re-arms at each
+        The fast case of :meth:`_steady`: while this single-target chain's
+        completions come before the heap's next live entry, every batch is
+        the same two transfers, each a seek or not, so the loop holds both
+        disks' counters, power integration and idle-gap buckets in locals
+        and does only the event path's float operations, in its order: the
+        completion clock ``time + service`` with ``Disk._start``'s service
+        (``nbytes / _transfer_rate`` on the head's sector, else
+        ``service_time``, × ``slowdown_factor``), each disk's busy time,
+        ``energy_joules += watts * elapsed`` and ``state_durations`` adds,
+        and the bucket ``Histogram.add`` would pick (cached: steady gaps
+        repeat).  Integer counters and seqs advance in bulk when it ends.
+        Its one pending completion then becomes a real event at its
+        reserved ``(time, seq)``.  A disk's standby timer re-arms at each
         of its idles: each virtual idle takes one seq after the op it
-        starts, and the last arm's expiry is pushed once, at write-back.
+        starts, and the last arm's expiry is pushed once, at the end.
 
-        Entry: ``op`` is one target's read and stands where the previous
-        batch's write left it.  The source has nothing queued and no latent
-        errors; neither disk has an idle listener, a tracer or an op
-        observer, and the two are distinct; the target is IDLE with nothing
-        in service or queued and its head on ``op``'s sector; and neither
-        disk was touched since the read started.  A batch is taken only
-        while its read is not the last batch's and the next batch continues
-        it with the same size.  The block ends before a batch whose write
-        would not complete strictly before the heap's next live entry but
-        the standby timers' (a tie goes to that entry: its seq is older) or
+        Entry: ``op`` is the source's read.  The source has nothing
+        queued; neither disk has an idle listener, a tracer or an op
+        observer, and the two are distinct; the target is IDLE with
+        nothing in service or queued; and neither disk was touched since
+        the read started.  A batch is taken only while its read is not
+        the last batch's.  The loop ends before a batch whose write would
+        not complete strictly before the heap's next live entry but the
+        standby timers' (a tie goes to that entry: its seq is older) or
         would complete past ``run(until=)``, before a completion not
-        strictly earlier than a standby timer's pending expiry, and before
-        the completion that would bring the stride countdown to zero.
-        Returns the completions it took, ``op``'s included; 0, having
-        changed nothing, when it takes none.
+        strictly earlier than a standby timer's pending expiry, and after
+        ``budget`` completions.  Returns the completions it took, ``op``'s
+        included; 0, having changed nothing, when it takes none.
         """
         sim = self.sim
         source = self.source
         target = self.targets[0]
-        sector = op.sector
         started = op.start_time  # the read's start
         s_power = source.power
         t_power = target.power
         if (
-            len(self.targets) != 1
-            or sim._stopped
-            or self.aborted
-            or source._queues[0]
+            source._queues[0]
             or source._queues[1]
-            or source._latent_errors
             or source._idle_listeners
             or target._idle_listeners
             or target._in_service is not None
             or target._queues[0]
             or target._queues[1]
             or t_power._state is not PowerState.IDLE
-            or target._head_sector != sector
             or target._idle_since != started
             or t_power._last_time != started
             or s_power._last_time != started
             or source is target
-            or source._tracer is not None
-            or source._op_observer is not None
-            or target._tracer is not None
             or target._op_observer is not None
         ):
             return 0
         batches = self._batches
         index = self._next_batch
         n_batches = len(batches)
-        # Budget: the completions up to the stride point, this read's
-        # included; without a stride, more than the chain has.
-        stride = sim._stride_fn
-        budget = 2 * n_batches if stride is None else sim._stride_left
         # Standby timers: a disk's pending expiry, then the one each of its
         # idles re-arms (``math.inf`` without a timer).
         s_timer = source.standby_timer
@@ -392,16 +578,33 @@ class DestageProcess:
             if head is not None and head[0] < limit:
                 limit = head[0]
         t_read = sim._now
+        sector = op.sector
         nbytes = op.nbytes
-        read_s = nbytes / source._transfer_rate
-        if source.slowdown_factor != 1.0:
-            read_s *= source.slowdown_factor
-        write_s = nbytes / target._transfer_rate
-        if target.slowdown_factor != 1.0:
-            write_s *= target.slowdown_factor
-        # Disk end sectors are start + whole sectors, so this is the
-        # sector step between contiguous batches.
-        step = source._end_sector(sector, nbytes) - sector
+        s_rate = source._transfer_rate
+        t_rate = target._transfer_rate
+        s_slow = source.slowdown_factor
+        t_slow = target.slowdown_factor
+        s_seek = source._service_time
+        t_seek = target._service_time
+        # Disk end sectors are start + whole sectors: ``step`` is the
+        # sector count of a ``size``-byte batch, whose transfer-only
+        # service times are ``read_x`` and ``write_x``.
+        end_sector = source._end_sector
+        size = nbytes
+        step = end_sector(0, size)
+        read_x = size / s_rate
+        if s_slow != 1.0:
+            read_x *= s_slow
+        write_x = size / t_rate
+        if t_slow != 1.0:
+            write_x *= t_slow
+        t_head = target._head_sector
+        if sector == t_head:
+            write_s = write_x
+        else:
+            write_s = t_seek(t_head, sector, nbytes)
+            if t_slow != 1.0:
+                write_s *= t_slow
         active = PowerState.ACTIVE
         idle = PowerState.IDLE
         s_durations = s_power.state_durations
@@ -426,9 +629,6 @@ class DestageProcess:
         s_lo = s_hi = t_lo = t_hi = math.nan
         left = budget
         while index < n_batches:
-            offset, size = batches[index]
-            if size != nbytes or offset // 512 != sector + step:
-                break
             t_write = t_read + write_s
             s_next = t_read + s_interval  # the read's idle re-arms it
             if (
@@ -440,6 +640,7 @@ class DestageProcess:
                 break
             # The read completes at t_read: the write starts on the target
             # (idle since ``started``) and the source goes idle.
+            end = sector + step
             s_expiry = s_next
             gap = t_read - started
             s_busy += gap
@@ -459,6 +660,27 @@ class DestageProcess:
                 break
             # The write completes at t_write: the next read starts on the
             # source (idle since t_read) and the target goes idle.
+            offset, nbytes = batches[index]
+            sector = offset // 512
+            if nbytes != size:
+                size = nbytes
+                step = end_sector(0, size)
+                read_x = size / s_rate
+                if s_slow != 1.0:
+                    read_x *= s_slow
+                write_x = size / t_rate
+                if t_slow != 1.0:
+                    write_x *= t_slow
+            if sector == end:
+                read_s = read_x
+                write_s = write_x
+            else:
+                read_s = s_seek(end, sector, nbytes)
+                if s_slow != 1.0:
+                    read_s *= s_slow
+                write_s = t_seek(end, sector, nbytes)
+                if t_slow != 1.0:
+                    write_s *= t_slow
             t_expiry = t_write + t_interval
             gap = t_write - t_read
             t_busy += gap
@@ -474,7 +696,6 @@ class DestageProcess:
             t_energy += t_active_w * gap
             t_active += gap
             index += 1
-            sector += step
             started = t_write
             t_read = t_write + read_s
             left -= 1
@@ -485,10 +706,10 @@ class DestageProcess:
             return 0
         writes = done // 2  # a block starts with a read
         reads = done - writes
-        # Write-back; the run loop already counted this read's completion.
-        sim.events_processed += done - 1
-        if stride is not None:
-            sim._stride_left -= done - 1
+        first = self._next_batch - 1  # the entering read's batch
+        sizes = [size for _, size in batches[first:first + reads]]
+        s_bytes = sum(sizes)
+        t_bytes = s_bytes - sizes[-1] if reads > writes else s_bytes
         s_power.energy_joules = s_energy
         t_power.energy_joules = t_energy
         s_durations[active] = s_active
@@ -502,14 +723,14 @@ class DestageProcess:
         t_hist.counts[t_bucket] += t_hits
         t_hist.count += t_hits
         source.ops_completed += reads
-        source.bytes_transferred += reads * nbytes
+        source.bytes_transferred += s_bytes
         source.background_ops += reads
         target.ops_completed += writes
-        target.bytes_transferred += writes * nbytes
+        target.bytes_transferred += t_bytes
         target.background_ops += writes
         self._next_batch = index
         self.inline_batches += writes
-        self.bytes_moved += writes * nbytes
+        self.bytes_moved += t_bytes
         # Seqs: each completion's op start, then its disk's timer arm.
         read_seqs = 1 if s_timer is None else 2
         write_seqs = 1 if t_timer is None else 2
@@ -532,43 +753,47 @@ class DestageProcess:
                 t_expiry, t_timer._fire, (), "timer", last_write + 1
             )
         op.sector = sector
+        op.nbytes = nbytes
+        # Heads stand at the end of each disk's last completed batch.
+        source._head_sector = end
         if reads > writes:
             # Ends before the write completes: the target serves it.
+            if writes:
+                offset, size = batches[index - 2]
+                target._head_sector = end_sector(offset // 512, size)
             sim._now = t_read
             op.kind = OpKind.WRITE
             op.on_complete = self._write_done
             op.submit_time = op.start_time = t_read
             self._writes_outstanding = 1
             source._in_service = None
-            source._head_sector = sector + step
             source._idle_since = t_read
             s_power._state = idle
             s_power._watts = s_idle_w
             s_power._last_time = t_read
             target._in_service = op
-            target._head_sector = sector
             target._idle_since = -1.0
             t_power._state = active
             t_power._watts = t_active_w
             t_power._last_time = t_read
             sim._push(
-                t_write, target._complete, (op,), target._io_label, last_read
+                t_write, _chain_event, (target, op), target._io_label,
+                last_read,
             )
         else:
             # Ends before the next read completes: as on entry, with the
             # read one or more batches on.
+            target._head_sector = end
             sim._now = started
             op.submit_time = op.start_time = started
-            source._head_sector = sector
             s_power._last_time = started
-            target._head_sector = sector
             target._idle_since = started
             t_power._last_time = started
             sim._push(
-                t_read, self._read_event, (op,), source._io_label, last_write
+                t_read, _chain_event, (source, op), source._io_label,
+                last_write,
             )
         return done
-
     def _finish(self) -> None:
         if self.done:
             return

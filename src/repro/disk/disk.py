@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import enum
+from bisect import bisect_left
 from typing import Callable, Deque, List, Optional
 
 from repro.disk.mechanical import MechanicalModel
@@ -72,6 +73,7 @@ class DiskOp:
         "submit_time",
         "start_time",
         "finish_time",
+        "dispatch",
         "_pooled",
     )
 
@@ -102,6 +104,11 @@ class DiskOp:
         self.submit_time: float = -1.0
         self.start_time: float = -1.0
         self.finish_time: float = -1.0
+        #: ``dispatch(disk, op)`` runs when the op's completion event
+        #: fires, in place of the disk's completion method, which it must
+        #: call itself unless it completes the op in the same way (a
+        #: copy chain's steady-state block, see ``repro.core.destage``).
+        self.dispatch: Optional[Callable[["Disk", "DiskOp"], None]] = None
         #: True only for ops from the slab pool; the disk recycles these.
         self._pooled = False
 
@@ -174,6 +181,7 @@ def release_op(op: DiskOp) -> None:
     """Return a pooled op to the free list (drops it once the cap is hit)."""
     op.on_complete = None
     op.tag = None
+    op.dispatch = None
     op._pooled = False
     pool = _OP_POOL
     if len(pool) < _OP_POOL_MAX:
@@ -189,6 +197,17 @@ def op_pool_stats() -> dict:
         "reused": _OP_POOL_STATS[0],
         "released": _OP_POOL_STATS[1],
     }
+
+
+# The per-op paths below compare against these module constants: looking
+# a member up on an Enum class costs several times a global read.
+_READ = OpKind.READ
+_FOREGROUND = Priority.FOREGROUND
+_ACTIVE = PowerState.ACTIVE
+_IDLE = PowerState.IDLE
+_FAILED = PowerState.FAILED
+_STANDBY = PowerState.STANDBY
+_SPINNING_DOWN = PowerState.SPINNING_DOWN
 
 
 class Disk:
@@ -409,19 +428,19 @@ class Disk:
         # submit/_try_start/_complete run per simulated op, and the
         # state->property->property chain showed up in replay profiles.
         state = self.power._state
-        if state is PowerState.FAILED:
+        if state is _FAILED:
             raise DiskFailedError(f"{self.name} has failed")
         op.submit_time = self.sim._now
         queues = self._queues
         if self._in_service is None and not (queues[0] or queues[1]) and (
-            state is PowerState.IDLE or state is PowerState.ACTIVE
+            state is _IDLE or state is _ACTIVE
         ):
             # _try_start would pick this very op
             return self._start(op, state)
         queues[op.priority].append(op)
-        if state is PowerState.STANDBY:
+        if state is _STANDBY:
             self._begin_spin_up()
-        elif state is PowerState.SPINNING_DOWN:
+        elif state is _SPINNING_DOWN:
             self._wake_after_down = True
         else:
             self._try_start()
@@ -451,7 +470,7 @@ class Disk:
         if self._in_service is not None:
             return
         state = self.power._state
-        if state is not PowerState.IDLE and state is not PowerState.ACTIVE:
+        if state is not _IDLE and state is not _ACTIVE:
             return
         queues = self._queues
         if self._fcfs:
@@ -470,18 +489,22 @@ class Disk:
 
     def _start(self, op: DiskOp, state: PowerState) -> Event:
         """Put ``op`` in service on a spun-up disk in power ``state``;
-        returns its completion event.  ``DestageProcess._steady`` does
-        this body's float operations for the copy ops it runs without
-        events."""
+        returns its completion event, which calls ``op.dispatch`` when
+        the op has one.  ``DestageProcess._steady`` starts copy ops here
+        too, and does this body's float operations itself for the ones
+        its inner loop runs without events."""
         now = self.sim._now
         self._in_service = op
         op.start_time = now
         if self._idle_since >= 0:
             gap = now - self._idle_since
             if gap > 0:
-                self.idle_gap_histogram.add(gap)
+                # Histogram.add inline: one bucket count per idle slot.
+                gaps = self.idle_gap_histogram
+                gaps.count += 1
+                gaps.counts[bisect_left(gaps.bounds, gap)] += 1
             self._idle_since = -1.0
-        if state is not PowerState.ACTIVE:
+        if state is not _ACTIVE:
             # power.transition(now, ACTIVE) inline, the same float ops in the
             # same order (also in _go_idle); spin, failure and close call it.
             power = self.power
@@ -493,10 +516,10 @@ class Disk:
                 power.energy_joules += power._watts * elapsed
                 power.state_durations[state] += elapsed
             power._last_time = now
-            power._state = PowerState.ACTIVE
+            power._state = _ACTIVE
             power._watts = self._active_watts
             if power.on_transition is not None:
-                power.on_transition(now, state, PowerState.ACTIVE)
+                power.on_transition(now, state, _ACTIVE)
         sector = op.sector
         if op.sequential_hint or sector == self._head_sector:
             # Head-contiguous: exactly the transfer-only time service_time
@@ -506,9 +529,12 @@ class Disk:
             service = self._service_time(self._head_sector, sector, op.nbytes)
         if self.slowdown_factor != 1.0:
             service *= self.slowdown_factor
-        return self._push(
-            now + service, self._complete, (op,), self._io_label
-        )
+        dispatch = op.dispatch
+        if dispatch is None:
+            return self._push(
+                now + service, self._complete, (op,), self._io_label
+            )
+        return self._push(now + service, dispatch, (self, op), self._io_label)
 
     # Completion runs once per simulated op; ``self._complete`` is bound to
     # exactly one of the two variants below by ``_select_complete``, so the
@@ -522,11 +548,11 @@ class Disk:
         self.ops_completed += 1
         self.bytes_transferred += op.nbytes
         self.busy_time += now - op.start_time
-        if op.priority is Priority.FOREGROUND:
+        if op.priority is _FOREGROUND:
             self.foreground_ops += 1
         else:
             self.background_ops += 1
-        if self._latent_errors and op.kind is OpKind.READ:
+        if self._latent_errors and op.kind is _READ:
             self._surface_latent_errors(op.sector, end)
         callback = op.on_complete
         if callback is not None:
@@ -554,11 +580,11 @@ class Disk:
         self.ops_completed += 1
         self.bytes_transferred += op.nbytes
         self.busy_time += now - op.start_time
-        if op.priority is Priority.FOREGROUND:
+        if op.priority is _FOREGROUND:
             self.foreground_ops += 1
         else:
             self.background_ops += 1
-        if self._latent_errors and op.kind is OpKind.READ:
+        if self._latent_errors and op.kind is _READ:
             self._surface_latent_errors(op.sector, end)
         tracer = self._tracer
         if tracer is not None:
@@ -582,7 +608,7 @@ class Disk:
         """The queue drained: close an ACTIVE span, open an idle slot,
         re-arm the standby timer and tell the idle listeners (if any)."""
         power = self.power
-        if power._state is PowerState.ACTIVE:
+        if power._state is _ACTIVE:
             # power.transition(now, IDLE) inline, as in _start.
             last = power._last_time
             if now < last:
@@ -590,15 +616,15 @@ class Disk:
             elapsed = now - last
             if elapsed:
                 power.energy_joules += power._watts * elapsed
-                power.state_durations[PowerState.ACTIVE] += elapsed
+                power.state_durations[_ACTIVE] += elapsed
             power._last_time = now
-            power._state = PowerState.IDLE
+            power._state = _IDLE
             power._watts = self._idle_watts
             if power.on_transition is not None:
-                power.on_transition(now, PowerState.ACTIVE, PowerState.IDLE)
+                power.on_transition(now, _ACTIVE, _IDLE)
         self._idle_since = now
         timer = self.standby_timer
-        if timer is not None and power._state is PowerState.IDLE:
+        if timer is not None and power._state is _IDLE:
             timer.arm()
         if self._idle_listeners:
             self._notify_idle()

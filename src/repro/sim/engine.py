@@ -439,7 +439,11 @@ class Simulator:
         return None
 
     def step(self) -> bool:
-        """Process a single event.  Returns ``False`` when the queue is empty."""
+        """Process a single event.  Returns ``False`` when the queue is empty.
+
+        Exactly one: its callback sees no ``run(until=)`` horizon, even
+        when a run loop calls this, so nothing is dispatched virtually.
+        """
         heap = self._heap
         while heap:
             time, _seq, event = heapq.heappop(heap)
@@ -455,7 +459,12 @@ class Simulator:
                 if not self._stride_left:
                     self._stride_left = self._stride_every
                     self._stride_fn()
-            event.callback(*event.args)
+            until = self._until
+            self._until = -math.inf
+            try:
+                event.callback(*event.args)
+            finally:
+                self._until = until
             self._recycle(event)
             return True
         return False

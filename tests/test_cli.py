@@ -460,3 +460,15 @@ class TestFaultCommands:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("error: RoLo-5 cannot fail D0: ")
+
+    def test_campaign_reports_bad_fault_times(self, capsys):
+        argv = [
+            "faults", "campaign", "--schemes", "raid10",
+            "--workloads", "wdev_0", "--times", "abc", "--disks", "M0",
+            "--no-cache",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --times takes comma-separated seconds, not 'abc'\n"
+        )

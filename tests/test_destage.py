@@ -264,13 +264,13 @@ def _long_chain(n_batches=LONG):
 
 @pytest.fixture
 def steady_completions(monkeypatch):
-    """The completions the steady-state loop dispatches, one entry per
+    """The completions the steady-state block dispatches, one entry per
     block."""
     done = []
     steady = DestageProcess._steady
 
-    def counting(self, op):
-        done.append(steady(self, op))
+    def counting(self, disk, op):
+        done.append(steady(self, disk, op))
         return done[-1]
 
     monkeypatch.setattr(DestageProcess, "_steady", counting)

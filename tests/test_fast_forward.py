@@ -1,28 +1,33 @@
 """Fast-forwarded copy chains against the event path.
 
-A centralized single-target copy chain (every rebuild, GRAID and
-RoLo-E destage) copies whole batches inline in its steady-state loop
-(``DestageProcess._steady``), entered from a read's completion event,
-while nothing else can interleave with it.  Each scenario here runs
-three ways, every disk built (replacements included) getting:
+Centralized copy chains (every rebuild, GRAID and RoLo-E destage)
+complete their copy ops inline in a steady-state block
+(``DestageProcess._steady``), entered from a copy op's completion
+event, which advances every chain whose completions come next on the
+heap: a lone rebuild and the interleaved destage chains of many pairs
+alike.  Each scenario here runs three ways, every disk built
+(replacements included) getting:
 
 * nothing: chains run inline;
-* a no-op idle listener: the loop refuses every chain, which stays on
-  the event path;
+* a no-op idle listener: the block refuses every completion, which
+  stays on the event path;
 * a no-op op observer: every chain stays on the event path.
 
 The three runs must agree on everything they produce: ``RunMetrics``,
 the whole ``FaultRunResult``, the verification verdict (violations,
-invariant sweeps, reads checked), the engine's ``events_processed`` and
-the end time.
+invariant sweeps, reads checked), every disk's counters, head, idle
+gaps and power integration, the engine's ``events_processed`` and the
+end time.
 """
 
+import collections
 import json
 
 import pytest
 
 from repro.core import DataLossError
 from repro.core.destage import DestageProcess
+from repro.disk.disk import Disk
 from repro.faults import run_faulted
 from repro.traces.compiled import truncate_trace
 from repro.verify import InvariantChecker, ReferenceModel, Scenario
@@ -43,6 +48,15 @@ CONDITIONS = {
     "second-fail": "fail@100:P0,fail@300:M1:norebuild",
 }
 
+#: Clean runs in which every pair destages at once, so one centralized
+#: chain per pair interleaves with the others on the heap.
+INTERLEAVED = {
+    "graid-src2_2": ("graid", "src2_2", 0.004, 8),
+    "graid-proj_0": ("graid", "proj_0", 0.002, 10),
+    "rolo-e-src2_2": ("rolo-e", "src2_2", 0.004, 8),
+    "rolo-e-proj_0": ("rolo-e", "proj_0", 0.002, 10),
+}
+
 
 def _scenario(scheme, spec):
     return Scenario(
@@ -56,9 +70,35 @@ def _scenario(scheme, spec):
     )
 
 
-def _verified_run(scenario, chains, sample_every=64):
+def _interleaved(cell):
+    scheme, workload, scale, n_pairs = INTERLEAVED[cell]
+    return Scenario(
+        scheme=scheme,
+        workload=workload,
+        scale=scale,
+        n_pairs=n_pairs,
+        seed=8,
+        n_requests=None,
+    )
+
+
+def _disk_state(disk):
+    """A disk's counters, head, idle gaps and power integration."""
+    power = disk.power
+    return (
+        disk.name, disk.ops_completed, disk.bytes_transferred,
+        disk.busy_time, disk.foreground_ops, disk.background_ops,
+        disk._head_sector, disk._idle_since,
+        list(disk.idle_gap_histogram.counts), power.state.value,
+        power.energy_joules, power._last_time,
+        sorted((s.value, t) for s, t in power.state_durations.items()),
+    )
+
+
+def _verified_run(scenario, chains, sample_every=64, disks=()):
     """What ``run_scenario`` runs, with its parts kept for comparison;
-    ``sample_every`` is the invariant checker's stride."""
+    ``sample_every`` is the invariant checker's stride, ``disks`` every
+    disk the run builds."""
     trace = truncate_trace(scenario.build_trace(), scenario.n_requests)
     reference = ReferenceModel(trace=trace)
     checker = InvariantChecker(sample_every=sample_every)
@@ -81,7 +121,14 @@ def _verified_run(scenario, chains, sample_every=64):
         reads_checked=reference.reads_checked,
         events_processed=checker.sim.events_processed,
         now=checker.sim.now,
+        disks=[_disk_state(disk) for disk in disks],
         inline_batches=sum(chain.inline_batches for chain in chains),
+        # One read and a write per target for each batch issued.
+        copy_completions=sum(
+            chain._next_batch * (1 + len(chain.targets))
+            for chain in chains
+            if not chain.idle_gated
+        ),
     )
     return outcome
 
@@ -95,22 +142,48 @@ PATHS = {
 
 
 def _runs(monkeypatch, scenario, paths=PATHS, sample_every=64):
-    """``_verified_run`` of ``scenario`` once per path, as a dict."""
+    """``_verified_run`` of ``scenario`` once per path, as a dict, with
+    the completions the blocks took as ``inline_completions``."""
     chains = []
+    disks = []
+    taken = []
     init = DestageProcess.__init__
+    disk_init = Disk.__init__
+    steady = DestageProcess._steady
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         chains.append(self)
 
+    def recording_disk_init(self, *args, **kwargs):
+        disk_init(self, *args, **kwargs)
+        disks.append(self)
+
+    def counting_steady(self, disk, op):
+        taken.append(steady(self, disk, op))
+        return taken[-1]
+
     monkeypatch.setattr(DestageProcess, "__init__", recording_init)
+    monkeypatch.setattr(Disk, "__init__", recording_disk_init)
+    monkeypatch.setattr(DestageProcess, "_steady", counting_steady)
     outcomes = {}
     for path in paths:
         chains.clear()
+        disks.clear()
+        taken.clear()
         with monkeypatch.context() as patch:
             if PATHS[path] is not None:
                 PATHS[path](patch)
-            outcomes[path] = _verified_run(scenario, chains, sample_every)
+            outcomes[path] = _verified_run(
+                scenario, chains, sample_every, disks
+            )
+        outcomes[path]["inline_completions"] = sum(taken)
+        outcomes[path]["concurrent_chains"] = max(
+            collections.Counter(
+                chain.started_at for chain in chains if not chain.idle_gated
+            ).values(),
+            default=0,
+        )
     return outcomes
 
 
@@ -123,6 +196,9 @@ def _assert_three_way(outcomes):
     fast, listened, slow = (outcomes[path] for path in PATHS)
     assert fast.pop("inline_batches") > 0
     assert listened.pop("inline_batches") == slow.pop("inline_batches") == 0
+    assert fast.pop("inline_completions") > 0
+    assert listened.pop("inline_completions") == 0
+    assert slow.pop("inline_completions") == 0
     assert _dump(fast) == _dump(listened) == _dump(slow)
 
 
@@ -151,6 +227,43 @@ def test_stride_parity(monkeypatch, scheme, sample_every):
     fast, slow = outcomes["as-is"], outcomes["event-path"]
     assert (fast.pop("inline_batches") > 0) == (sample_every > 1)
     assert slow.pop("inline_batches") == 0
+    assert (fast.pop("inline_completions") > 0) == (sample_every > 1)
+    assert slow.pop("inline_completions") == 0
+    assert _dump(fast) == _dump(slow)
+    assert fast["invariant_sweeps"] >= fast["events_processed"] // sample_every
+
+
+@pytest.mark.parametrize("cell", sorted(INTERLEAVED))
+def test_interleaved_chains_match_event_path(monkeypatch, cell):
+    """Eight or more pairs destage at once: one block advances all their
+    chains, seeks and (on RoLo-E) shared sources and two targets per
+    batch included, and takes nearly every copy completion inline."""
+    outcomes = _runs(monkeypatch, _interleaved(cell))
+    fast = outcomes["as-is"]
+    assert fast["concurrent_chains"] >= 8
+    assert fast["inline_completions"] > 0.8 * fast["copy_completions"]
+    _assert_three_way(outcomes)
+    assert "result" in fast and not fast["violations"]
+
+
+@pytest.mark.parametrize("sample_every", [1, 2, 3, 63, 64])
+def test_interleaved_stride_parity(monkeypatch, sample_every):
+    """Sweeps land on the same events with the same state while many
+    chains interleave: strides end blocks on reads and on writes of
+    different chains.  At stride 1 no block takes a completion."""
+    outcomes = _runs(
+        monkeypatch, _interleaved("graid-proj_0"),
+        paths=("as-is", "event-path"), sample_every=sample_every,
+    )
+    fast, slow = outcomes["as-is"], outcomes["event-path"]
+    taken = fast.pop("inline_completions")
+    if sample_every == 1:
+        assert taken == 0
+    else:
+        assert taken > fast["copy_completions"] // 2
+    assert slow.pop("inline_completions") == 0
+    fast.pop("inline_batches")
+    slow.pop("inline_batches")
     assert _dump(fast) == _dump(slow)
     assert fast["invariant_sweeps"] >= fast["events_processed"] // sample_every
 

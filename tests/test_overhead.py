@@ -648,12 +648,12 @@ def test_rebuild_run_call_budget(monkeypatch):
     batch it copies inline skips the read's and the write's
     ``Disk.submit``, which the event path (an op observer on every disk)
     makes, and nothing else changes.  Its single-target batches run in
-    the steady-state loop, which buckets the repeating idle gaps itself:
-    the histograms match the event path's while ``Histogram.add`` runs
-    for a small fraction of the batches.  On RoLo-E the rebuild's source
-    is a sleeping non-duty disk with a standby timer, which the loop
-    re-arms once per block: ``Timer.arm`` runs for a small fraction of
-    the batches too.
+    the steady-state block's inner loop, which buckets the repeating idle
+    gaps itself: the histograms match the event path's while
+    ``Histogram.add`` runs for a small fraction of the batches.  On
+    RoLo-E the rebuild's source is a sleeping non-duty disk with a
+    standby timer, which that loop re-arms once per block: ``Timer.arm``
+    runs for a small fraction of the batches too.
     """
     result, count, rebuild, event_submits = _rebuild_budget(
         monkeypatch, "raid10", "fail@1.5:M0"
@@ -670,3 +670,64 @@ def test_rebuild_run_call_budget(monkeypatch):
     )
     assert rebuild.source.name == "P1"
     assert 16 * count(Timer.arm) < rebuild.inline_batches
+
+
+def _profiled_cell(cell):
+    """Run ``cell``: its metrics and per-function call counts."""
+    profile = cProfile.Profile()
+    profile.enable()
+    metrics = cell.execute()
+    profile.disable()
+    calls = {
+        func: stats[1] for func, stats in pstats.Stats(profile).stats.items()
+    }
+    return metrics, calls
+
+
+def test_interleaved_destage_call_budget(monkeypatch):
+    """The per-batch budget of a GRAID cell whose eight pairs destage at
+    once, exactly.  Its chains are single-target and interleave, and the
+    blocks take every completion but each chain's last batch's read and
+    write: each batch copied inline skips its write's ``Disk.submit`` and
+    the next batch's read's, against the event path (an op observer on
+    every disk), and nothing else changes.  The block leaves idle-gap
+    bucketing to ``Disk._start`` and ``_solo``, which count buckets
+    without a ``Histogram.add`` call."""
+    from repro.experiments.runner import workload_cell
+
+    cell = workload_cell("graid", "src2_2", scale=0.004, n_pairs=8)
+    chains = []
+    init = DestageProcess.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        chains.append(self)
+
+    monkeypatch.setattr(DestageProcess, "__init__", recording_init)
+    with monkeypatch.context() as observed:
+        observe_every_disk(observed)
+        reference, event_calls = _profiled_cell(cell)
+    assert not any(chain.inline_batches for chain in chains)
+    event_batches = sum(len(chain._batches) for chain in chains)
+    chains.clear()
+    metrics, calls = _profiled_cell(cell)
+    assert json.dumps(metrics.to_dict(), sort_keys=True) == json.dumps(
+        reference.to_dict(), sort_keys=True
+    )
+    assert len(chains) >= 8 and all(chain.done for chain in chains)
+    inline = sum(chain.inline_batches for chain in chains)
+    batches = sum(len(chain._batches) for chain in chains)
+    assert batches == event_batches
+    assert inline == batches - len(chains)
+
+    def count(func):
+        return calls.get(_code_key(func), 0)
+
+    def event_count(func):
+        return event_calls.get(_code_key(func), 0)
+
+    assert count(Disk.submit) + 2 * inline == event_count(Disk.submit)
+    # Idle gaps are bucketed inline on both paths: the one histogram that
+    # still calls add is the request-latency one, once per request.
+    assert count(Histogram.add) == event_count(Histogram.add)
+    assert count(Histogram.add) == metrics.requests
