@@ -16,45 +16,34 @@ the paper:
 Either way the batch in flight runs at :class:`~repro.disk.disk.Priority`
 BACKGROUND, so queued foreground requests always pass it.
 
-Centralized chains (every rebuild, too) *fast-forward*.  Their copy ops
-carry a ``dispatch`` hook, so each op's completion event comes to a
-steady-state block (:meth:`DestageProcess._steady`) before the event
-path.  The block completes it inline, then every copy completion the
-heap holds next, of any centralized chain, read or write, with or
-without a seek: the interleaved chains of many pairs destaging at once
-advance together, without pooled-op churn, ``Disk.submit`` or the run
-loop, until a foreign entry comes first.  A lone single-target chain
-runs in a tighter inner loop (:meth:`DestageProcess._solo`) that copies
-whole batches in local variables and leaves its one pending completion
-at its reserved ``(time, seq)``.  Whatever the block refuses runs on the
-event path.  The outputs are exactly those of the event path.
+A centralized chain with one target (every rebuild, GRAID's destage
+and the RoLo drain) *fast-forwards* while it runs alone: its reads carry a
+``dispatch`` hook, so when one completes, :meth:`DestageProcess._solo`
+copies whole batches inline, in local variables, without pooled ops,
+heap events or ``Disk.submit``, until another entry of the heap comes
+first, and leaves its one pending completion to the event path at its
+reserved ``(time, seq)``.  Interleaved chains, RoLo-E's two-target
+chains and every write run on the event path.  The outputs are exactly
+those of the event path.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from heapq import heappop
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.disk.disk import (
-    _OP_POOL,
-    Disk,
-    DiskOp,
-    OpKind,
-    Priority,
-    acquire_op,
-)
+from repro.disk.disk import Disk, DiskOp, OpKind, Priority, acquire_op
 from repro.disk.power import PowerState
 from repro.sim.engine import Simulator, Timer
 
 # Enum members as module constants: a class attribute lookup on an Enum
-# costs several times a global's, and the block reads them per op.
+# costs several times a global's, and the chains read them per op.
 _READ = OpKind.READ
 _WRITE = OpKind.WRITE
+_BACKGROUND = Priority.BACKGROUND
 _IDLE = PowerState.IDLE
 _ACTIVE = PowerState.ACTIVE
-_FAILED = PowerState.FAILED
 
 
 def split_runs(
@@ -114,41 +103,11 @@ def _bucket(bounds: List[float], gap: float) -> Tuple[int, float, float]:
 
 
 def _chain_event(disk: Disk, op: DiskOp) -> None:
-    """The completion event of a centralized chain's copy ``op`` on
-    ``disk``: a steady-state block takes it, or the event path does."""
-    if not op.on_complete.__self__._steady(disk, op):
+    """The completion event of a lone centralized chain's read ``op`` on
+    ``disk``: :meth:`DestageProcess._solo` takes it, or the event path
+    does."""
+    if not op.on_complete.__self__._solo(op):
         disk._complete(op)
-
-
-def _submit(disk: Disk, op: DiskOp, now: float) -> None:
-    """``disk.submit(op)`` at ``now`` for a background copy op inside a
-    block: the disk has not failed, and the caller needs no event."""
-    op.submit_time = now
-    state = disk.power._state
-    queues = disk._queues
-    if disk._in_service is None and not (queues[0] or queues[1]) and (
-        state is _IDLE or state is _ACTIVE
-    ):
-        disk._start(op, state)
-        return
-    queues[1].append(op)
-    if state is PowerState.STANDBY:
-        disk._begin_spin_up()
-    elif state is PowerState.SPINNING_DOWN:
-        disk._wake_after_down = True
-    else:
-        disk._try_start()
-
-
-def _pooled_copy_op() -> DiskOp:
-    """A pooled background copy op for a block's extra write: from the
-    slab pool (outside ``acquire_op``'s census) or new."""
-    op = _OP_POOL.pop() if _OP_POOL else DiskOp(_WRITE, 0, 1)
-    op.priority = Priority.BACKGROUND
-    op.sequential_hint = False
-    op.dispatch = _chain_event
-    op._pooled = True
-    return op
 
 
 class DestageProcess:
@@ -186,15 +145,14 @@ class DestageProcess:
         self.aborted = False
         self.on_complete = on_complete
         self.bytes_moved = 0
-        #: Batches whose last write completed inside a steady-state block
-        #: (see :meth:`_steady`), issuing the next batch's read there.  When
-        #: every completion but the last batch's runs inline, each skipped
-        #: ``1 + len(targets)`` ``Disk.submit`` calls: its writes' and the
-        #: next batch's read.
+        #: Batches whose write completed inline (see :meth:`_solo`),
+        #: issuing the next batch's read there.  Each skipped two
+        #: ``Disk.submit`` calls: its write's and the next batch's read's.
         self.inline_batches = 0
-        #: Write ops a block kept from a batch's earlier writes, for the
-        #: next batch's extra targets.
-        self._spare_ops: List[DiskOp] = []
+        #: The hook a centralized single-target chain's reads carry.
+        self._dispatch = (
+            _chain_event if not idle_gated and len(self.targets) == 1 else None
+        )
         self.started_at = sim.now
         self.finished_at: float = -1.0
         self._gate_disks = [source] + self.targets
@@ -303,12 +261,9 @@ class DestageProcess:
         # Copy ops come from the slab pool; the disk recycles each one
         # after its callback, which reads the extent off the op itself.
         op = acquire_op(
-            OpKind.READ, offset // 512, nbytes, Priority.BACKGROUND,
-            self._read_done,
+            _READ, offset // 512, nbytes, _BACKGROUND, self._read_done
         )
-        if not self.idle_gated:
-            # Its completion, and its writes', come to the block first.
-            op.dispatch = _chain_event
+        op.dispatch = self._dispatch
         self.source.submit(op)
 
     def _read_done(self, op: DiskOp) -> None:
@@ -317,12 +272,11 @@ class DestageProcess:
         sector, nbytes = op.sector, op.nbytes
         self._writes_outstanding = len(self.targets)
         for target in self.targets:
-            write = acquire_op(
-                OpKind.WRITE, sector, nbytes, Priority.BACKGROUND,
-                self._write_done,
+            target.submit(
+                acquire_op(
+                    _WRITE, sector, nbytes, _BACKGROUND, self._write_done
+                )
             )
-            write.dispatch = op.dispatch
-            target.submit(write)
 
     def _write_done(self, op: DiskOp) -> None:
         self._writes_outstanding -= 1
@@ -342,218 +296,88 @@ class DestageProcess:
     # ------------------------------------------------------------------
     # Fast-forward: copy ops completed without the event path.
     # ------------------------------------------------------------------
-    def _steady(self, disk: Disk, op: DiskOp) -> int:
-        """Complete ``op`` on ``disk``, and every copy op after it, inline.
-
-        The run loop has just dispatched ``op``'s completion event.  The
-        block completes it as ``disk._complete`` and this chain's
-        callbacks would, then takes the heap's next entry while that is
-        another centralized chain's copy op completion (any chain's, read
-        or write, seek or not), so interleaved chains advance together.
-        Each completion does the event path's work in its order, without
-        its calls: the disk's bookkeeping, the chain's callback (a read
-        fans out one write per target, the last write of a batch issues
-        the next read, reusing the completed ops), a submit that puts the
-        op in service through ``Disk._start`` or queues it, then the
-        disk's next queued op or ``Disk._go_idle``.  Seqs and standby
-        timer arms are the event path's, since both go through the same
-        pushes; no foreign code runs inside a block.
-
-        The fast case: a single-target chain's read that opens the
-        block, or follows the same chain's previous completion, most
-        likely runs alone, so the block first offers it to :meth:`_solo`,
-        which copies whole batches in local variables until another entry
-        of the heap comes first.
-
-        A completion is taken only if its disk has no tracer, op
-        observer, idle listener or (for a read) latent error and serves
-        FCFS, its chain is not aborted, the disks it submits to have no
-        tracer and have not failed, and it is not the last batch's read
-        or last write (their callbacks finish the chain).  The block ends
-        before a completion it would not take, a foreign entry (a standby
-        timer's expiry among them), one past ``run(until=)``, and the one
-        that would bring the stride countdown to zero; with the countdown
-        at one it takes none.  Returns the completions it took, ``op``'s
-        included; 0, having changed nothing, when it takes none.
-        """
-        sim = self.sim
-        stride = sim._stride_fn
-        budget = -1
-        if stride is not None:
-            # The stride fires before the countdown's last event.
-            budget = sim._stride_left
-            if budget < 2:
-                return 0
-        until = sim._until
-        chain = self
-        last = None
-        done = 0
-        event = None
-        while True:
-            read = op.kind is _READ
-            batches = chain._batches
-            if (
-                disk._tracer is not None
-                or disk._op_observer is not None
-                or disk._idle_listeners
-                or not disk._fcfs
-                or chain.aborted
-            ):
-                break
-            if read:
-                if disk._latent_errors or chain._next_batch >= len(batches):
-                    break
-                fed = chain.targets
-            elif chain._writes_outstanding > 1:
-                fed = ()
-            elif chain._next_batch < len(batches):
-                fed = (chain.source,)
-            else:
-                break
-            for d in fed:
-                if d._tracer is not None or d.power._state is _FAILED:
-                    fed = None
-                    break
-            if fed is None:
-                break
-            if event is not None:
-                # Taken off the heap here, as the run loop would.
-                heappop(sim._heap)
-                sim._now = entry[0]
-                sim._recycle(event)
-            now = sim._now
-            taken = 0
-            if read and len(fed) == 1 and (chain is last or not done):
-                # Running alone, most likely: the fast case.
-                left = budget - done if budget > 0 else 2 * len(batches)
-                taken = chain._solo(op, left)
-            if taken:
-                done += taken
-            else:
-                # The event path's completion, in its order.
-                nbytes = op.nbytes
-                sector = op.sector
-                op.finish_time = now
-                disk._head_sector = disk._end_sector(sector, nbytes)
-                disk._in_service = None
-                disk.ops_completed += 1
-                disk.bytes_transferred += nbytes
-                disk.busy_time += now - op.start_time
-                disk.background_ops += 1
-                if read:
-                    # _read_done: one write per target, the first reusing
-                    # the read's op.
-                    chain._writes_outstanding = len(fed)
-                    spare = chain._spare_ops
-                    for target in fed:
-                        if op is None:
-                            op = spare.pop() if spare else _pooled_copy_op()
-                        op.kind = _WRITE
-                        op.sector = sector
-                        op.nbytes = nbytes
-                        op.on_complete = chain._write_done
-                        _submit(target, op, now)
-                        op = None
-                elif fed:
-                    # _write_done of the batch's last write: _issue_next,
-                    # the write's op becoming the next batch's read.
-                    chain._writes_outstanding = 0
-                    chain.bytes_moved += nbytes
-                    offset, nbytes = batches[chain._next_batch]
-                    chain._next_batch += 1
-                    chain.inline_batches += 1
-                    op.kind = _READ
-                    op.sector = offset // 512
-                    op.nbytes = nbytes
-                    op.on_complete = chain._read_done
-                    _submit(fed[0], op, now)
-                else:
-                    chain._writes_outstanding -= 1
-                    chain._spare_ops.append(op)
-                # The disk's next queued op, else it goes idle.
-                if disk._in_service is None:
-                    queues = disk._queues
-                    if queues[0] or queues[1]:
-                        disk._start((queues[0] or queues[1]).popleft(), _ACTIVE)
-                    else:
-                        disk._go_idle(now)
-                done += 1
-            if done == budget:
-                break
-            last = chain
-            # The heap's next live entry, if it is a copy op's completion.
-            entry = sim._head()
-            if entry is None:
-                break
-            event = entry[2]
-            if event.callback is not _chain_event or entry[0] > until:
-                break
-            disk, op = event.args
-            chain = op.on_complete.__self__
-        if done > 1:
-            # The run loop counted the first completion.
-            sim.events_processed += done - 1
-            if stride is not None:
-                sim._stride_left -= done - 1
-        return done
-
-    def _solo(self, op: DiskOp, budget: int) -> int:
+    def _solo(self, op: DiskOp) -> int:
         """Copy whole batches inline from the read ``op``, completing now.
 
-        The fast case of :meth:`_steady`: while this single-target chain's
-        completions come before the heap's next live entry, every batch is
-        the same two transfers, each a seek or not, so the loop holds both
-        disks' counters, power integration and idle-gap buckets in locals
-        and does only the event path's float operations, in its order: the
-        completion clock ``time + service`` with ``Disk._start``'s service
-        (``nbytes / _transfer_rate`` on the head's sector, else
+        The run loop has just dispatched ``op``'s completion.  While the
+        chain's completions come before the heap's next live entry, every
+        batch is the same two transfers, each a seek or not, so the loop
+        holds both disks' counters, power integration and idle-gap buckets
+        in locals and does only the event path's float operations, in its
+        order: the completion clock ``time + service`` with ``Disk._start``'s
+        service (``nbytes / _transfer_rate`` on the head's sector, else
         ``service_time``, × ``slowdown_factor``), each disk's busy time,
         ``energy_joules += watts * elapsed`` and ``state_durations`` adds,
         and the bucket ``Histogram.add`` would pick (cached: steady gaps
-        repeat).  Integer counters and seqs advance in bulk when it ends.
-        Its one pending completion then becomes a real event at its
-        reserved ``(time, seq)``.  A disk's standby timer re-arms at each
-        of its idles: each virtual idle takes one seq after the op it
+        repeat).  Integer counters, seqs, ``events_processed`` and the
+        stride countdown advance in bulk when it ends; no foreign code runs
+        inside it.  Its one pending completion then becomes a real event at
+        its reserved ``(time, seq)``: a read comes back here, a write goes
+        to the target's ``_complete``.  A disk's standby timer re-arms at
+        each of its idles: each virtual idle takes one seq after the op it
         starts, and the last arm's expiry is pushed once, at the end.
 
-        Entry: ``op`` is the source's read.  The source has nothing
-        queued; neither disk has an idle listener, a tracer or an op
-        observer, and the two are distinct; the target is IDLE with
-        nothing in service or queued; and neither disk was touched since
-        the read started.  A batch is taken only while its read is not
-        the last batch's.  The loop ends before a batch whose write would
-        not complete strictly before the heap's next live entry but the
-        standby timers' (a tie goes to that entry: its seq is older) or
-        would complete past ``run(until=)``, before a completion not
-        strictly earlier than a standby timer's pending expiry, and after
-        ``budget`` completions.  Returns the completions it took, ``op``'s
-        included; 0, having changed nothing, when it takes none.
+        Refused first, before any set-up: a read whose write could not end
+        before the heap's head, since the write takes at least its transfer
+        time ``nbytes / _transfer_rate`` (seeks and slowdowns only add).
+        Entry: the chain is not aborted; the source serves FCFS, has
+        nothing queued and no latent errors; neither disk has an idle
+        listener, a tracer or an op observer, and the two are distinct; the
+        target is IDLE with nothing in service or queued; neither disk was
+        touched since the read started; and the stride countdown stands at
+        two or more.  A batch is taken only while its read is not the last
+        batch's.  The loop ends before a batch whose write would not
+        complete strictly before the heap's next live entry but the standby
+        timers' (a tie goes to that entry: its seq is older) or would
+        complete past ``run(until=)``, before a completion not strictly
+        earlier than a standby timer's pending expiry, and before the
+        completion that would bring the stride countdown to zero.  Returns
+        the completions it took, ``op``'s included; 0, having changed
+        nothing, when it takes none.
         """
         sim = self.sim
-        source = self.source
         target = self.targets[0]
+        heap = sim._heap
+        if heap and heap[0][0] < sim._now + op.nbytes / target._transfer_rate:
+            return 0
+        source = self.source
         started = op.start_time  # the read's start
         s_power = source.power
         t_power = target.power
         if (
-            source._queues[0]
+            self.aborted
+            or source._queues[0]
             or source._queues[1]
+            or source._latent_errors
+            or not source._fcfs
             or source._idle_listeners
             or target._idle_listeners
             or target._in_service is not None
             or target._queues[0]
             or target._queues[1]
-            or t_power._state is not PowerState.IDLE
+            or t_power._state is not _IDLE
             or target._idle_since != started
             or t_power._last_time != started
             or s_power._last_time != started
             or source is target
+            or source._tracer is not None
+            or source._op_observer is not None
+            or target._tracer is not None
             or target._op_observer is not None
         ):
             return 0
         batches = self._batches
         index = self._next_batch
         n_batches = len(batches)
+        # Budget: the completions up to the stride point, this read's
+        # included; without a stride, more than the chain has.
+        stride = sim._stride_fn
+        budget = 2 * n_batches
+        if stride is not None:
+            # The stride fires before the countdown's last event.
+            budget = sim._stride_left
+            if budget < 2:
+                return 0
         # Standby timers: a disk's pending expiry, then the one each of its
         # idles re-arms (``math.inf`` without a timer).
         s_timer = source.standby_timer
@@ -573,7 +397,7 @@ class DestageProcess:
         # A write must complete before ``limit``: the heap's next live
         # entry but the timers' own, or just past ``run(until=)``.
         limit = math.nextafter(sim._until, math.inf)
-        if sim._heap:
+        if heap:
             head = sim._head_except(own)
             if head is not None and head[0] < limit:
                 limit = head[0]
@@ -605,16 +429,14 @@ class DestageProcess:
             write_s = t_seek(t_head, sector, nbytes)
             if t_slow != 1.0:
                 write_s *= t_slow
-        active = PowerState.ACTIVE
-        idle = PowerState.IDLE
         s_durations = s_power.state_durations
         t_durations = t_power.state_durations
         s_energy = s_power.energy_joules
         t_energy = t_power.energy_joules
-        s_active = s_durations[active]
-        s_idle = s_durations[idle]
-        t_active = t_durations[active]
-        t_idle = t_durations[idle]
+        s_active = s_durations[_ACTIVE]
+        s_idle = s_durations[_IDLE]
+        t_active = t_durations[_ACTIVE]
+        t_idle = t_durations[_IDLE]
         s_active_w = source._active_watts
         s_idle_w = source._idle_watts
         t_active_w = target._active_watts
@@ -704,18 +526,22 @@ class DestageProcess:
         done = budget - left
         if not done:
             return 0
-        writes = done // 2  # a block starts with a read
+        writes = done // 2  # a block starts with a read and its write
         reads = done - writes
+        # The run loop counted this read's completion.
+        sim.events_processed += done - 1
+        if stride is not None:
+            sim._stride_left -= done - 1
         first = self._next_batch - 1  # the entering read's batch
         sizes = [size for _, size in batches[first:first + reads]]
         s_bytes = sum(sizes)
         t_bytes = s_bytes - sizes[-1] if reads > writes else s_bytes
         s_power.energy_joules = s_energy
         t_power.energy_joules = t_energy
-        s_durations[active] = s_active
-        s_durations[idle] = s_idle
-        t_durations[active] = t_active
-        t_durations[idle] = t_idle
+        s_durations[_ACTIVE] = s_active
+        s_durations[_IDLE] = s_idle
+        t_durations[_ACTIVE] = t_active
+        t_durations[_IDLE] = t_idle
         source.busy_time = s_busy
         target.busy_time = t_busy
         s_hist.counts[s_bucket] += s_hits
@@ -747,7 +573,7 @@ class DestageProcess:
             s_timer._event = sim._push(
                 s_expiry, s_timer._fire, (), "timer", last_read + 1
             )
-        if t_timer is not None and writes:
+        if t_timer is not None:
             t_timer.cancel()
             t_timer._event = sim._push(
                 t_expiry, t_timer._fire, (), "timer", last_write + 1
@@ -758,27 +584,25 @@ class DestageProcess:
         source._head_sector = end
         if reads > writes:
             # Ends before the write completes: the target serves it.
-            if writes:
-                offset, size = batches[index - 2]
-                target._head_sector = end_sector(offset // 512, size)
+            offset, size = batches[index - 2]
+            target._head_sector = end_sector(offset // 512, size)
             sim._now = t_read
-            op.kind = OpKind.WRITE
+            op.kind = _WRITE
             op.on_complete = self._write_done
             op.submit_time = op.start_time = t_read
             self._writes_outstanding = 1
             source._in_service = None
             source._idle_since = t_read
-            s_power._state = idle
+            s_power._state = _IDLE
             s_power._watts = s_idle_w
             s_power._last_time = t_read
             target._in_service = op
             target._idle_since = -1.0
-            t_power._state = active
+            t_power._state = _ACTIVE
             t_power._watts = t_active_w
             t_power._last_time = t_read
             sim._push(
-                t_write, _chain_event, (target, op), target._io_label,
-                last_read,
+                t_write, target._complete, (op,), target._io_label, last_read
             )
         else:
             # Ends before the next read completes: as on entry, with the
@@ -794,6 +618,7 @@ class DestageProcess:
                 last_write,
             )
         return done
+
     def _finish(self) -> None:
         if self.done:
             return

@@ -21,6 +21,11 @@ from repro.core.metrics import CycleWindow
 from repro.disk.disk import Disk, OpKind
 from repro.raid.request import IORequest
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 class _Mode(enum.Enum):
     LOGGING = "logging"
@@ -103,7 +108,7 @@ class GraidController(Controller):
                 note_read(self, seg, source.name, read_kind)
                 self._issue(
                     source,
-                    OpKind.READ,
+                    _READ,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -120,7 +125,7 @@ class GraidController(Controller):
                 for disk in targets:
                     self._issue(
                         disk,
-                        OpKind.WRITE,
+                        _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
                         request=request,
@@ -132,7 +137,7 @@ class GraidController(Controller):
             else:
                 self._issue(
                     self.primaries[seg.pair],
-                    OpKind.WRITE,
+                    _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -152,7 +157,7 @@ class GraidController(Controller):
                 for seg in healthy:
                     self._issue(
                         self.mirrors[seg.pair],
-                        OpKind.WRITE,
+                        _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
                         request=request,
@@ -183,7 +188,7 @@ class GraidController(Controller):
                 )
         self._issue(
             self.log_disk,
-            OpKind.WRITE,
+            _WRITE,
             offset,
             log_bytes,
             request=request,

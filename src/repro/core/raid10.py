@@ -23,6 +23,11 @@ from repro.core.base import Controller, DataLossError  # noqa: F401
 from repro.disk.disk import Disk, OpKind
 from repro.raid.request import IORequest
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 class Raid10Controller(Controller):
     scheme_name = "RAID10"
@@ -49,7 +54,7 @@ class Raid10Controller(Controller):
                 for disk in targets:
                     self._issue(
                         disk,
-                        OpKind.WRITE,
+                        _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
                         request=request,
@@ -75,7 +80,7 @@ class Raid10Controller(Controller):
                 )
                 self._issue(
                     source,
-                    OpKind.READ,
+                    _READ,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,

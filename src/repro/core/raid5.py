@@ -25,6 +25,11 @@ KB = 1024
 MB = 1024 * KB
 GB = 1024 * MB
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 @dataclasses.dataclass(frozen=True)
 class Raid5Config:
@@ -128,7 +133,7 @@ class Raid5Controller(Controller):
 
         def after_read(_op: DiskOp) -> None:
             self._issue(
-                disk, OpKind.WRITE, offset, nbytes,
+                disk, _WRITE, offset, nbytes,
                 priority=priority, on_complete=on_written,
             )
 
@@ -136,7 +141,7 @@ class Raid5Controller(Controller):
         # introspection, so tag it explicitly.
         after_read._span_owner = owner
         self._issue(
-            disk, OpKind.READ, offset, nbytes,
+            disk, _READ, offset, nbytes,
             priority=priority, on_complete=after_read,
         )
 
@@ -160,11 +165,11 @@ class Raid5Controller(Controller):
         for seg in segments:
             self._note_parity_write(self, seg)
             self._issue(
-                disks[seg.disk], OpKind.WRITE, seg.disk_offset, seg.nbytes,
+                disks[seg.disk], _WRITE, seg.disk_offset, seg.nbytes,
                 request,
             )
         self._issue(
-            disks[parity_disk], OpKind.WRITE, parity_offset,
+            disks[parity_disk], _WRITE, parity_offset,
             self.layout.stripe_unit, request,
         )
 
@@ -206,7 +211,7 @@ class Raid5Controller(Controller):
                 disk = disks[seg.disk]
                 self._note_parity_read(self, seg, disk.name)
                 self._issue(
-                    disk, OpKind.READ, seg.disk_offset, seg.nbytes, request
+                    disk, _READ, seg.disk_offset, seg.nbytes, request
                 )
             request.seal(self.sim.now)
             return

@@ -32,6 +32,11 @@ from repro.disk.disk import Disk, DiskOp, OpKind, Priority
 from repro.raid.request import IORequest
 from repro.sim.engine import Simulator, Timer
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_WRITE = OpKind.WRITE
+_BACKGROUND = Priority.BACKGROUND
+
 
 class ParityUpdatePump:
     """Idle-gated background parity refresher.
@@ -125,7 +130,7 @@ class ParityUpdatePump:
         _, offset = layout.parity_offset(row)
         self.controller._read_then_write(
             disk, offset, layout.stripe_unit, self._row_done, self,
-            Priority.BACKGROUND,
+            _BACKGROUND,
         )
 
     def _row_done(self, _op: DiskOp) -> None:
@@ -213,7 +218,7 @@ class Rolo5Controller(Raid5Controller):
             offset = self.on_duty_log.append(row_len, {0: row_len}, self._epoch)
             self.metrics.logged_bytes += row_len
             self._issue(
-                self.disks[self._on_duty], OpKind.WRITE, offset, row_len,
+                self.disks[self._on_duty], _WRITE, offset, row_len,
                 request, sequential=True,
             )
             self._dirty_rows.add(row)

@@ -21,6 +21,11 @@ from repro.core.rotation import RotationPolicy
 from repro.disk.disk import Disk, OpKind
 from repro.raid.request import IORequest
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+
 
 class RotatedLoggingController(Controller):
     """Base class implementing rotated logging with decentralized destage."""
@@ -113,7 +118,7 @@ class RotatedLoggingController(Controller):
                 note_read(self, seg, source.name, read_kind)
                 self._issue(
                     source,
-                    OpKind.READ,
+                    _READ,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -132,7 +137,7 @@ class RotatedLoggingController(Controller):
                 for disk in targets:
                     self._issue(
                         disk,
-                        OpKind.WRITE,
+                        _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
                         request=request,
@@ -144,7 +149,7 @@ class RotatedLoggingController(Controller):
             else:
                 self._issue(
                     self.primaries[seg.pair],
-                    OpKind.WRITE,
+                    _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -158,7 +163,7 @@ class RotatedLoggingController(Controller):
             for seg in healthy:
                 self._issue(
                     self.mirrors[seg.pair],
-                    OpKind.WRITE,
+                    _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -184,7 +189,7 @@ class RotatedLoggingController(Controller):
             for seg in healthy:
                 self._issue(
                     self.mirrors[seg.pair],
-                    OpKind.WRITE,
+                    _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
                     request=request,
@@ -206,7 +211,7 @@ class RotatedLoggingController(Controller):
         self.metrics.logged_bytes += log_bytes
         self._issue(
             self.mirrors[target],
-            OpKind.WRITE,
+            _WRITE,
             offset,
             log_bytes,
             request=request,
@@ -217,7 +222,7 @@ class RotatedLoggingController(Controller):
             p_offset = p_log.append(log_bytes, healthy, self._epoch)
             self._issue(
                 self.primaries[target],
-                OpKind.WRITE,
+                _WRITE,
                 p_offset,
                 log_bytes,
                 request=request,

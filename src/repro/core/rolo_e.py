@@ -23,6 +23,12 @@ from repro.disk.disk import Disk, DiskOp, OpKind, Priority
 from repro.raid.request import IORequest
 from repro.sim.engine import Timer
 
+# Enum members as module constants: a class attribute lookup on an Enum
+# costs several times a global's, and the per-request paths read them.
+_READ = OpKind.READ
+_WRITE = OpKind.WRITE
+_BACKGROUND = Priority.BACKGROUND
+
 
 class _Mode(enum.Enum):
     LOGGING = "logging"
@@ -163,7 +169,7 @@ class RoloEController(Controller):
                 targets = self._write_targets(seg.pair)
                 for disk in targets:
                     self._issue(
-                        disk, OpKind.WRITE,
+                        disk, _WRITE,
                         seg.disk_offset, seg.nbytes, request=request,
                     )
                 if oracle is not None:
@@ -179,11 +185,11 @@ class RoloEController(Controller):
         m_offset = m_log.append(request.nbytes, segments, 0)
         self.metrics.logged_bytes += 2 * request.nbytes
         self._issue(
-            p_disk, OpKind.WRITE, p_offset, request.nbytes,
+            p_disk, _WRITE, p_offset, request.nbytes,
             request=request, sequential=True,
         )
         self._issue(
-            m_disk, OpKind.WRITE, m_offset, request.nbytes,
+            m_disk, _WRITE, m_offset, request.nbytes,
             request=request, sequential=True,
         )
         unit = self.config.stripe_unit
@@ -226,7 +232,7 @@ class RoloEController(Controller):
                 note_read(self, seg, source.name, "destaging")
                 self._issue(
                     source,
-                    OpKind.READ,
+                    _READ,
                     seg.disk_offset, seg.nbytes, request=request,
                 )
             request.seal(self.sim.now)
@@ -251,7 +257,7 @@ class RoloEController(Controller):
                     disk = p_disk
                 note_read(self, seg, disk.name, "log-hit")
                 self._issue(
-                    disk, OpKind.READ, seg.disk_offset, seg.nbytes,
+                    disk, _READ, seg.disk_offset, seg.nbytes,
                     request=request,
                 )
             else:
@@ -271,7 +277,7 @@ class RoloEController(Controller):
                 note_read(self, seg, source.name, read_kind)
                 self._issue(
                     source,
-                    OpKind.READ,
+                    _READ,
                     seg.disk_offset, seg.nbytes, request=request,
                 )
                 self._cache_fill(seg)
@@ -329,10 +335,10 @@ class RoloEController(Controller):
                 ev_region.release_cache(ev_offset, ev_nbytes)
             disk.submit(
                 DiskOp(
-                    OpKind.WRITE,
+                    _WRITE,
                     offset // 512,
                     unit,
-                    priority=Priority.BACKGROUND,
+                    priority=_BACKGROUND,
                     sequential_hint=True,
                     # Fire-and-forget, so no completion callback carries
                     # the owner; the tag names the span-layer culprit.

@@ -106,8 +106,8 @@ class DiskOp:
         self.finish_time: float = -1.0
         #: ``dispatch(disk, op)`` runs when the op's completion event
         #: fires, in place of the disk's completion method, which it must
-        #: call itself unless it completes the op in the same way (a
-        #: copy chain's steady-state block, see ``repro.core.destage``).
+        #: call itself unless it completes the op in the same way (a lone
+        #: copy chain's read, fast-forwarded: see ``repro.core.destage``).
         self.dispatch: Optional[Callable[["Disk", "DiskOp"], None]] = None
         #: True only for ops from the slab pool; the disk recycles these.
         self._pooled = False
@@ -366,10 +366,10 @@ class Disk:
         in_service = (
             1
             if self._in_service is not None
-            and self._in_service.priority is Priority.FOREGROUND
+            and self._in_service.priority is _FOREGROUND
             else 0
         )
-        return len(self._queues[Priority.FOREGROUND]) + in_service
+        return len(self._queues[_FOREGROUND]) + in_service
 
     @property
     def busy(self) -> bool:
@@ -490,9 +490,8 @@ class Disk:
     def _start(self, op: DiskOp, state: PowerState) -> Event:
         """Put ``op`` in service on a spun-up disk in power ``state``;
         returns its completion event, which calls ``op.dispatch`` when
-        the op has one.  ``DestageProcess._steady`` starts copy ops here
-        too, and does this body's float operations itself for the ones
-        its inner loop runs without events."""
+        the op has one.  ``DestageProcess._solo`` does this body's float
+        operations itself for the copy ops it runs without events."""
         now = self.sim._now
         self._in_service = op
         op.start_time = now

@@ -12,6 +12,7 @@ the same seed always yields the same schedule.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from typing import List, Sequence, Tuple, Union
 
@@ -81,8 +82,10 @@ def _parse_one(token: str) -> FaultEvent:
         time = float(parts[0])
     except (ValueError, IndexError):
         raise FaultScheduleError(f"malformed fault spec {token!r}") from None
-    if time < 0:
-        raise FaultScheduleError(f"negative fault time in {token!r}")
+    if not 0 <= time < math.inf:
+        raise FaultScheduleError(
+            f"fault time must be finite and non-negative in {token!r}"
+        )
     try:
         if head == "fail":
             if len(parts) == 2:
@@ -90,13 +93,28 @@ def _parse_one(token: str) -> FaultEvent:
             if len(parts) == 3 and parts[2] == "norebuild":
                 return DiskFailure(time, parts[1], rebuild=False)
         elif head == "slow" and len(parts) == 3:
-            factor, duration = parts[2].split("x", 1)
-            return Slowdown(time, parts[1], float(factor), float(duration))
+            factor, duration = map(float, parts[2].split("x", 1))
+            if not 1 <= factor < math.inf:
+                raise FaultScheduleError(
+                    f"slowdown factor must be finite and at least 1 "
+                    f"in {token!r}"
+                )
+            if not 0 < duration < math.inf:
+                raise FaultScheduleError(
+                    f"slowdown duration must be finite and positive "
+                    f"in {token!r}"
+                )
+            return Slowdown(time, parts[1], factor, duration)
         elif head == "lse" and len(parts) == 3:
-            sector, n_sectors = parts[2].split("+", 1)
-            return LatentSectorError(
-                time, parts[1], int(sector), int(n_sectors)
-            )
+            sector, n_sectors = map(int, parts[2].split("+", 1))
+            if sector < 0 or n_sectors < 1:
+                raise FaultScheduleError(
+                    f"latent error needs a sector >= 0 and a count >= 1 "
+                    f"in {token!r}"
+                )
+            return LatentSectorError(time, parts[1], sector, n_sectors)
+    except FaultScheduleError:
+        raise
     except (ValueError, IndexError):
         raise FaultScheduleError(f"malformed fault spec {token!r}") from None
     raise FaultScheduleError(f"unknown fault spec {token!r}")

@@ -47,10 +47,10 @@ def event_path(monkeypatch):
 def observe_every_disk(monkeypatch) -> None:
     """Give every disk built from now on a no-op op observer.
 
-    Rebuild replacements included: the steady-state block
-    (``DestageProcess._steady``) refuses a completion on a watched disk,
-    so this forces every copy chain onto the event path, and the
-    observer changes no output.
+    Rebuild replacements included: the fast-forward
+    (``DestageProcess._solo``) refuses a read on a watched disk, so this
+    forces every copy chain onto the event path, and the observer
+    changes no output.
     """
     from repro.disk.disk import Disk
 
@@ -66,10 +66,10 @@ def observe_every_disk(monkeypatch) -> None:
 def listen_on_every_disk(monkeypatch) -> None:
     """Give every disk built from now on a no-op idle listener.
 
-    Rebuild replacements included: the steady-state block
-    (``DestageProcess._steady``) refuses a completion on a listened-to
-    disk too, so copy chains stay on the event path and also call the
-    listener, which changes no output.
+    Rebuild replacements included: the fast-forward
+    (``DestageProcess._solo``) refuses a read on a listened-to disk too,
+    so copy chains stay on the event path and also call the listener,
+    which changes no output.
     """
     from repro.disk.disk import Disk
 

@@ -439,8 +439,13 @@ class TestFaultCommands:
                  "--scale", "0.004", "--pairs", "2"],
                 "error: RAID5 cannot fail D0: RAID5 degraded mode",
             ),
+            (
+                ["raid10", "src2_2", "--spec", "slow@1:M0:nanx10"],
+                "error: slowdown factor must be finite and at least 1 in "
+                "'slow@1:M0:nanx10'\n",
+            ),
         ],
-        ids=["bad-spec", "unknown-disk", "parity-failure"],
+        ids=["bad-spec", "unknown-disk", "parity-failure", "bad-slowdown"],
     )
     def test_inject_reports_schedule_errors(self, capsys, argv, message):
         assert main(["faults", "inject", *argv, "--no-cache"]) == 2

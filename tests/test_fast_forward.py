@@ -1,16 +1,14 @@
 """Fast-forwarded copy chains against the event path.
 
-Centralized copy chains (every rebuild, GRAID and RoLo-E destage)
-complete their copy ops inline in a steady-state block
-(``DestageProcess._steady``), entered from a copy op's completion
-event, which advances every chain whose completions come next on the
-heap: a lone rebuild and the interleaved destage chains of many pairs
-alike.  Each scenario here runs three ways, every disk built
-(replacements included) getting:
+A centralized copy chain with one target (every rebuild, GRAID's
+destage, the RoLo drain) copies batches inline (``DestageProcess._solo``) from a read's
+completion while it runs alone; interleaved chains and RoLo-E's
+two-target chains stay on the event path.  Each scenario here runs three
+ways, every disk built (replacements included) getting:
 
-* nothing: chains run inline;
-* a no-op idle listener: the block refuses every completion, which
-  stays on the event path;
+* nothing: lone chains run inline;
+* a no-op idle listener: ``_solo`` refuses every read, which stays on
+  the event path;
 * a no-op op observer: every chain stays on the event path.
 
 The three runs must agree on everything they produce: ``RunMetrics``,
@@ -25,9 +23,9 @@ import json
 
 import pytest
 
-from repro.core import DataLossError
+from repro.core import DataLossError, destage
 from repro.core.destage import DestageProcess
-from repro.disk.disk import Disk
+from repro.disk.disk import Disk, OpKind
 from repro.faults import run_faulted
 from repro.traces.compiled import truncate_trace
 from repro.verify import InvariantChecker, ReferenceModel, Scenario
@@ -143,13 +141,13 @@ PATHS = {
 
 def _runs(monkeypatch, scenario, paths=PATHS, sample_every=64):
     """``_verified_run`` of ``scenario`` once per path, as a dict, with
-    the completions the blocks took as ``inline_completions``."""
+    the completions ``_solo`` took as ``inline_completions``."""
     chains = []
     disks = []
     taken = []
     init = DestageProcess.__init__
     disk_init = Disk.__init__
-    steady = DestageProcess._steady
+    solo = DestageProcess._solo
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -159,13 +157,13 @@ def _runs(monkeypatch, scenario, paths=PATHS, sample_every=64):
         disk_init(self, *args, **kwargs)
         disks.append(self)
 
-    def counting_steady(self, disk, op):
-        taken.append(steady(self, disk, op))
+    def counting_solo(self, op):
+        taken.append(solo(self, op))
         return taken[-1]
 
     monkeypatch.setattr(DestageProcess, "__init__", recording_init)
     monkeypatch.setattr(Disk, "__init__", recording_disk_init)
-    monkeypatch.setattr(DestageProcess, "_steady", counting_steady)
+    monkeypatch.setattr(DestageProcess, "_solo", counting_solo)
     outcomes = {}
     for path in paths:
         chains.clear()
@@ -191,12 +189,14 @@ def _dump(outcome):
     return json.dumps(outcome, sort_keys=True)
 
 
-def _assert_three_way(outcomes):
-    """The three paths agree; only the first ran batches inline."""
+def _assert_three_way(outcomes, alone=True):
+    """The three paths agree; only the first ran batches inline, and it
+    did if a chain ran ``alone``."""
     fast, listened, slow = (outcomes[path] for path in PATHS)
-    assert fast.pop("inline_batches") > 0
+    inline = fast.pop("inline_batches"), fast.pop("inline_completions")
+    if alone:
+        assert min(inline) > 0
     assert listened.pop("inline_batches") == slow.pop("inline_batches") == 0
-    assert fast.pop("inline_completions") > 0
     assert listened.pop("inline_completions") == 0
     assert slow.pop("inline_completions") == 0
     assert _dump(fast) == _dump(listened) == _dump(slow)
@@ -217,9 +217,9 @@ def test_fast_forward_matches_event_path(monkeypatch, scheme, condition):
 @pytest.mark.parametrize("scheme", FUZZ_SCHEMES)
 def test_stride_parity(monkeypatch, scheme, sample_every):
     """Sweeps land on the same events with the same state whatever the
-    stride: odd and even strides end steady-state blocks on a batch's
-    read and on its write.  At stride 1 every block's budget is its
-    entering read alone, so no batch completes inline."""
+    stride: odd and even strides end inline stretches on a batch's read
+    and on its write.  At stride 1 the countdown stands at one at every
+    read, so no batch completes inline."""
     outcomes = _runs(
         monkeypatch, _scenario(scheme, CONDITIONS["primary-fail"]),
         paths=("as-is", "event-path"), sample_every=sample_every,
@@ -235,22 +235,22 @@ def test_stride_parity(monkeypatch, scheme, sample_every):
 
 @pytest.mark.parametrize("cell", sorted(INTERLEAVED))
 def test_interleaved_chains_match_event_path(monkeypatch, cell):
-    """Eight or more pairs destage at once: one block advances all their
-    chains, seeks and (on RoLo-E) shared sources and two targets per
-    batch included, and takes nearly every copy completion inline."""
+    """Eight or more pairs destage at once, their chains interleaving on
+    the heap (on RoLo-E with shared sources and two targets per batch):
+    what a chain copies inline while it runs alone, and everything else on
+    the event path, ends as the event path does."""
     outcomes = _runs(monkeypatch, _interleaved(cell))
     fast = outcomes["as-is"]
     assert fast["concurrent_chains"] >= 8
-    assert fast["inline_completions"] > 0.8 * fast["copy_completions"]
-    _assert_three_way(outcomes)
+    _assert_three_way(outcomes, alone=False)
     assert "result" in fast and not fast["violations"]
 
 
 @pytest.mark.parametrize("sample_every", [1, 2, 3, 63, 64])
 def test_interleaved_stride_parity(monkeypatch, sample_every):
     """Sweeps land on the same events with the same state while many
-    chains interleave: strides end blocks on reads and on writes of
-    different chains.  At stride 1 no block takes a completion."""
+    chains interleave: strides land on reads and on writes of different
+    chains.  At stride 1 no read is taken inline."""
     outcomes = _runs(
         monkeypatch, _interleaved("graid-proj_0"),
         paths=("as-is", "event-path"), sample_every=sample_every,
@@ -259,13 +259,45 @@ def test_interleaved_stride_parity(monkeypatch, sample_every):
     taken = fast.pop("inline_completions")
     if sample_every == 1:
         assert taken == 0
-    else:
-        assert taken > fast["copy_completions"] // 2
     assert slow.pop("inline_completions") == 0
     fast.pop("inline_batches")
     slow.pop("inline_batches")
     assert _dump(fast) == _dump(slow)
     assert fast["invariant_sweeps"] >= fast["events_processed"] // sample_every
+
+
+@pytest.mark.parametrize("cell", sorted(INTERLEAVED))
+def test_only_lone_chain_reads_carry_the_hook(monkeypatch, cell):
+    """Only a centralized single-target chain's reads carry the
+    ``dispatch`` hook: no write does, and no op of RoLo-E's two-target
+    destage chains, whose completions never reach ``_chain_event``."""
+    calls = []
+    started = collections.Counter()
+    chain_event = destage._chain_event
+    start = Disk._start
+
+    def counting_chain_event(disk, op):
+        calls.append(op.kind)
+        chain_event(disk, op)
+
+    def recording_start(self, op, state):
+        chain = getattr(op.on_complete, "__self__", None)
+        if isinstance(chain, DestageProcess):
+            hooked = op.dispatch is not None
+            started[op.kind, len(chain.targets), hooked] += 1
+        return start(self, op, state)
+
+    monkeypatch.setattr(destage, "_chain_event", counting_chain_event)
+    monkeypatch.setattr(Disk, "_start", recording_start)
+    outcome = _verified_run(_interleaved(cell), chains=())
+    assert "result" in outcome and not outcome["violations"]
+    hooked = [key for key in started if key[2]]
+    assert all(kind is OpKind.READ and n == 1 for kind, n, _ in hooked)
+    if cell.startswith("rolo-e"):
+        assert started[OpKind.WRITE, 2, False] > 0
+        assert not hooked and not calls
+    else:
+        assert started[OpKind.READ, 1, True] > 0 and calls
 
 
 @pytest.mark.parametrize("scheme", FUZZ_SCHEMES)

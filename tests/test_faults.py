@@ -83,6 +83,32 @@ class TestScheduleSpec:
         with pytest.raises(FaultScheduleError):
             FaultSchedule.parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ("fail@nan:M0", "fault time"),
+            ("fail@inf:M0", "fault time"),
+            ("slow@1:M0:-2x10", "slowdown factor"),
+            ("slow@1:M0:0.5x10", "slowdown factor"),
+            ("slow@1:M0:nanx10", "slowdown factor"),
+            ("slow@1:M0:infx10", "slowdown factor"),
+            ("slow@1:M0:3x-5", "slowdown duration"),
+            ("slow@1:M0:3x0", "slowdown duration"),
+            ("slow@1:M0:3xnan", "slowdown duration"),
+            ("lse@1:M0:-8+8", "latent error"),
+            ("lse@1:M0:8+0", "latent error"),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, bad, problem):
+        """Times are finite, a slowdown inflates (factor >= 1) for a
+        finite positive time, and a latent error covers real sectors."""
+        with pytest.raises(FaultScheduleError, match=problem):
+            FaultSchedule.parse(bad)
+
+    def test_boundary_values_accepted(self):
+        spec = "lse@0:M0:0+1,slow@0:M0:1x0.5"
+        assert FaultSchedule.parse(spec).spec() == spec
+
     def test_random_single_failure_is_seed_deterministic(self):
         a = FaultSchedule.random_single_failure(7, PAIR_DISKS, 1.0, 9.0)
         b = FaultSchedule.random_single_failure(7, PAIR_DISKS, 1.0, 9.0)
