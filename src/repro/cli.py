@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from typing import List, Optional
@@ -225,6 +226,14 @@ def _cmd_mttdl(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    interval = args.sample_interval
+    if interval is not None and not 0 < interval < math.inf:
+        print(
+            f"error: --sample-interval must be positive and finite, "
+            f"got {interval!r}",
+            file=sys.stderr,
+        )
+        return 2
     observed = (
         args.trace
         or args.spans

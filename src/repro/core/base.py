@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import ArrayConfig
@@ -23,7 +24,7 @@ from repro.raid.request import (
     acquire_request,
     release_request,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.traces.compiled import CompiledTrace
 
 if TYPE_CHECKING:
@@ -288,9 +289,13 @@ class Controller(abc.ABC):
         primary = self.primaries[pair]
         mirror = self.mirrors[pair]
         if pair not in self._degraded_pairs:
-            # Healthy pair: inline the two-way min (ties go to the
-            # primary, matching min() over [primary, mirror]).
-            if primary.queue_depth <= mirror.queue_depth:
+            # Healthy pair: inline the two-way min of ``queue_depth``
+            # (ties go to the primary, matching min() over [primary,
+            # mirror]).
+            p_queues = primary._queues
+            m_queues = mirror._queues
+            p_depth = len(p_queues[0]) + len(p_queues[1])
+            if p_depth <= len(m_queues[0]) + len(m_queues[1]):
                 return primary
             return mirror
         alive = [d for d in (primary, mirror) if not d.failed]
@@ -408,7 +413,10 @@ class Controller(abc.ABC):
     ) -> DiskOp:
         """Submit one disk op, optionally tied to a request's fan-in."""
         if request is not None:
-            request.add_waits()
+            # request.add_waits() inline, its check included.
+            if request._sealed and request._outstanding == 0:
+                raise ValueError("request already completed")
+            request._outstanding += 1
             if on_complete is None:
                 # Common case: the fan-in is the only completion consumer,
                 # so hand the disk the bound method directly instead of
@@ -434,12 +442,7 @@ class Controller(abc.ABC):
         # past that point (none do — the fan-in reads finish_time and
         # forgets the op).
         op = acquire_op(
-            kind,
-            offset // 512,
-            nbytes,
-            priority=priority,
-            on_complete=callback,
-            sequential_hint=sequential,
+            kind, offset // 512, nbytes, priority, callback, sequential
         )
         disk.submit(op)
         return op
@@ -538,7 +541,16 @@ class TraceDriver:
             self._check_done()
             return
         self._index = i + 1
-        self.sim.at(self._arrivals[i], self._arrive, i, label="arrival")
+        # Simulator.at inline: the arrival's heap entry, pushed directly.
+        sim = self.sim
+        time = self._arrivals[i]
+        if not time >= sim._now:
+            raise SimulationError(
+                f"cannot schedule at {time!r}, clock already at {sim._now!r}"
+            )
+        seq = sim._seq
+        sim._seq = seq + 1
+        heappush(sim._heap, [time, seq, self._arrive, (i,)])
 
     def _arrive(self, i: int) -> None:
         # Slab-pooled: _request_done releases the request after recording
@@ -547,8 +559,8 @@ class TraceDriver:
             _KIND_BY_CODE[self._kinds[i]],
             self._offsets[i],
             self._sizes[i],
-            arrival_time=self.sim._now,
-            on_complete=self._request_done,
+            self.sim._now,
+            self._request_done,
         )
         self._outstanding += 1
         if self.controller.tracer is not None:

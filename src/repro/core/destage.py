@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from heapq import heappush
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.disk.disk import Disk, DiskOp, OpKind, Priority, acquire_op
@@ -388,12 +389,12 @@ class DestageProcess:
             s_interval = s_timer.interval
             if s_timer.armed:
                 own = (s_timer._event,)
-                s_expiry = s_timer._event.time
+                s_expiry = s_timer._event[0]
         if t_timer is not None:
             t_interval = t_timer.interval
             if t_timer.armed:
                 own += (t_timer._event,)
-                t_expiry = t_timer._event.time
+                t_expiry = t_timer._event[0]
         # A write must complete before ``limit``: the heap's next live
         # entry but the timers' own, or just past ``run(until=)``.
         limit = math.nextafter(sim._until, math.inf)
@@ -570,14 +571,16 @@ class DestageProcess:
         # the last one's expiry, once.
         if s_timer is not None:
             s_timer.cancel()
-            s_timer._event = sim._push(
-                s_expiry, s_timer._fire, (), "timer", last_read + 1
-            )
+            s_timer._event = entry = [
+                s_expiry, last_read + 1, s_timer._fire, ()
+            ]
+            heappush(heap, entry)
         if t_timer is not None:
             t_timer.cancel()
-            t_timer._event = sim._push(
-                t_expiry, t_timer._fire, (), "timer", last_write + 1
-            )
+            t_timer._event = entry = [
+                t_expiry, last_write + 1, t_timer._fire, ()
+            ]
+            heappush(heap, entry)
         op.sector = sector
         op.nbytes = nbytes
         # Heads stand at the end of each disk's last completed batch.
@@ -601,9 +604,7 @@ class DestageProcess:
             t_power._state = _ACTIVE
             t_power._watts = t_active_w
             t_power._last_time = t_read
-            sim._push(
-                t_write, target._complete, (op,), target._io_label, last_read
-            )
+            heappush(heap, [t_write, last_read, target._complete, (op,)])
         else:
             # Ends before the next read completes: as on entry, with the
             # read one or more batches on.
@@ -613,10 +614,7 @@ class DestageProcess:
             s_power._last_time = started
             target._idle_since = started
             t_power._last_time = started
-            sim._push(
-                t_read, _chain_event, (source, op), source._io_label,
-                last_write,
-            )
+            heappush(heap, [t_read, last_write, _chain_event, (source, op)])
         return done
 
     def _finish(self) -> None:

@@ -18,18 +18,23 @@ from repro.core.base import Controller
 from repro.core.destage import DestageProcess, coalesce_units
 from repro.core.logspace import LogRegion
 from repro.core.metrics import CycleWindow
-from repro.disk.disk import Disk, OpKind
+from repro.disk.disk import Disk, OpKind, Priority
 from repro.raid.request import IORequest
 
 # Enum members as module constants: a class attribute lookup on an Enum
 # costs several times a global's, and the per-request paths read them.
 _READ = OpKind.READ
 _WRITE = OpKind.WRITE
+_FOREGROUND = Priority.FOREGROUND
 
 
 class _Mode(enum.Enum):
     LOGGING = "logging"
     DESTAGING = "destaging"
+
+
+_LOGGING = _Mode.LOGGING
+_DESTAGING = _Mode.DESTAGING
 
 
 class GraidController(Controller):
@@ -47,7 +52,7 @@ class GraidController(Controller):
         self.log_region = LogRegion(
             "graid-log", 0, self.config.graid_log_capacity_bytes
         )
-        self._mode = _Mode.LOGGING
+        self._mode = _LOGGING
         self._dirty: List[Set[int]] = [set() for _ in range(n)]
         self._active_processes = 0
         self._processes: Dict[int, DestageProcess] = {}
@@ -84,7 +89,7 @@ class GraidController(Controller):
     # ------------------------------------------------------------------
     def submit(self, request: IORequest) -> None:
         segments = self.layout.map_extent(request.offset, request.nbytes)
-        oracle = self.oracle
+        oracle = self._oracle
         degraded = self._degraded_pairs
         if not request.is_write:
             # note_read is a bound oracle method or the module-level no-op
@@ -111,9 +116,9 @@ class GraidController(Controller):
                     _READ,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
 
         # Primary copy always goes in place; segments on degraded pairs
@@ -128,7 +133,7 @@ class GraidController(Controller):
                         _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
-                        request=request,
+                        request,
                     )
                 if oracle is not None:
                     oracle.note_segment_write(
@@ -140,7 +145,7 @@ class GraidController(Controller):
                     _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
                 healthy.append(seg)
         if healthy:
@@ -160,7 +165,7 @@ class GraidController(Controller):
                         _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
-                        request=request,
+                        request,
                     )
                     if oracle is not None:
                         oracle.note_segment_write(
@@ -171,7 +176,7 @@ class GraidController(Controller):
                                 self.mirrors[seg.pair].name,
                             ],
                         )
-        request.seal(self.sim.now)
+        request.seal(self.sim._now)
 
     def _log_write(self, request: IORequest, segments, log_bytes: int) -> None:
         offset = self.log_region.append(log_bytes, segments, self._epoch)
@@ -179,9 +184,9 @@ class GraidController(Controller):
         unit = self.layout.stripe_unit
         for seg in segments:
             self._dirty[seg.pair].add((seg.disk_offset // unit) * unit)
-        if self.oracle is not None:
+        if self._oracle is not None:
             for seg in segments:
-                self.oracle.note_segment_write(
+                self._oracle.note_segment_write(
                     self,
                     seg,
                     [self.primaries[seg.pair].name, self.log_disk.name],
@@ -191,20 +196,21 @@ class GraidController(Controller):
             _WRITE,
             offset,
             log_bytes,
-            request=request,
-            sequential=True,
+            request,
+            _FOREGROUND,
+            True,
         )
         if self.tracer is not None:
             self._trace_occupancy(self.log_region)
         threshold = self.config.destage_threshold * self.log_region.capacity
-        if self._mode is _Mode.LOGGING and self.log_region.used >= threshold:
+        if self._mode is _LOGGING and self.log_region.used >= threshold:
             self._begin_destage()
 
     # ------------------------------------------------------------------
     def _begin_destage(self) -> None:
-        if self._mode is _Mode.DESTAGING:
+        if self._mode is _DESTAGING:
             return
-        self._mode = _Mode.DESTAGING
+        self._mode = _DESTAGING
         self._epoch += 1
         self._reclaim_limit = self._epoch
         now = self.sim.now
@@ -283,7 +289,7 @@ class GraidController(Controller):
             logging_start=now,
             energy_at_logging_start=self.total_energy_now(),
         )
-        self._mode = _Mode.LOGGING
+        self._mode = _LOGGING
         for mirror in self.mirrors:
             self._sleep_when_quiet(mirror)
         # Writes that arrived during the destage may already have filled the
@@ -307,7 +313,7 @@ class GraidController(Controller):
             # mirror in place until the log disk is rebuilt.
             self._log_failed = True
             self.log_region.reclaim_all()
-            if self._mode is _Mode.LOGGING and self._destageable_dirty():
+            if self._mode is _LOGGING and self._destageable_dirty():
                 self._begin_destage()
             return
         process = self._processes.pop(index, None)
@@ -321,7 +327,7 @@ class GraidController(Controller):
                     index, completed, [self.mirrors[index].name]
                 )
             self._dirty[index] |= set(remaining)
-            if self._active_processes == 0 and self._mode is _Mode.DESTAGING:
+            if self._active_processes == 0 and self._mode is _DESTAGING:
                 self._end_destage()
 
     def _replace_disk(self, old: Disk, new: Disk) -> None:
@@ -342,13 +348,13 @@ class GraidController(Controller):
             # this pair is stale and its log copies are redundant.
             self._dirty[index].clear()
             self.log_region.reclaim(index, self._epoch + 1)
-            if self._mode is _Mode.LOGGING:
+            if self._mode is _LOGGING:
                 self._sleep_when_quiet(new)
             return
         # Primary rebuilt: its backlog destages at the next threshold (or
         # right away while draining).
         if (
-            self._mode is _Mode.LOGGING
+            self._mode is _LOGGING
             and self._draining
             and self._destageable_dirty()
         ):
@@ -358,5 +364,5 @@ class GraidController(Controller):
     def drain(self) -> None:
         """Flush remaining dirty units (outside the measured window)."""
         self._draining = True
-        if self._destageable_dirty() and self._mode is _Mode.LOGGING:
+        if self._destageable_dirty() and self._mode is _LOGGING:
             self._begin_destage()

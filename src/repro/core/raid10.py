@@ -47,7 +47,7 @@ class Raid10Controller(Controller):
     # ------------------------------------------------------------------
     def submit(self, request: IORequest) -> None:
         segments = self.layout.map_extent(request.offset, request.nbytes)
-        oracle = self.oracle
+        oracle = self._oracle
         if request.is_write:
             for seg in segments:
                 targets = self._write_targets(seg.pair)
@@ -57,7 +57,7 @@ class Raid10Controller(Controller):
                         _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
-                        request=request,
+                        request,
                     )
                 if oracle is not None:
                     oracle.note_segment_write(
@@ -83,6 +83,6 @@ class Raid10Controller(Controller):
                     _READ,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
-        request.seal(self.sim.now)
+        request.seal(self.sim._now)

@@ -18,13 +18,17 @@ from repro.core.destage import DestageProcess, coalesce_units
 from repro.core.logspace import LogRegion
 from repro.core.metrics import CycleWindow
 from repro.core.rotation import RotationPolicy
-from repro.disk.disk import Disk, OpKind
+from repro.disk.disk import Disk, OpKind, Priority
+from repro.disk.power import PowerState
 from repro.raid.request import IORequest
 
 # Enum members as module constants: a class attribute lookup on an Enum
 # costs several times a global's, and the per-request paths read them.
 _READ = OpKind.READ
 _WRITE = OpKind.WRITE
+_FOREGROUND = Priority.FOREGROUND
+_ACTIVE = PowerState.ACTIVE
+_IDLE = PowerState.IDLE
 
 
 class RotatedLoggingController(Controller):
@@ -94,7 +98,7 @@ class RotatedLoggingController(Controller):
     # ------------------------------------------------------------------
     def submit(self, request: IORequest) -> None:
         segments = self.layout.map_extent(request.offset, request.nbytes)
-        oracle = self.oracle
+        oracle = self._oracle
         degraded = self._degraded_pairs
         if not request.is_write:
             # note_read is a bound oracle method or the module-level no-op
@@ -121,9 +125,9 @@ class RotatedLoggingController(Controller):
                     _READ,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
 
         # Segments on degraded pairs bypass logging entirely: both
@@ -140,7 +144,7 @@ class RotatedLoggingController(Controller):
                         _WRITE,
                         seg.disk_offset,
                         seg.nbytes,
-                        request=request,
+                        request,
                     )
                 if oracle is not None:
                     oracle.note_segment_write(
@@ -152,11 +156,11 @@ class RotatedLoggingController(Controller):
                     _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
                 healthy.append(seg)
         if not healthy:
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
         if self._deactivated:
             # RoLo de-activated (§III-E): mirror copies go in place.
@@ -166,7 +170,7 @@ class RotatedLoggingController(Controller):
                     _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
                 if oracle is not None:
                     oracle.note_segment_write(
@@ -177,7 +181,7 @@ class RotatedLoggingController(Controller):
                             self.mirrors[seg.pair].name,
                         ],
                     )
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
 
         log_bytes = sum(seg.nbytes for seg in healthy)
@@ -192,7 +196,7 @@ class RotatedLoggingController(Controller):
                     _WRITE,
                     seg.disk_offset,
                     seg.nbytes,
-                    request=request,
+                    request,
                 )
                 if oracle is not None:
                     oracle.note_segment_write(
@@ -203,7 +207,7 @@ class RotatedLoggingController(Controller):
                             self.mirrors[seg.pair].name,
                         ],
                     )
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
 
         m_log = self.mirror_logs[target]
@@ -214,8 +218,9 @@ class RotatedLoggingController(Controller):
             _WRITE,
             offset,
             log_bytes,
-            request=request,
-            sequential=True,
+            request,
+            _FOREGROUND,
+            True,
         )
         if self.log_to_primary_too:
             p_log = self.primary_logs[target]
@@ -225,8 +230,9 @@ class RotatedLoggingController(Controller):
                 _WRITE,
                 p_offset,
                 log_bytes,
-                request=request,
-                sequential=True,
+                request,
+                _FOREGROUND,
+                True,
             )
         unit = self.layout.stripe_unit
         for seg in healthy:
@@ -239,7 +245,7 @@ class RotatedLoggingController(Controller):
                 oracle.note_segment_write(
                     self, seg, [self.primaries[seg.pair].name] + copies
                 )
-        request.seal(self.sim.now)
+        request.seal(self.sim._now)
 
         if self.tracer is not None:
             self._trace_occupancy(m_log)
@@ -312,13 +318,15 @@ class RotatedLoggingController(Controller):
         """
         current = self._on_duty[slot]
         previous = self._previous_duty[slot]
-        if (
-            previous is not None
-            and not self.mirrors[current].state.spun_up
-            and self.mirrors[previous].state.spun_up
-            and self._log_target_ok(previous, nbytes)
-        ):
-            return previous
+        if previous is not None:
+            # ``state.spun_up`` of both mirrors, read off their accountants.
+            state = self.mirrors[current].power._state
+            if state is not _ACTIVE and state is not _IDLE:
+                state = self.mirrors[previous].power._state
+                if (state is _ACTIVE or state is _IDLE) and (
+                    self._log_target_ok(previous, nbytes)
+                ):
+                    return previous
         if self._log_target_ok(current, nbytes):
             return current
         if previous is not None and self._log_target_ok(previous, nbytes):

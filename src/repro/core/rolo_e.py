@@ -27,6 +27,7 @@ from repro.sim.engine import Timer
 # costs several times a global's, and the per-request paths read them.
 _READ = OpKind.READ
 _WRITE = OpKind.WRITE
+_FOREGROUND = Priority.FOREGROUND
 _BACKGROUND = Priority.BACKGROUND
 
 
@@ -37,6 +38,11 @@ class _Mode(enum.Enum):
     #: never stall behind a spin-up.
     SPINNING = "spinning"
     DESTAGING = "destaging"
+
+
+_LOGGING = _Mode.LOGGING
+_SPINNING = _Mode.SPINNING
+_DESTAGING = _Mode.DESTAGING
 
 
 class RoloEController(Controller):
@@ -62,7 +68,7 @@ class RoloEController(Controller):
             LogRegion(f"M{i}-log", cfg.log_region_offset, cfg.free_space_bytes)
             for i in range(n)
         ]
-        self._mode = _Mode.LOGGING
+        self._mode = _LOGGING
         self._dirty: List[Set[int]] = [set() for _ in range(n)]
         self._active_processes = 0
         self._processes: Dict[int, DestageProcess] = {}
@@ -124,7 +130,7 @@ class RoloEController(Controller):
         Clearing a disk's timer leaves a pending expiry to
         :meth:`_sleep_timer_fired`'s own check.
         """
-        logging = self._mode is _Mode.LOGGING
+        logging = self._mode is _LOGGING
         for disk in self.primaries + self.mirrors:
             disk.standby_timer = (
                 self._sleep_timers[disk]
@@ -133,7 +139,7 @@ class RoloEController(Controller):
             )
 
     def _sleep_timer_fired(self, disk: Disk) -> None:
-        if self._mode is not _Mode.LOGGING or self._is_on_duty(disk):
+        if self._mode is not _LOGGING or self._is_on_duty(disk):
             return
         disk.request_spin_down()
 
@@ -151,12 +157,12 @@ class RoloEController(Controller):
 
     def _submit_write(self, request: IORequest) -> None:
         segments = self.layout.map_extent(request.offset, request.nbytes)
-        oracle = self.oracle
+        oracle = self._oracle
         p_log = self.primary_logs[self._duty_pair]
         m_log = self.mirror_logs[self._duty_pair]
         p_disk, m_disk = self._duty_disks()
         can_log = (
-            self._mode is not _Mode.DESTAGING
+            self._mode is not _DESTAGING
             and self._duty_pair not in self._degraded_pairs
             and p_log.fits(request.nbytes)
             and m_log.fits(request.nbytes)
@@ -170,14 +176,14 @@ class RoloEController(Controller):
                 for disk in targets:
                     self._issue(
                         disk, _WRITE,
-                        seg.disk_offset, seg.nbytes, request=request,
+                        seg.disk_offset, seg.nbytes, request,
                     )
                 if oracle is not None:
                     oracle.note_segment_write(
                         self, seg, [d.name for d in targets]
                     )
-            request.seal(self.sim.now)
-            if self._mode is _Mode.LOGGING:
+            request.seal(self.sim._now)
+            if self._mode is _LOGGING:
                 self._begin_destage()
             return
 
@@ -186,11 +192,11 @@ class RoloEController(Controller):
         self.metrics.logged_bytes += 2 * request.nbytes
         self._issue(
             p_disk, _WRITE, p_offset, request.nbytes,
-            request=request, sequential=True,
+            request, _FOREGROUND, True,
         )
         self._issue(
             m_disk, _WRITE, m_offset, request.nbytes,
-            request=request, sequential=True,
+            request, _FOREGROUND, True,
         )
         unit = self.config.stripe_unit
         for seg in segments:
@@ -199,12 +205,12 @@ class RoloEController(Controller):
                 oracle.note_segment_write(
                     self, seg, [p_disk.name, m_disk.name]
                 )
-        request.seal(self.sim.now)
+        request.seal(self.sim._now)
         if self.tracer is not None:
             self._trace_occupancy(p_log)
             self._trace_occupancy(m_log)
         threshold = self.config.destage_threshold
-        if self._mode is _Mode.LOGGING and (
+        if self._mode is _LOGGING and (
             p_log.occupancy >= threshold
             or m_log.occupancy >= threshold
         ):
@@ -217,7 +223,7 @@ class RoloEController(Controller):
         # property chains off the healthy read path.
         note_read = self._note_read
         degraded = self._degraded_pairs
-        if self._mode is _Mode.DESTAGING:
+        if self._mode is _DESTAGING:
             # Everything is spinning; serve in place.
             for seg in segments:
                 pair = seg.pair
@@ -233,9 +239,9 @@ class RoloEController(Controller):
                 self._issue(
                     source,
                     _READ,
-                    seg.disk_offset, seg.nbytes, request=request,
+                    seg.disk_offset, seg.nbytes, request,
                 )
-            request.seal(self.sim.now)
+            request.seal(self.sim._now)
             return
         p_disk, m_disk = self._duty_disks()
         duty_degraded = self._duty_pair in degraded
@@ -258,7 +264,7 @@ class RoloEController(Controller):
                 note_read(self, seg, disk.name, "log-hit")
                 self._issue(
                     disk, _READ, seg.disk_offset, seg.nbytes,
-                    request=request,
+                    request,
                 )
             else:
                 self.metrics.read_misses += 1
@@ -278,10 +284,10 @@ class RoloEController(Controller):
                 self._issue(
                     source,
                     _READ,
-                    seg.disk_offset, seg.nbytes, request=request,
+                    seg.disk_offset, seg.nbytes, request,
                 )
                 self._cache_fill(seg)
-        request.seal(self.sim.now)
+        request.seal(self.sim._now)
 
     def _segment_hit(self, seg) -> bool:
         """A segment hits when every unit it spans is in the logging space
@@ -302,7 +308,7 @@ class RoloEController(Controller):
 
     def _cache_fill(self, seg) -> None:
         """Replicate a missed segment's units into the logging space."""
-        if self._cache.capacity == 0 or self._mode is not _Mode.LOGGING:
+        if self._cache.capacity == 0 or self._mode is not _LOGGING:
             return
         unit = self.config.stripe_unit
         self._rr += 1
@@ -350,9 +356,9 @@ class RoloEController(Controller):
     # Centralized destage + rotation
     # ------------------------------------------------------------------
     def _begin_destage(self) -> None:
-        if self._mode is not _Mode.LOGGING:
+        if self._mode is not _LOGGING:
             return
-        self._mode = _Mode.SPINNING
+        self._mode = _SPINNING
         self._set_standby_timers()
         now = self.sim.now
         self._trace_instant(
@@ -381,7 +387,7 @@ class RoloEController(Controller):
         )
 
     def _start_destage_processes(self) -> None:
-        self._mode = _Mode.DESTAGING
+        self._mode = _DESTAGING
         self._set_standby_timers()
         p_disk, m_disk = self._duty_disks()
         self._active_processes = 0
@@ -475,7 +481,7 @@ class RoloEController(Controller):
             from_pair=previous,
             to_pair=self._duty_pair,
         )
-        self._mode = _Mode.LOGGING
+        self._mode = _LOGGING
         self._set_standby_timers()
         duty = (self.primaries[self._duty_pair], self.mirrors[self._duty_pair])
         for disk in self.primaries + self.mirrors:
@@ -489,7 +495,7 @@ class RoloEController(Controller):
         timer = self._sleep_timers.get(disk)
         if timer is not None:
             timer.cancel()
-        if self._mode is _Mode.DESTAGING:
+        if self._mode is _DESTAGING:
             for pair, process in list(sorted(self._processes.items())):
                 if disk is not process.source and disk not in process.targets:
                     continue
@@ -508,7 +514,7 @@ class RoloEController(Controller):
             if self._active_processes == 0:
                 self._end_destage()
             return
-        if self._is_on_duty(disk) and self._mode is _Mode.LOGGING:
+        if self._is_on_duty(disk) and self._mode is _LOGGING:
             # The surviving duty disk still holds a full set of logged
             # copies (RoLo-E double-logs); flush them home before more
             # state accumulates on a single spindle.
@@ -522,14 +528,14 @@ class RoloEController(Controller):
         self._set_standby_timers()
         if (
             self._draining
-            and self._mode is _Mode.LOGGING
+            and self._mode is _LOGGING
             and self.dirty_units_total()
         ):
             self._begin_destage()
-        elif not self._is_on_duty(new) and self._mode is _Mode.LOGGING:
+        elif not self._is_on_duty(new) and self._mode is _LOGGING:
             self._sleep_when_quiet(new)
 
     def drain(self) -> None:
         self._draining = True
-        if self.dirty_units_total() and self._mode is _Mode.LOGGING:
+        if self.dirty_units_total() and self._mode is _LOGGING:
             self._begin_destage()

@@ -12,12 +12,13 @@ from __future__ import annotations
 import collections
 import enum
 from bisect import bisect_left
+from heapq import heappush
 from typing import Callable, Deque, List, Optional
 
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import DiskSpec
 from repro.disk.power import EnergyAccountant, PowerModel, PowerState
-from repro.sim.engine import Event, Simulator, Timer
+from repro.sim.engine import Simulator, Timer
 from repro.sim.stats import Histogram
 
 
@@ -276,10 +277,10 @@ class Disk:
         #: quiet, before the idle listeners run (the controller's power
         #: policy sets and clears it; its expiry decides what to do).
         self.standby_timer: Optional[Timer] = None
-        # Hot-path constants: the per-op event label is invariant, so build
-        # it once instead of formatting an f-string per operation; the
-        # scheduler test and mechanical-model lookups are likewise bound at
-        # construction (scheduler choice is construction-time only).
+        # Hot-path constants: the census labels are invariant, so build
+        # them once; the scheduler test and mechanical-model lookups are
+        # likewise bound at construction (scheduler choice is
+        # construction-time only).
         self._io_label = f"{name}:io"
         self._up_label = f"{name}:up"
         self._down_label = f"{name}:down"
@@ -287,7 +288,7 @@ class Disk:
         self._service_time = self.mechanics.service_time
         self._end_sector = self.mechanics.end_sector
         self._transfer_rate = spec.sustained_transfer_rate
-        self._push = sim._push
+        self._heap = sim._heap
         self._active_watts = self.power._draw[PowerState.ACTIVE]
         self._idle_watts = self.power._draw[PowerState.IDLE]
         # Cumulative statistics.
@@ -418,12 +419,8 @@ class Disk:
         self._idle_since = -1.0
         self.power.transition(self.sim.now, PowerState.FAILED)
 
-    def submit(self, op: DiskOp) -> Optional[Event]:
-        """Queue an operation; wakes the disk if it is asleep.
-
-        Returns the op's completion event when it went straight into
-        service, else ``None``.
-        """
+    def submit(self, op: DiskOp) -> None:
+        """Queue an operation; wakes the disk if it is asleep."""
         # Read the power state once through the accountant's attribute:
         # submit/_try_start/_complete run per simulated op, and the
         # state->property->property chain showed up in replay profiles.
@@ -436,7 +433,8 @@ class Disk:
             state is _IDLE or state is _ACTIVE
         ):
             # _try_start would pick this very op
-            return self._start(op, state)
+            self._start(op, state)
+            return
         queues[op.priority].append(op)
         if state is _STANDBY:
             self._begin_spin_up()
@@ -444,7 +442,6 @@ class Disk:
             self._wake_after_down = True
         else:
             self._try_start()
-        return None
 
     def _next_op(self) -> Optional[DiskOp]:
         for queue in self._queues:
@@ -487,12 +484,13 @@ class Disk:
                 return
         self._start(op, state)
 
-    def _start(self, op: DiskOp, state: PowerState) -> Event:
-        """Put ``op`` in service on a spun-up disk in power ``state``;
-        returns its completion event, which calls ``op.dispatch`` when
+    def _start(self, op: DiskOp, state: PowerState) -> None:
+        """Put ``op`` in service on a spun-up disk in power ``state`` and
+        push its completion's heap entry, which calls ``op.dispatch`` when
         the op has one.  ``DestageProcess._solo`` does this body's float
         operations itself for the copy ops it runs without events."""
-        now = self.sim._now
+        sim = self.sim
+        now = sim._now
         self._in_service = op
         op.start_time = now
         if self._idle_since >= 0:
@@ -528,12 +526,13 @@ class Disk:
             service = self._service_time(self._head_sector, sector, op.nbytes)
         if self.slowdown_factor != 1.0:
             service *= self.slowdown_factor
+        seq = sim._seq
+        sim._seq = seq + 1
         dispatch = op.dispatch
         if dispatch is None:
-            return self._push(
-                now + service, self._complete, (op,), self._io_label
-            )
-        return self._push(now + service, dispatch, (self, op), self._io_label)
+            heappush(self._heap, [now + service, seq, self._complete, (op,)])
+        else:
+            heappush(self._heap, [now + service, seq, dispatch, (self, op)])
 
     # Completion runs once per simulated op; ``self._complete`` is bound to
     # exactly one of the two variants below by ``_select_complete``, so the
@@ -692,19 +691,14 @@ class Disk:
             return False
         self._idle_since = -1.0
         self.power.transition(self.sim.now, PowerState.SPINNING_DOWN)
-        self.sim.schedule(
-            self.spec.spin_down_time, self._spin_down_done,
-            label=self._down_label,
-        )
+        self.sim.schedule(self.spec.spin_down_time, self._spin_down_done)
         return True
 
     def _begin_spin_up(self) -> None:
         if self.state is not PowerState.STANDBY:
             return
         self.power.transition(self.sim.now, PowerState.SPINNING_UP)
-        self.sim.schedule(
-            self.spec.spin_up_time, self._spin_up_done, label=self._up_label
-        )
+        self.sim.schedule(self.spec.spin_up_time, self._spin_up_done)
 
     def _spin_up_done(self) -> None:
         self.sim.fired[self._up_label] += 1

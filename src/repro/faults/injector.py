@@ -67,15 +67,11 @@ class FaultInjector:
         self.controller = controller
         for event in self.schedule.events:
             if isinstance(event, DiskFailure):
-                sim.at(event.time, self._fail, event, label="fault:fail")
+                sim.at(event.time, self._fail, event)
             elif isinstance(event, Slowdown):
-                sim.at(
-                    event.time, self._slow_start, event, label="fault:slow"
-                )
+                sim.at(event.time, self._slow_start, event)
             elif isinstance(event, LatentSectorError):
-                sim.at(
-                    event.time, self._plant_lse, event, label="fault:lse"
-                )
+                sim.at(event.time, self._plant_lse, event)
             else:  # pragma: no cover - schedule types are closed
                 raise FaultScheduleError(f"unknown event {event!r}")
 
@@ -157,13 +153,7 @@ class FaultInjector:
                 "factor": event.factor,
             }
         )
-        self.sim.schedule(
-            event.duration,
-            self._slow_end,
-            event,
-            disk,
-            label="fault:slow-end",
-        )
+        self.sim.schedule(event.duration, self._slow_end, event, disk)
 
     def _slow_end(self, event: Slowdown, disk: Disk) -> None:
         # Restore on the original object: correct even if the disk failed
@@ -220,9 +210,7 @@ class FaultInjector:
                 sector=sector,
             )
         # Scrub repair: re-write the damaged range from the mirrored copy.
-        self.sim.schedule(
-            0.0, self._scrub, disk, sector, n_sectors, label="fault:scrub"
-        )
+        self.sim.schedule(0.0, self._scrub, disk, sector, n_sectors)
 
     def _scrub(self, disk: Disk, sector: int, n_sectors: int) -> None:
         self.sim.fired["fault:scrub"] += 1

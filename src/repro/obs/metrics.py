@@ -919,16 +919,6 @@ class RunInstrumentation:
             agg="max", scheme=scheme,
         ).set_max(float(self._heap_peak))
         registry.gauge(
-            "sim_event_free_pool_size",
-            "recycled Event objects parked for reuse at harvest",
-            agg="max", scheme=scheme,
-        ).set_max(float(sim.free_pool_size))
-        registry.gauge(
-            "sim_event_free_pool_max",
-            "hard cap on the engine event free list",
-            agg="max", scheme=scheme,
-        ).set_max(float(sim.free_pool_max))
-        registry.gauge(
             "sim_wall_seconds", "wall-clock time of metered runs",
             agg="sum", scheme=scheme,
         ).inc(wall)

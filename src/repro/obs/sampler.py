@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from typing import TYPE_CHECKING, Any, Dict, List
 
@@ -58,8 +59,11 @@ class TimeSeriesSampler:
     """Run probe sampling a controller at a fixed virtual-time cadence."""
 
     def __init__(self, interval: float) -> None:
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
+        if not 0 < interval < math.inf:
+            raise ValueError(
+                "sample interval must be positive and finite, "
+                f"got {interval!r}"
+            )
         self.interval = interval
         self.samples: List[Sample] = []
 
@@ -67,7 +71,7 @@ class TimeSeriesSampler:
         """Begin sampling ``controller`` at the current instant."""
         self.sim = sim
         self.controller = controller
-        sim.schedule(0.0, self._tick, label="sampler")
+        sim.schedule(0.0, self._tick)
 
     def uninstall(self) -> None:
         """Nothing to detach: the tick chain ends with the run."""
@@ -82,7 +86,7 @@ class TimeSeriesSampler:
             # trace completion, not at queue exhaustion.)
             return
         self.samples.append(self.observe())
-        self.sim.schedule(self.interval, self._tick, label="sampler")
+        self.sim.schedule(self.interval, self._tick)
 
     def observe(self) -> Sample:
         """Take one sample right now (also usable without scheduling)."""

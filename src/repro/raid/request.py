@@ -17,6 +17,9 @@ class RequestKind(enum.Enum):
     WRITE = "write"
 
 
+_WRITE = RequestKind.WRITE
+
+
 class IORequest:
     """One array-level request with fan-in completion tracking.
 
@@ -28,6 +31,7 @@ class IORequest:
 
     __slots__ = (
         "kind",
+        "is_write",
         "offset",
         "nbytes",
         "arrival_time",
@@ -50,6 +54,9 @@ class IORequest:
         if offset < 0 or nbytes <= 0:
             raise ValueError("invalid request extent")
         self.kind = kind
+        #: ``kind is RequestKind.WRITE``, kept as a plain attribute: the
+        #: controllers and the response recorder read it per request.
+        self.is_write = kind is _WRITE
         self.offset = offset
         self.nbytes = nbytes
         self.arrival_time = arrival_time
@@ -61,10 +68,6 @@ class IORequest:
         #: Trace id, set by a replay under a tracer (span recorders link
         #: the request's disk ops through it); ``None`` otherwise.
         self.rid: Optional[int] = None
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind is RequestKind.WRITE
 
     @property
     def response_time(self) -> float:
@@ -150,6 +153,7 @@ def acquire_request(
         if offset < 0 or nbytes <= 0:
             raise ValueError("invalid request extent")
         request.kind = kind
+        request.is_write = kind is _WRITE
         request.offset = offset
         request.nbytes = nbytes
         request.arrival_time = arrival_time

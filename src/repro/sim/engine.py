@@ -7,15 +7,22 @@ floating-point seconds.
 
 Hot-path design (every simulated disk op passes through here twice):
 
-* Heap entries are ``(time, seq, event)`` tuples, so ``heappush``/``heappop``
-  compare plain floats and ints in C and never call back into Python
-  (``Event`` keeps an ``__lt__`` only as a safety net).
-* Fired and cancelled-and-popped events are recycled through a bounded free
-  list, so steady-state simulation allocates no per-event objects.
-* Cancelled events use lazy deletion (O(1) cancel), but the simulator keeps
-  a census of them and compacts the heap in place once they exceed half of
-  a non-trivial heap, so pathological ``Timer`` re-arm patterns cannot grow
-  the heap without bound.
+* Each event is one plain heap entry, the list ``[time, seq, callback,
+  args]``, so ``heappush``/``heappop`` compare plain floats and ints in C
+  and never call back into Python (seqs are unique, so no comparison
+  reaches the callback).  Nothing is recycled: a fired entry is dropped,
+  and the next push builds a fresh list.  The hottest sources (a disk's
+  op completions, the trace driver's arrivals, the copy fast-forward) push
+  their entries themselves.
+* :meth:`Simulator.schedule` and :meth:`Simulator.at` wrap the entry in a
+  small cancel handle (:class:`Event`); :class:`Timer` keeps the raw
+  entry.  Cancelling sets the entry's callback to ``None`` (lazy deletion,
+  O(1)); the run loop drops such entries when it reaches them.  Cancelling
+  an event that already fired does nothing.
+* The simulator keeps an exact census of cancelled entries still in the
+  heap, and the cancel that brings them past half of a non-trivial heap
+  compacts it in place, so pathological ``Timer`` re-arm patterns cannot
+  grow the heap without bound.  Pushes pay no such test.
 * Nothing observes events one by one.  A sampled observer that acts
   only every n-th event installs a *stride* (:meth:`Simulator.add_stride`):
   the strided loop keeps one countdown inline and calls back only when it
@@ -23,8 +30,9 @@ Hot-path design (every simulated disk op passes through here twice):
   copy chain, see :mod:`repro.core.destage`) advances the same countdown,
   so callbacks land on the same event indices either way.  Several
   strides share the countdown (see :meth:`Simulator._restride`).
-* Events are counted by label without per-event work: each event source
-  tallies its own fires (see :meth:`Simulator.label_census`).
+* Events carry no label.  They are counted by label without per-event
+  work: each event source tallies its own fires (see
+  :meth:`Simulator.label_census`).
 """
 
 from __future__ import annotations
@@ -33,10 +41,6 @@ import heapq
 import math
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: Recycled Event objects kept for reuse; bounds idle memory while still
-#: covering any realistic in-flight event population.
-_FREE_LIST_MAX = 4096
 
 #: Automatic compaction threshold: compact when the heap holds more than
 #: this many entries AND more than half of them are cancelled.
@@ -48,55 +52,41 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """The cancel handle of a scheduled callback.
 
-    Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.at` and can be cancelled before they fire.  Cancelled
-    events stay in the heap but are skipped when popped (lazy deletion),
-    which keeps cancellation O(1).
-
-    Event objects are pooled: once an event has fired (or been popped
-    cancelled) the simulator may reuse it for a future ``schedule``/``at``
-    call.  Holders must therefore drop their reference when the callback
-    fires and never call :meth:`cancel` afterwards (:class:`Timer` follows
-    this contract).
+    Returned by :meth:`Simulator.schedule` and :meth:`Simulator.at`; it
+    wraps the event's heap entry ``[time, seq, callback, args]``.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "label", "sim")
+    __slots__ = ("_entry", "_sim")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple,
-        label: str = "",
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.label = label
-        self.sim = sim
+    def __init__(self, sim: "Simulator", entry: list) -> None:
+        self._sim = sim
+        self._entry = entry
+
+    @property
+    def time(self) -> float:
+        """The virtual time the event fires (or fired) at."""
+        return self._entry[0]
+
+    @property
+    def cancelled(self) -> bool:
+        return self._entry[2] is None
 
     def cancel(self) -> None:
-        """Prevent this event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            sim = self.sim
-            if sim is not None:
-                sim._cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+        """Prevent this event from firing.  Idempotent, and a no-op once
+        the event has fired."""
+        entry = self._entry
+        sim = self._sim
+        if entry[2] is not None and (
+            entry[0] > sim._now or any(e is entry for e in sim._heap)
+        ):
+            sim._drop(entry)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Event t={self.time:.6f} {self.label or self.callback} {state}>"
+        entry = self._entry
+        state = "cancelled" if entry[2] is None else entry[2]
+        return f"<Event t={entry[0]:.6f} {state}>"
 
 
 class Simulator:
@@ -112,19 +102,16 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        #: Heap of ``(time, seq, Event)`` entries (see module docstring).
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: Heap of ``[time, seq, callback, args]`` entries; a cancelled
+        #: entry's callback is ``None`` (see module docstring).
+        self._heap: List[list] = []
         self._seq = 0
         self._running = False
         self._stopped = False
         self.events_processed = 0
         #: The monomorphic run loop selected when the strides change.
         self._run_loop: Callable[[Optional[float]], None] = self._run_nohook
-        #: Recycled Event objects awaiting reuse.
-        self._free: List[Event] = []
-        #: Census of cancelled events still sitting in the heap.  Kept
-        #: approximate (cancelling an already-fired event over-counts) and
-        #: re-zeroed by every compaction, so drift is bounded.
+        #: Census of cancelled entries still sitting in the heap.
         self._cancelled = 0
         #: How many automatic/explicit compactions have run (introspection).
         self.compactions = 0
@@ -257,108 +244,63 @@ class Simulator:
         """Census of cancelled events still occupying heap slots."""
         return self._cancelled
 
-    @property
-    def free_pool_size(self) -> int:
-        """Recycled :class:`Event` objects currently parked for reuse."""
-        return len(self._free)
-
-    @property
-    def free_pool_max(self) -> int:
-        """Hard cap on the event free list (excess events are dropped)."""
-        return _FREE_LIST_MAX
-
     def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self._push(self._now + delay, callback, args, label)
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay!r}")
+        return Event(self, self._push(self._now + delay, callback, args))
 
     def at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
+        self, time: float, callback: Callable[..., None], *args: Any
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        return self._push(time, callback, args, label)
+        return Event(self, self._push(time, callback, args))
 
     def _push(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: tuple,
-        label: str,
-        seq: Optional[int] = None,
-    ) -> Event:
-        """The one scheduling body; disk completions call it directly.
-
-        ``seq`` places the event at a sequence number taken earlier
-        (``seq = sim._seq``, then ``sim._seq += 1``) instead of the next.
-        """
-        if time < self._now:
+        self, time: float, callback: Callable[..., None], args: tuple
+    ) -> list:
+        """Push and return the heap entry of ``callback(*args)`` at
+        ``time``.  Refuses any ``time`` that is not ``>= now``, NaN
+        included."""
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time!r}, clock already at {self._now!r}"
             )
-        if seq is None:
-            seq = self._seq
-            self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-            event.cancelled = False
-            event.label = label
-        else:
-            event = Event(time, seq, callback, args, label=label, sim=self)
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, seq, callback, args]
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def _drop(self, entry: list) -> None:
+        """Cancel the pending heap ``entry``.  The cancel that leaves
+        cancelled entries over half of a heap larger than
+        ``_COMPACT_MIN_HEAP`` compacts it."""
+        entry[2] = None
+        self._cancelled += 1
         heap = self._heap
-        heapq.heappush(heap, (time, seq, event))
         if len(heap) > _COMPACT_MIN_HEAP and self._cancelled * 2 > len(heap):
             self.compact()
-        return event
 
     def compact(self) -> int:
-        """Drop cancelled events from the heap in place.
+        """Drop cancelled entries from the heap in place.
 
-        Runs automatically from :meth:`_push` once cancelled entries exceed
-        half of a heap larger than ``_COMPACT_MIN_HEAP``; callers may also
-        invoke it directly.  Returns the number of entries removed.  The
-        heap list object is mutated in place so the run loop's local
-        binding stays valid even when a callback triggers compaction.
+        Runs automatically from :meth:`_drop`; callers may also invoke it
+        directly.  Returns the number of entries removed.  The heap list
+        object is mutated in place so the run loop's local binding stays
+        valid even when a callback triggers compaction.
         """
         heap = self._heap
-        live = [entry for entry in heap if not entry[2].cancelled]
+        live = [entry for entry in heap if entry[2] is not None]
         removed = len(heap) - len(live)
         if removed:
-            free = self._free
-            for entry in heap:
-                event = entry[2]
-                if event.cancelled:
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
             heap[:] = live
             heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
         return removed
-
-    def _recycle(self, event: Event) -> None:
-        """Return a fired/collected event to the free list."""
-        event.callback = None
-        event.args = None
-        if len(self._free) < _FREE_LIST_MAX:
-            self._free.append(event)
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -390,37 +332,34 @@ class Simulator:
             if predicate():
                 action()
             else:
-                self.schedule(interval, _recheck, label=label)
+                self.schedule(interval, _recheck)
 
-        self.schedule(interval, _recheck, label=label)
+        self.schedule(interval, _recheck)
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         head = self._head()
         return None if head is None else head[0]
 
-    def _head(self) -> Optional[Tuple[float, int, Event]]:
-        """The next live ``(time, seq, event)`` entry, or ``None``.
+    def _head(self) -> Optional[list]:
+        """The next live heap entry, or ``None``.
 
         Cancelled entries ahead of it are collected on the way, as the run
         loop would collect them on reaching them.
         """
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            entry = heapq.heappop(heap)
-            if self._cancelled > 0:
-                self._cancelled -= 1
-            self._recycle(entry[2])
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+            self._cancelled -= 1
         return heap[0] if heap else None
 
-    def _head_except(
-        self, events: Tuple[Event, ...]
-    ) -> Optional[Tuple[float, int, Event]]:
-        """The next live entry whose event is none of ``events``, or
-        ``None``: :meth:`_head`, then a best-first walk down the heap past
-        the entries it skips, leaving them in place."""
+    def _head_except(self, entries: Tuple[list, ...]) -> Optional[list]:
+        """The next live entry that is none of ``entries``, or ``None``:
+        :meth:`_head`, then a best-first walk down the heap past the
+        entries it skips, leaving them in place.  (Seqs are unique, so
+        ``in`` matches an entry only by identity.)"""
         head = self._head()
-        if head is None or head[2] not in events:
+        if head is None or head not in entries:
             return head
         heap = self._heap
         size = len(heap)
@@ -429,8 +368,7 @@ class Simulator:
         while frontier:
             index = heapq.heappop(frontier)[2]
             entry = heap[index]
-            event = entry[2]
-            if not event.cancelled and event not in events:
+            if entry[2] is not None and entry not in entries:
                 return entry
             for child in (2 * index + 1, 2 * index + 2):
                 if child < size:
@@ -446,11 +384,9 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-                self._recycle(event)
+            time, _seq, callback, args = heapq.heappop(heap)
+            if callback is None:
+                self._cancelled -= 1
                 continue
             self._now = time
             self.events_processed += 1
@@ -462,10 +398,9 @@ class Simulator:
             until = self._until
             self._until = -math.inf
             try:
-                event.callback(*event.args)
+                callback(*args)
             finally:
                 self._until = until
-            self._recycle(event)
             return True
         return False
 
@@ -498,51 +433,34 @@ class Simulator:
     # is monomorphic: selected once at add/remove_stride time (and, for
     # the ``until`` split, once per run call), with zero feature tests
     # per event.  They inline peek()+step() so each event
-    # costs exactly one heap pop (cancelled events are skipped in place),
-    # with the heap, heappop and free list bound to locals.  compact()
-    # mutates the heap and free lists in place, so those local bindings
-    # survive a compaction from inside a callback.
+    # costs exactly one heap pop (cancelled entries are skipped in place),
+    # with the heap and heappop bound to locals.  compact() mutates the
+    # heap in place, so the local binding survives a compaction from
+    # inside a callback.
 
     def _run_nohook(self, until: Optional[float]) -> None:
         """Fast loop: no stride countdown (the disabled-cost path)."""
         heap = self._heap
         heappop = heapq.heappop
-        free = self._free
         processed = 0
         try:
             if until is None:
                 while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        event.callback = None
-                        event.args = None
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(event)
+                    entry = heappop(heap)
+                    callback = entry[2]
+                    if callback is None:
+                        self._cancelled -= 1
                         continue
-                    heappop(heap)
                     self._now = entry[0]
                     processed += 1
-                    event.callback(*event.args)
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
+                    callback(*entry[3])
             else:
                 while heap and not self._stopped:
                     entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
+                    callback = entry[2]
+                    if callback is None:
                         heappop(heap)
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        event.callback = None
-                        event.args = None
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(event)
+                        self._cancelled -= 1
                         continue
                     time = entry[0]
                     if time > until:
@@ -550,11 +468,7 @@ class Simulator:
                     heappop(heap)
                     self._now = time
                     processed += 1
-                    event.callback(*event.args)
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
+                    callback(*entry[3])
         finally:
             self.events_processed += processed
 
@@ -562,21 +476,15 @@ class Simulator:
         """The unobserved loop plus the inline stride countdown."""
         heap = self._heap
         heappop = heapq.heappop
-        free = self._free
         limit = math.inf if until is None else until
         processed = 0
         try:
             while heap and not self._stopped:
                 entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
+                callback = entry[2]
+                if callback is None:
                     heappop(heap)
-                    if self._cancelled > 0:
-                        self._cancelled -= 1
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
+                    self._cancelled -= 1
                     continue
                 time = entry[0]
                 if time > limit:
@@ -590,11 +498,7 @@ class Simulator:
                 else:
                     self._stride_left = self._stride_every
                     self._stride_fn()
-                event.callback(*event.args)
-                event.callback = None
-                event.args = None
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(event)
+                callback(*entry[3])
         finally:
             self.events_processed += processed
 
@@ -609,25 +513,28 @@ class Timer:
     def __init__(
         self, sim: Simulator, interval: float, callback: Callable[[], None]
     ) -> None:
-        if interval < 0:
-            raise SimulationError(f"negative timer interval {interval!r}")
+        if not 0 <= interval < math.inf:
+            raise SimulationError(f"invalid timer interval {interval!r}")
         self._sim = sim
         self.interval = interval
         self._callback = callback
-        self._event: Optional[Event] = None
+        #: The pending expiry's raw heap entry, ``None`` when disarmed.
+        self._event: Optional[list] = None
 
     @property
     def armed(self) -> bool:
-        return self._event is not None and not self._event.cancelled
+        return self._event is not None
 
     def arm(self) -> None:
         """Start (or restart) the countdown from the current instant."""
-        self.cancel()
-        self._event = self._sim.schedule(self.interval, self._fire, label="timer")
+        sim = self._sim
+        if self._event is not None:
+            sim._drop(self._event)
+        self._event = sim._push(sim._now + self.interval, self._fire, ())
 
     def cancel(self) -> None:
         if self._event is not None:
-            self._event.cancel()
+            self._sim._drop(self._event)
             self._event = None
 
     def _fire(self) -> None:

@@ -35,6 +35,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.disk.power import PowerState
 
+# Enum members as module constants: every sweep compares each disk's state.
+_ACTIVE = PowerState.ACTIVE
+_FAILED = PowerState.FAILED
+
 
 class InvariantChecker:
     """Samples structural invariants on an engine stride."""
@@ -121,11 +125,14 @@ class InvariantChecker:
                 VERIFY_CHECKS_TOTAL,
                 "Invariant sweeps run by the verify checker.",
             ).inc()
+        # One list of the disks per sweep; the checks read each disk's
+        # service slot and power state off its attributes.
+        disks = self.controller.all_disks()
         self._check_log_space()
-        self._check_power_legality()
+        self._check_power_legality(disks)
         self._check_rotation()
-        self._check_destage_progress()
-        self._check_energy()
+        self._check_destage_progress(disks)
+        self._check_energy(disks)
 
     def _check_log_space(self) -> None:
         for region in self.controller.log_regions():
@@ -134,9 +141,12 @@ class InvariantChecker:
             except AssertionError as exc:
                 self._violate("log-space", f"{region.name}: {exc}")
 
-    def _check_power_legality(self) -> None:
-        for disk in self.controller.all_disks():
-            if disk.busy and disk.state is not PowerState.ACTIVE:
+    def _check_power_legality(self, disks) -> None:
+        for disk in disks:
+            if (
+                disk._in_service is not None
+                and disk.power._state is not _ACTIVE
+            ):
                 self._violate(
                     "power-legality",
                     f"{disk.name} has an op in service while "
@@ -182,9 +192,9 @@ class InvariantChecker:
                     f"duty pair {duty_pair} out of range",
                 )
 
-    def _check_destage_progress(self) -> None:
+    def _check_destage_progress(self, disks) -> None:
         controller = self.controller
-        failed = sum(1 for d in controller.all_disks() if d.failed)
+        failed = sum(1 for d in disks if d.power._state is _FAILED)
         if failed != self._failed_count:
             # Failures abort destage processes and legally re-dirty their
             # unfinished units; restart the monotonicity baseline.
@@ -209,8 +219,10 @@ class InvariantChecker:
         if self._drain_floor is None or dirty < self._drain_floor:
             self._drain_floor = dirty
 
-    def _check_energy(self) -> None:
-        energy = self.controller.total_energy_now()
+    def _check_energy(self, disks) -> None:
+        # Controller.total_energy_now over this sweep's disk list.
+        now = self.sim._now
+        energy = sum(d.power.energy_at(now) for d in disks)
         if energy < self._last_energy - 1e-9:
             self._violate(
                 "energy-monotonicity",

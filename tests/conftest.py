@@ -44,6 +44,58 @@ def event_path(monkeypatch):
     observe_every_disk(monkeypatch)
 
 
+#: Census labels of the fault injector's events, by callback name.
+_FAULT_LABELS = {
+    "_fail": "fault:fail",
+    "_slow_start": "fault:slow",
+    "_slow_end": "fault:slow-end",
+    "_plant_lse": "fault:lse",
+    "_scrub": "fault:scrub",
+}
+
+
+def entry_label(entry) -> str:
+    """The census label of a heap entry ``[time, seq, callback, args]``.
+
+    Events carry no label, so this derives one from the callback's owner,
+    independently of the sources' own tallies: a disk's completions (its
+    ``_complete`` or an op's ``dispatch(disk, op)`` hook) are its
+    ``_io_label``, its spin transitions ``_up_label``/``_down_label``;
+    then ``"arrival"``, ``"timer"``, ``"sampler"``, the fault labels and
+    a poll's own label.  Anything else is ``""``.
+    """
+    import inspect
+
+    from repro.core.base import TraceDriver
+    from repro.disk.disk import Disk
+    from repro.faults.injector import FaultInjector
+    from repro.obs.sampler import TimeSeriesSampler
+    from repro.sim import Timer
+
+    callback, args = entry[2], entry[3]
+    owner = getattr(callback, "__self__", None)
+    name = callback.__name__
+    if isinstance(owner, Disk):
+        if name == "_spin_up_done":
+            return owner._up_label
+        if name == "_spin_down_done":
+            return owner._down_label
+        return owner._io_label
+    if owner is None and args and isinstance(args[0], Disk):
+        return args[0]._io_label
+    if isinstance(owner, TraceDriver):
+        return "arrival"
+    if isinstance(owner, Timer):
+        return "timer"
+    if isinstance(owner, TimeSeriesSampler):
+        return "sampler"
+    if isinstance(owner, FaultInjector):
+        return _FAULT_LABELS[name]
+    if name == "_recheck":  # Simulator.poll's re-check
+        return inspect.getclosurevars(callback).nonlocals["label"]
+    return ""
+
+
 def observe_every_disk(monkeypatch) -> None:
     """Give every disk built from now on a no-op op observer.
 

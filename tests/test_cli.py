@@ -265,6 +265,19 @@ class TestObservabilityCommands:
         assert main(self.SIM_ARGS + ["--sample-interval", "10"]) == 0
         assert "peak_queue=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("interval", ["nan", "inf", "0", "-1"])
+    def test_simulate_rejects_bad_sample_interval(
+        self, capsys, tmp_path, interval
+    ):
+        samples = tmp_path / "s.csv"
+        args = ["--sample-interval", interval, "--samples", str(samples)]
+        assert main(self.SIM_ARGS + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: --sample-interval")
+        assert not samples.exists()
+
     def test_trace_summarize(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         assert main(self.SIM_ARGS + ["--trace", str(trace_path)]) == 0

@@ -9,6 +9,7 @@ from repro.disk.disk import Disk, DiskOp, OpKind
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.sim import Simulator
 from repro.sim.engine import Timer
+from tests.conftest import entry_label
 
 KB = 1024
 UNIT = 64 * KB
@@ -224,9 +225,9 @@ def _copy_state(sim, process, disks):
     ``run`` returns, so compare it between runs, not inside one.
     """
     pending = sorted(
-        (time, seq, event.label)
-        for time, seq, event in sim._heap
-        if not event.cancelled
+        (entry[0], entry[1], entry_label(entry))
+        for entry in sim._heap
+        if entry[2] is not None
     )
     return (
         sim.now, sim._seq, pending,
@@ -543,8 +544,8 @@ class TestFastForwardHorizon:
             process, disks = _copy_chain(sim, observe, runs=runs)
 
             def state():
-                event = timer._event
-                live = None if event is None else (event.time, event.seq)
+                entry = timer._event
+                live = None if entry is None else (entry[0], entry[1])
                 return _copy_state(sim, process, disks), live
 
             fires = []

@@ -318,7 +318,7 @@ class TestRuntimeInvariantChecker:
             if checked:
                 checker.install(sim, controller)
             for i in range(12):
-                sim.schedule(float(i), lambda: None, label="tick")
+                sim.schedule(float(i), lambda: None)
             sim.run()
             if checked:
                 checker.uninstall()

@@ -30,6 +30,7 @@ from repro.faults.campaign import FaultCell
 from repro.obs import MetricsRegistry
 from repro.sim import Simulator
 from repro.verify.fuzzer import Scenario, run_scenario
+from tests.conftest import entry_label
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "metered_registry.json"
@@ -123,7 +124,7 @@ def _counting_loop(counts):
             head = sim._head()
             if head is None or (until is not None and head[0] > until):
                 break
-            counts[head[2].label] += 1
+            counts[entry_label(head)] += 1
             sim.step()
 
     return loop

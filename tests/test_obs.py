@@ -204,6 +204,11 @@ class TestSampler:
         with pytest.raises(ValueError):
             TimeSeriesSampler(0.0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interval(self, interval):
+        with pytest.raises(ValueError):
+            TimeSeriesSampler(interval)
+
     def test_never_samples_past_last_foreign_event(self):
         sim, controller, sampler = self._build(interval=1.0)
         sim.schedule(3.5, lambda: None)

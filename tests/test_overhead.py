@@ -208,7 +208,7 @@ class TestFullHookStack:
         def fail() -> None:
             raise ValueError("callback failed mid-run")
 
-        sim.at(1.0, fail, label="fail")
+        sim.at(1.0, fail)
         with pytest.raises(ValueError, match="callback failed mid-run"):
             run_trace(controller, trace, probes=probes)
         assert 0.9 < sim.now < 1.1
@@ -218,19 +218,6 @@ class TestFullHookStack:
             assert disk._complete.__func__ is Disk._complete_fast
         assert controller.metrics.on_response is None
         assert harvests == [meter]
-
-    def test_event_free_pool_census_is_harvested(self):
-        config, trace = _small_cell()
-        sim = Simulator()
-        controller = build_controller("raid10", sim, config)
-        registry = MetricsRegistry()
-        run_trace(controller, trace, probes=[RunInstrumentation(registry)])
-        scheme = controller.scheme_name
-        size = registry.get("sim_event_free_pool_size", scheme=scheme)
-        cap = registry.get("sim_event_free_pool_max", scheme=scheme)
-        assert size is not None and size.value >= 0
-        assert cap is not None and cap.value == float(sim.free_pool_max)
-        assert sim.free_pool_size <= sim.free_pool_max
 
 
 # ----------------------------------------------------------------------

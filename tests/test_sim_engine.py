@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim import SimulationError, Simulator, Timer
@@ -45,6 +47,20 @@ def test_at_in_past_rejected():
     sim = Simulator(start_time=10.0)
     with pytest.raises(SimulationError):
         sim.at(9.0, lambda: None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_nan_and_negative_infinite_times_rejected(bad):
+    """NaN compares false both ways, so only ``not time >= now`` catches
+    it; a NaN entry in the heap would fire out of order."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.at(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        sim._push(bad, lambda: None, ())
+    assert sim.heap_size == 0
 
 
 def test_cancelled_event_does_not_fire():
@@ -166,6 +182,12 @@ class TestTimer:
         sim = Simulator()
         with pytest.raises(SimulationError):
             Timer(sim, -1.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_interval_rejected(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            Timer(sim, bad, lambda: None)
 
 
 class TestRunEdgeCases:
@@ -307,18 +329,30 @@ class TestHeapHygiene:
         assert fired == ["purged", "after"]
         assert sim.now == 2.0
 
-    def test_event_objects_are_pooled(self):
+    def test_stale_handle_cancels_nothing(self):
+        # A handle outlives its event: cancelling it after the event fired
+        # must neither cancel a later event nor count as pending.
         sim = Simulator()
+        fired = []
+        first = sim.schedule(1.0, fired.append, "f")
+        sim.run()
+        second = sim.schedule(1.0, fired.append, "g")
+        assert second is not first
+        first.cancel()
+        assert not first.cancelled and not second.cancelled
+        assert sim.cancelled_pending == 0
+        sim.run()
+        assert fired == ["f", "g"]
+
+    def test_handle_cancelled_inside_its_own_callback_is_a_noop(self):
+        # At its own instant a fired event is no longer in the heap.
+        sim = Simulator()
+        handles = []
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
         sim.schedule(1.0, lambda: None)
         sim.run()
-        # The fired event went to the free list and the next schedule
-        # reuses it with cleared callback state.
-        assert len(sim._free) == 1
-        recycled = sim._free[-1]
-        assert recycled.callback is None and recycled.args is None
-        event = sim.schedule(1.0, lambda: None)
-        assert event is recycled
-        assert not event.cancelled
+        assert sim.cancelled_pending == 0
+        assert sim.events_processed == 2
 
     def test_cancelled_census_decrements_on_collection(self):
         sim = Simulator()
